@@ -186,4 +186,28 @@ mod tests {
         let short = vec![0.1f32; 100];
         assert_eq!(obfuscate(&short, 16_000, &mut rng), short);
     }
+
+    /// Pins a fixed-seed obfuscation bit for bit. The path runs the mel
+    /// filterbank's `apply` and the complex `fft_in_place` /
+    /// `ifft_in_place` transforms, so a kernel rewrite that is not
+    /// bitwise exact shows up here. Twiddles and the noise source call
+    /// the platform libm, hence the target gate.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    #[test]
+    fn fixed_seed_obfuscation_is_pinned() {
+        let mut rng = StdRng::seed_from_u64(0x41DE);
+        let clear = gen::chirp(150.0, 2_500.0, 0.3, 16_000, 0.5);
+        let hidden = obfuscate(&clear, 16_000, &mut rng);
+        let hash = hidden.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, x| {
+            x.to_bits()
+                .to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+        });
+        assert_eq!(
+            (hidden.len(), hash),
+            (8_000, 0x94fd_7950_2c48_1ed4),
+            "hash {hash:#018x}"
+        );
+    }
 }

@@ -97,6 +97,19 @@ fn run_stages(iters: usize) -> SweepResult {
         }),
     );
 
+    // The cross-device sync transform: a real FFT at n = 65536 (a
+    // 32768-point complex transform plus the packed-input unpacking),
+    // three of which run per sync.
+    let sync_signal = gen::chirp(100.0, 3_000.0, 0.3, 16_000, 65_536.0 / 16_000.0);
+    let mut sync_spec = Vec::new();
+    out.insert(
+        "fft_real_64k",
+        median_ns(iters, || {
+            fft::half_spectrum_into(black_box(&sync_signal), 65_536, &mut sync_spec);
+            black_box(&sync_spec);
+        }),
+    );
+
     let barrier = Barrier::new(BarrierMaterial::GlassWindow);
     out.insert(
         "barrier_transmit_16k_samples",

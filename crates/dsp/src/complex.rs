@@ -16,7 +16,12 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub};
 /// assert_eq!(z.norm(), 5.0);
 /// assert_eq!(z * Complex::I, Complex::new(-4.0, 3.0));
 /// ```
+///
+/// The layout is `repr(C)` — `re` then `im` — so a slice of `Complex`
+/// is a slice of interleaved `f32` pairs, which the SIMD FFT stages
+/// load directly.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(C)]
 pub struct Complex {
     /// Real component.
     pub re: f32,

@@ -116,7 +116,7 @@ impl FftPlan {
     ///
     /// Panics if `buf.len()` differs from the plan size.
     pub fn forward(&self, buf: &mut [Complex]) {
-        self.process::<false>(buf);
+        self.process::<false>(buf, Kernel::detect());
     }
 
     /// In-place inverse FFT of `buf`, including the `1/N` normalization.
@@ -125,17 +125,20 @@ impl FftPlan {
     ///
     /// Panics if `buf.len()` differs from the plan size.
     pub fn inverse(&self, buf: &mut [Complex]) {
-        self.process::<true>(buf);
+        self.process::<true>(buf, Kernel::detect());
         let scale = 1.0 / self.n as f32;
         for v in buf.iter_mut() {
             *v = v.scale(scale);
         }
     }
 
-    fn process<const INVERSE: bool>(&self, buf: &mut [Complex]) {
+    /// Bit-reversal permutation followed by the radix-2 stages, each
+    /// stage run by `kernel`'s butterfly body. Every kernel performs the
+    /// same IEEE operations per butterfly, so the result does not depend
+    /// on which one runs.
+    fn process<const INVERSE: bool>(&self, buf: &mut [Complex], kernel: Kernel) {
         assert_eq!(buf.len(), self.n, "buffer length must match plan size");
-        let n = self.n;
-        if n <= 1 {
+        if self.n <= 1 {
             return;
         }
         for (i, &j) in self.rev.iter().enumerate() {
@@ -144,22 +147,111 @@ impl FftPlan {
                 buf.swap(i, j);
             }
         }
-        let mut offset = 0usize;
-        let mut len = 2usize;
-        while len <= n {
-            let half = len / 2;
-            let tw = &self.twiddles[offset..offset + half];
-            for start in (0..n).step_by(len) {
-                for (k, &t) in tw.iter().enumerate() {
-                    let w = if INVERSE { t.conj() } else { t };
-                    let a = buf[start + k];
-                    let b = buf[start + k + half] * w;
-                    buf[start + k] = a + b;
-                    buf[start + k + half] = a - b;
-                }
+        let mut twiddles = self.twiddles.as_slice();
+        let mut half = 1usize;
+        while half < self.n {
+            let (stage, rest) = twiddles.split_at(half);
+            twiddles = rest;
+            match kernel {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `Kernel::Avx2` is only produced after a
+                // successful run-time AVX2 check.
+                Kernel::Avx2 if half >= 4 => unsafe { stage_avx2::<INVERSE>(buf, stage) },
+                _ => stage_scalar::<INVERSE>(buf, stage),
             }
-            offset += half;
-            len <<= 1;
+            half <<= 1;
+        }
+    }
+}
+
+/// The butterfly body that runs the stages of a transform.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// Portable scalar butterflies: the fallback and the reference.
+    Scalar,
+    /// Four complex lanes per AVX2 register for stages with `half >= 4`;
+    /// the two narrower stages stay scalar.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Kernel {
+    /// The widest kernel this CPU runs, checked at run time.
+    #[inline]
+    fn detect() -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Kernel::Avx2;
+        }
+        Kernel::Scalar
+    }
+}
+
+/// One radix-2 stage with `tw.len()` butterflies per block: for every
+/// block `[lo | hi]` of `2·half` bins, `lo[k] ± hi[k]·w_k`.
+#[inline]
+fn stage_scalar<const INVERSE: bool>(buf: &mut [Complex], tw: &[Complex]) {
+    let half = tw.len();
+    for block in buf.chunks_exact_mut(2 * half) {
+        let (lo, hi) = block.split_at_mut(half);
+        for ((a, b), &t) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
+            let w = if INVERSE { t.conj() } else { t };
+            let x = *a;
+            let y = *b * w;
+            *a = x + y;
+            *b = x - y;
+        }
+    }
+}
+
+/// AVX2 body of [`stage_scalar`], four butterflies per register.
+///
+/// Bitwise identical to the scalar body: the complex product is two
+/// per-lane multiplies (`b·w_re`, `swap(b)·w_im`) joined by `addsub`,
+/// which yields `b.re·w.re − b.im·w.im` in the real lane and
+/// `b.im·w.re + b.re·w.im` in the imaginary lane — the scalar sum with
+/// its two (commutative) addends swapped. No FMA is used, so every
+/// product is rounded before the add exactly as in scalar code. The
+/// inverse conjugates twiddles by flipping their imaginary sign bits,
+/// which is what `Complex::conj` does; the trivial `(1, -0)` twiddle is
+/// multiplied like any other. `tw.len()` must be a multiple of 4, which
+/// every stage with `half >= 4` is.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn stage_avx2<const INVERSE: bool>(buf: &mut [Complex], tw: &[Complex]) {
+    use std::arch::x86_64::{
+        _mm256_add_ps, _mm256_addsub_ps, _mm256_loadu_ps, _mm256_movehdup_ps, _mm256_moveldup_ps,
+        _mm256_mul_ps, _mm256_permute_ps, _mm256_setr_ps, _mm256_storeu_ps, _mm256_sub_ps,
+        _mm256_xor_ps,
+    };
+    let half = tw.len();
+    debug_assert_eq!(half % 4, 0);
+    let conj = _mm256_setr_ps(0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0);
+    for block in buf.chunks_exact_mut(2 * half) {
+        let (lo, hi) = block.split_at_mut(half);
+        for ((a, b), t) in lo
+            .chunks_exact_mut(4)
+            .zip(hi.chunks_exact_mut(4))
+            .zip(tw.chunks_exact(4))
+        {
+            // `Complex` is `repr(C)`, so four of them are eight packed
+            // f32 lanes `[re, im, re, im, ..]`.
+            let (pa, pb) = (a.as_mut_ptr().cast::<f32>(), b.as_mut_ptr().cast::<f32>());
+            let mut w = _mm256_loadu_ps(t.as_ptr().cast::<f32>());
+            if INVERSE {
+                w = _mm256_xor_ps(w, conj);
+            }
+            let x = _mm256_loadu_ps(pa);
+            let v = _mm256_loadu_ps(pb);
+            let re_part = _mm256_mul_ps(v, _mm256_moveldup_ps(w));
+            let im_part = _mm256_mul_ps(_mm256_permute_ps(v, 0b1011_0001), _mm256_movehdup_ps(w));
+            let y = _mm256_addsub_ps(re_part, im_part);
+            _mm256_storeu_ps(pa, _mm256_add_ps(x, y));
+            _mm256_storeu_ps(pb, _mm256_sub_ps(x, y));
         }
     }
 }
@@ -301,22 +393,31 @@ fn half_spectrum_with(z: &mut Vec<Complex>, signal: &[f32], n: usize, out: &mut 
     }
     let half = n / 2;
     z.clear();
+    let pairs = signal.chunks_exact(2);
+    let tail = pairs.remainder();
+    z.extend(pairs.map(|p| Complex::new(p[0], p[1])));
+    z.extend(tail.iter().map(|&re| Complex::from_real(re)));
     z.resize(half, Complex::ZERO);
-    for (m, slot) in z.iter_mut().enumerate() {
-        let re = signal.get(2 * m).copied().unwrap_or(0.0);
-        let im = signal.get(2 * m + 1).copied().unwrap_or(0.0);
-        *slot = Complex::new(re, im);
-    }
     with_plan(half, |p| {
         p.forward(z);
-        out.reserve(half + 1);
-        for k in 0..=half {
-            let zk = z[k % half];
-            let zmk = z[(half - k) % half].conj();
+        let unpack = |zk: Complex, zmk: Complex, tw: Complex| {
+            let zmk = zmk.conj();
             let even = (zk + zmk).scale(0.5);
             let odd = (zk - zmk) * Complex::new(0.0, -0.5);
-            out.push(even + p.real_twiddles[k] * odd);
-        }
+            even + tw * odd
+        };
+        // Bin k pairs z_k with z_{half-k}; DC and Nyquist both pair z_0
+        // with itself.
+        out.reserve(half + 1);
+        out.push(unpack(z[0], z[0], p.real_twiddles[0]));
+        out.extend(
+            z[1..]
+                .iter()
+                .zip(z[1..].iter().rev())
+                .zip(&p.real_twiddles[1..half])
+                .map(|((&zk, &zmk), &tw)| unpack(zk, zmk, tw)),
+        );
+        out.push(unpack(z[0], z[0], p.real_twiddles[half]));
     });
 }
 
@@ -348,23 +449,26 @@ fn real_inverse_with(z: &mut Vec<Complex>, spec: &[Complex], n: usize, out: &mut
     }
     let half = n / 2;
     z.clear();
-    z.reserve(half);
     with_plan(half, |p| {
-        for k in 0..half {
-            let xk = spec[k];
-            let xmk = spec[half - k].conj();
-            let even = (xk + xmk).scale(0.5);
-            let odd = p.real_twiddles[k].conj() * (xk - xmk).scale(0.5);
-            // z_k = even + i * odd
-            z.push(even + odd * Complex::I);
-        }
+        // Bin k pairs with bin half-k: spec[..half] against spec[1..=half]
+        // reversed.
+        z.extend(
+            spec[..half]
+                .iter()
+                .zip(spec[1..=half].iter().rev())
+                .zip(&p.real_twiddles[..half])
+                .map(|((&xk, &xmk), &tw)| {
+                    let xmk = xmk.conj();
+                    let even = (xk + xmk).scale(0.5);
+                    let odd = tw.conj() * (xk - xmk).scale(0.5);
+                    // z_k = even + i * odd
+                    even + odd * Complex::I
+                }),
+        );
         p.inverse(z);
     });
     out.reserve(n);
-    for v in z.iter() {
-        out.push(v.re);
-        out.push(v.im);
-    }
+    out.extend(z.iter().flat_map(|v| [v.re, v.im]));
 }
 
 /// Forward FFT of a real signal, zero-padded to the next power of two (or
@@ -654,6 +758,130 @@ mod tests {
     fn frequency_response_empty_input() {
         let out = apply_frequency_response(&[], 8_000, |_| 1.0);
         assert!(out.is_empty());
+    }
+
+    fn bits(buf: &[Complex]) -> Vec<(u32, u32)> {
+        buf.iter()
+            .map(|c| (c.re.to_bits(), c.im.to_bits()))
+            .collect()
+    }
+
+    /// Edge-case inputs for the kernel parity checks: ordinary random
+    /// values, random signed zeros, random-sign subnormals, and values
+    /// near 1e30 whose products overflow to infinity (and whose
+    /// butterflies then produce NaN).
+    fn parity_inputs(n: usize, seed: u64) -> Vec<Vec<Complex>> {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut draw = |f: &mut dyn FnMut(&mut StdRng) -> f32| -> Vec<Complex> {
+            (0..n)
+                .map(|_| Complex::new(f(&mut rng), f(&mut rng)))
+                .collect()
+        };
+        let sign = |rng: &mut StdRng| if rng.gen::<bool>() { -1.0f32 } else { 1.0 };
+        vec![
+            draw(&mut |r| r.gen_range(-1.0f32..1.0)),
+            draw(&mut |r| sign(r) * 0.0),
+            draw(&mut |r| sign(r) * f32::from_bits(r.gen_range(1u32..0x0080_0000))),
+            draw(&mut |r| sign(r) * r.gen_range(0.5f32..2.0) * 1e30),
+        ]
+    }
+
+    #[test]
+    fn simd_stages_match_scalar_stages_bitwise() {
+        // `Kernel::detect()` is the scalar kernel on CPUs without AVX2,
+        // where this check is trivially true.
+        for log2 in 1..=17 {
+            let n = 1usize << log2;
+            let plan = FftPlan::new(n).unwrap();
+            for (case, input) in parity_inputs(n, log2 as u64).into_iter().enumerate() {
+                let mut fast = input.clone();
+                let mut reference = input.clone();
+                plan.process::<false>(&mut fast, Kernel::detect());
+                plan.process::<false>(&mut reference, Kernel::Scalar);
+                assert!(bits(&fast) == bits(&reference), "forward n={n} case {case}");
+                let mut fast = input.clone();
+                let mut reference = input;
+                plan.process::<true>(&mut fast, Kernel::detect());
+                plan.process::<true>(&mut reference, Kernel::Scalar);
+                assert!(bits(&fast) == bits(&reference), "inverse n={n} case {case}");
+            }
+        }
+    }
+
+    /// The packing step of the real-input transform as it was written
+    /// before the iterator rewrite: `signal.get` for the zero padding,
+    /// `%` for the wrap-around bins.
+    fn half_spectrum_indexed(signal: &[f32], n: usize) -> Vec<Complex> {
+        if n == 1 {
+            return vec![Complex::from_real(signal.first().copied().unwrap_or(0.0))];
+        }
+        let half = n / 2;
+        let mut z = vec![Complex::ZERO; half];
+        for (m, slot) in z.iter_mut().enumerate() {
+            let re = signal.get(2 * m).copied().unwrap_or(0.0);
+            let im = signal.get(2 * m + 1).copied().unwrap_or(0.0);
+            *slot = Complex::new(re, im);
+        }
+        let mut out = Vec::new();
+        with_plan(half, |p| {
+            p.forward(&mut z);
+            for k in 0..=half {
+                let zk = z[k % half];
+                let zmk = z[(half - k) % half].conj();
+                let even = (zk + zmk).scale(0.5);
+                let odd = (zk - zmk) * Complex::new(0.0, -0.5);
+                out.push(even + p.real_twiddles[k] * odd);
+            }
+        });
+        out
+    }
+
+    /// The unpacking step of the real inverse as it was written before
+    /// the iterator rewrite.
+    fn real_inverse_indexed(spec: &[Complex], n: usize) -> Vec<f32> {
+        if n == 1 {
+            return vec![spec[0].re];
+        }
+        let half = n / 2;
+        let mut z = Vec::with_capacity(half);
+        with_plan(half, |p| {
+            for k in 0..half {
+                let xk = spec[k];
+                let xmk = spec[half - k].conj();
+                let even = (xk + xmk).scale(0.5);
+                let odd = p.real_twiddles[k].conj() * (xk - xmk).scale(0.5);
+                z.push(even + odd * Complex::I);
+            }
+            p.inverse(&mut z);
+        });
+        z.iter().flat_map(|v| [v.re, v.im]).collect()
+    }
+
+    #[test]
+    fn real_transforms_match_indexed_pack_and_unpack_bitwise() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xFF7);
+        for log2 in 0..=17 {
+            let n = 1usize << log2;
+            // Empty, odd-length (a lone trailing sample), and full
+            // signals exercise every branch of the packing.
+            for len in [0, n / 2 + (n > 1) as usize, n] {
+                let signal: Vec<f32> = (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                let mut got = Vec::new();
+                half_spectrum_into(&signal, n, &mut got);
+                let want = half_spectrum_indexed(&signal, n);
+                assert!(bits(&got) == bits(&want), "forward n={n} len={len}");
+            }
+            let spec: Vec<Complex> = (0..n / 2 + 1)
+                .map(|_| Complex::new(rng.gen_range(-1.0f32..1.0), rng.gen_range(-1.0f32..1.0)))
+                .collect();
+            let mut got = Vec::new();
+            real_inverse_into(&spec, n, &mut got);
+            let want = real_inverse_indexed(&spec, n);
+            let to_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert!(to_bits(&got) == to_bits(&want), "inverse n={n}");
+        }
     }
 
     #[test]
