@@ -2,8 +2,8 @@
 //!
 //! Measures the median time of each pipeline stage and writes (or merges
 //! into) `BENCH_pipeline.json` so the perf trajectory of the workspace is
-//! tracked in-repo across PRs. Criterion remains the precision harness;
-//! this binary exists so a labelled snapshot can be committed.
+//! tracked in-repo. It is the workspace's in-process stage harness; the
+//! outside-in benchmark of whole operations lives in `perfbench/`.
 //!
 //! Usage: `bench_json [--label NAME] [--out FILE] [--iters N]
 //! [--best-of N] [--trace-out FILE] [--check] [--dry-run]
@@ -48,7 +48,7 @@ use thrubarrier_nn::act::gates_fused;
 use thrubarrier_nn::lstm::BiLstm;
 use thrubarrier_nn::model::{BrnnClassifier, TrainConfig};
 use thrubarrier_nn::score::{ScoreService, DEFAULT_MAX_BATCH};
-use thrubarrier_nn::{BackwardPath, BatchWorkspace, GemmScratch};
+use thrubarrier_nn::{BatchWorkspace, GemmScratch};
 use thrubarrier_obs::ledger::{Ledger, RunRecord};
 use thrubarrier_vibration::Wearable;
 
@@ -149,96 +149,47 @@ fn run_stages(iters: usize) -> SweepResult {
         }),
     );
 
-    // The correlation engine's stages at the cross-device sync shape
-    // (1 s reference against a 1.1 s delayed copy, max lag 0.25 s):
-    // `xcorr_1s` is the full-correlation auto path (FFT at this size),
+    // The bounded-lag search at the cross-device sync shape (1 s
+    // reference against a 1.1 s delayed copy, max lag 0.25 s):
     // `estimate_delay_1s` pins the exact bounded-FFT search the engine
     // picks for this shape (pinned so the figure keeps naming one path
-    // even if auto crossovers are retuned), `estimate_delay_1s_coarse`
-    // tracks the opt-in approximate coarse-to-fine path, and the
-    // `*_time` stages are the exact time-domain oracles the speedups
-    // are claimed against. The oracles cost ~10^8 multiply-adds per
-    // call, so they run on a reduced iteration budget.
-    out.insert(
-        "xcorr_1s",
-        median_ns(iters, || {
-            black_box(
-                correlate::cross_correlate(black_box(&reference), black_box(&delayed)).unwrap(),
-            );
-        }),
-    );
-    out.insert(
-        "xcorr_1s_time",
-        median_ns(iters.min(5), || {
-            black_box(correlate::cross_correlate_time(
-                black_box(&reference),
-                black_box(&delayed),
-            ));
-        }),
-    );
-    out.insert(
-        "estimate_delay_1s",
-        median_ns(iters, || {
-            black_box(
-                correlate::estimate_delay_with(
-                    black_box(&reference),
-                    black_box(&delayed),
-                    4_000,
-                    correlate::LagSearch::Fft,
-                )
-                .unwrap(),
-            );
-        }),
-    );
-    out.insert(
-        "estimate_delay_1s_coarse",
-        median_ns(iters, || {
-            black_box(
-                correlate::estimate_delay_with(
-                    black_box(&reference),
-                    black_box(&delayed),
-                    4_000,
-                    correlate::LagSearch::CoarseToFine,
-                )
-                .unwrap(),
-            );
-        }),
-    );
-    out.insert(
-        "estimate_delay_1s_time",
-        median_ns(iters.min(5), || {
-            black_box(
-                correlate::estimate_delay_with(
-                    black_box(&reference),
-                    black_box(&delayed),
-                    4_000,
-                    correlate::LagSearch::TimeDomain,
-                )
-                .unwrap(),
-            );
-        }),
-    );
+    // even if the auto crossover is retuned), and
+    // `estimate_delay_1s_time` is the exact windowed time-domain scan.
+    // The scan costs ~10^8 multiply-adds per call, so it runs on a
+    // reduced iteration budget.
+    for (stage, search, stage_iters) in [
+        ("estimate_delay_1s", correlate::LagSearch::Fft, iters),
+        (
+            "estimate_delay_1s_time",
+            correlate::LagSearch::TimeDomain,
+            iters.min(5),
+        ),
+    ] {
+        out.insert(
+            stage,
+            median_ns(stage_iters, || {
+                black_box(
+                    correlate::estimate_delay_with(
+                        black_box(&reference),
+                        black_box(&delayed),
+                        4_000,
+                        search,
+                    )
+                    .unwrap(),
+                );
+            }),
+        );
+    }
 
-    // Parity guard: at the 1 s shape the engine's frequency-domain paths
-    // must never lose to the exact time-domain oracles on the bench
-    // host. Asserted so a path-selection regression fails the bench run
-    // instead of silently recording a bad snapshot. The stage value is
-    // the full-correlation speedup in thousandths (unitless — the one
-    // stage in this file that is not a nanosecond median).
-    let (fft_ns, time_ns) = (out["xcorr_1s"], out["xcorr_1s_time"]);
-    assert!(
-        fft_ns <= time_ns,
-        "xcorr_parity: FFT path {fft_ns} ns slower than time-domain {time_ns} ns at 1 s inputs"
-    );
+    // Parity guard: at the 1 s shape the bounded-FFT search must never
+    // lose to the time-domain scan on the bench host. Asserted so a
+    // path-selection regression fails the bench run instead of silently
+    // recording a bad snapshot.
     assert!(
         out["estimate_delay_1s"] <= out["estimate_delay_1s_time"],
-        "xcorr_parity: coarse-to-fine {} ns slower than exhaustive {} ns at 1 s inputs",
+        "lag_search_parity: bounded-FFT search {} ns slower than time-domain scan {} ns at 1 s inputs",
         out["estimate_delay_1s"],
         out["estimate_delay_1s_time"]
-    );
-    out.insert(
-        "xcorr_parity_speedup_x1000",
-        time_ns * 1_000 / fft_ns.max(1),
     );
 
     let wearable = Wearable::fossil_gen_5();
@@ -275,8 +226,9 @@ fn run_stages(iters: usize) -> SweepResult {
 
     // Parity guard: the fused engine must never lose to the staged
     // oracle on the bench host. Asserted so an engine regression fails
-    // the bench run instead of silently recording a bad snapshot; the
-    // speedup stage is in thousandths, like `xcorr_parity_speedup_x1000`.
+    // the bench run instead of silently recording a bad snapshot. The
+    // speedup stage is in thousandths (unitless — unlike the other
+    // stages, not a nanosecond median).
     let (fused_ns, staged_ns) = (
         out["vibration_convert_1s"],
         out["vibration_convert_1s_staged"],
@@ -540,11 +492,10 @@ fn run_stages(iters: usize) -> SweepResult {
 
     // The backward half in isolation, at the same minibatch-8 shape:
     // one BiLSTM BPTT sweep (no head, no optimizer) through the fused
-    // register-tiled engine versus the kept unfused oracle. The
-    // forward pass and packing run once outside the timed closure, so
-    // the stage pair isolates exactly what the fused gate sweep, the
-    // cached-transpose `Uᵀ·dZ` GEMM and the tiled `dW += dZᵀ·X`
-    // accumulations buy.
+    // register-tiled engine. The forward pass and packing run once
+    // outside the timed closure, so the stage isolates the fused gate
+    // sweep, the cached-transpose `Uᵀ·dZ` GEMM and the tiled
+    // `dW += dZᵀ·X` accumulations.
     let mut rng = StdRng::seed_from_u64(6);
     let mut bptt = BiLstm::new(mfcc.n_coeffs(), 64, &mut rng);
     let bptt_seqs: Vec<&[Vec<f32>]> = seqs8.iter().map(|(x, _)| x.as_slice()).collect();
@@ -556,40 +507,18 @@ fn run_stages(iters: usize) -> SweepResult {
         .map(|s| (0..s.len() * 64).map(|j| (0.17 * j as f32).sin()).collect())
         .collect();
     let bptt_dhs: Vec<&[f32]> = bptt_dhs_flat.iter().map(|v| v.as_slice()).collect();
-    for (stage, path) in [
-        ("brnn_backward_batch8", BackwardPath::Fused),
-        ("brnn_backward_batch8_unfused", BackwardPath::Unfused),
-    ] {
-        out.insert(
-            stage,
-            median_ns(iters.max(32), || {
-                for p in bptt.params_mut() {
-                    p.zero_grad();
-                }
-                bptt.backward_batch(
-                    black_box(&mut bptt_ws),
-                    black_box(&bptt_dhs),
-                    &mut bptt_scratch,
-                    path,
-                );
-            }),
-        );
-    }
-
-    // Parity guard in the `vibration_parity` / `xcorr_parity` style:
-    // the fused backward engine must never lose to the unfused oracle
-    // on the bench host, and the margin is recorded in thousandths.
-    let (bwd_fused_ns, bwd_unfused_ns) = (
-        out["brnn_backward_batch8"],
-        out["brnn_backward_batch8_unfused"],
-    );
-    assert!(
-        bwd_fused_ns <= bwd_unfused_ns,
-        "backward_parity: fused engine {bwd_fused_ns} ns slower than unfused {bwd_unfused_ns} ns at minibatch 8"
-    );
     out.insert(
-        "brnn_backward_parity_speedup_x1000",
-        bwd_unfused_ns * 1_000 / bwd_fused_ns.max(1),
+        "brnn_backward_batch8",
+        median_ns(iters.max(32), || {
+            for p in bptt.params_mut() {
+                p.zero_grad();
+            }
+            bptt.backward_batch(
+                black_box(&mut bptt_ws),
+                black_box(&bptt_dhs),
+                &mut bptt_scratch,
+            );
+        }),
     );
 
     // The end-to-end pipeline: synthesize + propagate + record a trial,

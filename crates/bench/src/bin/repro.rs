@@ -5,8 +5,12 @@
 //!
 //! experiments:
 //!   table1 table2 fig3 fig4 fig6 fig7 fig9 fig10
-//!   fig11a fig11b fig11c fig11d phoneme-detection all
+//!   fig11a fig11b fig11c fig11d phoneme-detection
+//!   ablation extensions architectures naive-baseline all
 //! ```
+//!
+//! Every name is checked before any experiment runs: an unknown one
+//! prints the valid names and exits with status 2.
 
 use std::env;
 use thrubarrier_attack::AttackKind;
@@ -16,6 +20,27 @@ use thrubarrier_eval::experiments::{
     phoneme_detection, table1, table2,
 };
 use thrubarrier_eval::runner::{Runner, RunnerConfig, SelectorChoice};
+
+/// Every experiment `repro` runs, in the order `all` runs them.
+const EXPERIMENTS: [&str; 17] = [
+    "table1",
+    "table2",
+    "fig3",
+    "fig4",
+    "fig6",
+    "fig7",
+    "fig9",
+    "fig10",
+    "fig11a",
+    "fig11b",
+    "fig11c",
+    "fig11d",
+    "phoneme-detection",
+    "ablation",
+    "extensions",
+    "architectures",
+    "naive-baseline",
+];
 
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
@@ -52,36 +77,28 @@ fn main() {
             other => experiments.push(other.to_string()),
         }
     }
-    if let Some(dir) = &csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv output directory");
+    let unknown: Vec<&str> = experiments
+        .iter()
+        .map(String::as_str)
+        .filter(|e| *e != "all" && !EXPERIMENTS.contains(e))
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!(
+            "unknown experiment: {}\nvalid experiments: {} all",
+            unknown.join(", "),
+            EXPERIMENTS.join(" ")
+        );
+        std::process::exit(2);
     }
     if experiments.is_empty() {
         print_help();
         return;
     }
+    if let Some(dir) = &csv_dir {
+        std::fs::create_dir_all(dir).expect("create csv output directory");
+    }
     if experiments.iter().any(|e| e == "all") {
-        experiments = [
-            "table1",
-            "table2",
-            "fig3",
-            "fig4",
-            "fig6",
-            "fig7",
-            "fig9",
-            "fig10",
-            "fig11a",
-            "fig11b",
-            "fig11c",
-            "fig11d",
-            "phoneme-detection",
-            "ablation",
-            "extensions",
-            "architectures",
-            "naive-baseline",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        experiments = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
     }
     if trace_out.is_some() {
         if !thrubarrier_obs::COMPILED {
@@ -292,6 +309,6 @@ fn run_experiment(
             cfg.trials = ((600.0 * preset.scale) as usize).clamp(12, 600);
             println!("{}", extensions::render_all(&cfg));
         }
-        other => eprintln!("unknown experiment: {other} (see repro --help)"),
+        other => unreachable!("experiment {other} was validated in main"),
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! * The `repro` binary regenerates every table and figure of the paper
 //!   (see `repro --help`).
-//! * The Criterion benches under `benches/` measure the pipeline stages
-//!   and one workload per table/figure.
+//! * The `bench_json` binary measures the pipeline stages, appends each
+//!   run to the ledger and gates it with the regression [`sentinel`].
 
 #![warn(missing_docs)]
 
@@ -11,7 +11,7 @@ pub mod sentinel;
 
 use thrubarrier_eval::runner::SelectorChoice;
 
-/// Scale/selector presets shared by the repro binary and the benches.
+/// Scale/selector presets of the repro binary.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReproPreset {
     /// Trial-count scale (1.0 ≈ paper counts).

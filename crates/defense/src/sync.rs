@@ -51,9 +51,7 @@ pub fn synchronize(
     // The wearable misses the beginning, i.e. its content is the VA's
     // shifted *earlier*; estimate the delay of the VA signal relative to
     // the wearable signal. The engine searches only the ±max_lag window
-    // (exact bounded-FFT correlation on recordings this long — attack
-    // trials have flat correlation surfaces, so the approximate
-    // coarse-to-fine search would shift downstream scores).
+    // (exact bounded-FFT correlation on recordings this long).
     let delay = correlate::estimate_delay(wearable.samples(), va.samples(), max_lag)?;
     // Invariant: the VA recording is authoritative — its timeline is
     // never shifted. The wearable recording is moved onto it (the

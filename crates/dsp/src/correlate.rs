@@ -1,5 +1,4 @@
-//! Cross-correlation engine, bounded-lag delay estimation and 2-D Pearson
-//! correlation.
+//! Bounded-lag delay estimation and 2-D Pearson correlation.
 //!
 //! * The cross-device synchronization step (paper Eq. 5) aligns the VA and
 //!   wearable recordings with the lag that maximizes their
@@ -7,101 +6,40 @@
 //!   **bounded-lag** correlator: only the `±max_lag` window of the
 //!   correlation is ever materialized, by size-selected choice between a
 //!   windowed time-domain scan and frequency-domain circular correlation
-//!   on the planned real transform (both exact; the time-domain path
-//!   doubles as the parity oracle). A decimate-then-refine coarse-to-fine
-//!   search exists as an explicit opt-in for callers that can trade exact
-//!   argmax semantics for speed ([`LagSearch::CoarseToFine`]).
-//! * [`cross_correlate`] produces the full `N + M - 1` linear correlation
-//!   the same way: direct form for small inputs, conjugate-multiply FFT
-//!   for the common case, and an overlap-save pass (sharing
-//!   [`crate::filter::overlap_save_convolve`]) for long-signal /
-//!   short-template shapes.
+//!   on the planned real transform. Both are exact; the full direct-form
+//!   [`cross_correlate_time`] is the oracle the tests compare them with.
 //! * The attack detector (paper Eq. 6) scores the similarity of two
 //!   normalized vibration spectrograms with a 2-D correlation
 //!   coefficient; [`spectrogram_correlation`] implements it directly on
 //!   the contiguous [`Spectrogram`] layout, and [`correlation_2d`] on raw
 //!   row vectors.
 //!
-//! Every frequency-domain path rounds its transform length up via
-//! [`fft::next_pow2`] before touching [`fft::with_plan`], so the
+//! The frequency-domain search rounds its transform length up via
+//! [`fft::next_pow2`] before touching the planned transforms, so the
 //! power-of-two requirement of the plan cache can never surface as a
 //! panic from this module.
 
 use crate::complex::Complex;
 use crate::error::DspError;
 use crate::fft;
-use crate::filter;
-use crate::resample;
 use crate::stats;
 use crate::stft::Spectrogram;
-
-/// Path selection for the full linear correlation ([`cross_correlate_with`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum XcorrPath {
-    /// Pick a path from the input lengths (measured crossovers; see the
-    /// constants in this module).
-    #[default]
-    Auto,
-    /// Direct `O(N·M)` time-domain correlation — exact arithmetic, used
-    /// as the parity oracle for the fast paths.
-    TimeDomain,
-    /// Full-signal FFT correlation: conjugate multiply of the two padded
-    /// half spectra on the planned real-input transform.
-    Fft,
-    /// Overlap-save correlation for long-signal / short-template shapes:
-    /// the short side's spectrum is computed once and the long side
-    /// streams through fixed-size blocks, keeping per-sample cost
-    /// `O(log template)` instead of `O(log(N + M))`.
-    OverlapSave,
-}
 
 /// Path selection for the bounded-lag search ([`estimate_delay_with`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LagSearch {
     /// Pick a path from the input lengths and the lag-window width
-    /// (measured crossovers; see the constants in this module).
+    /// (measured crossover; see `LAG_TIME_MAX_MACS`).
     #[default]
     Auto,
     /// Windowed time-domain scan: one dot product per candidate lag,
-    /// `O(W·min(N, M))` total — exact, and the oracle for the others.
+    /// `O(W·min(N, M))` total.
     TimeDomain,
     /// Circular FFT correlation sized `next_pow2(max(N, M) + max_lag)` —
     /// roughly half the transform of the full `2N−1` correlation — from
     /// which only the `±max_lag` window is read.
     Fft,
-    /// Coarse-to-fine: both signals are boxcar-decimated by
-    /// [`COARSE_DECIMATION`], the window is searched at the low rate via
-    /// the FFT path, and the estimate is refined exactly at full rate
-    /// over `±`[`REFINE_RADIUS`] lags with the time-domain scan.
-    ///
-    /// **Opt-in approximation** — never chosen by [`LagSearch::Auto`].
-    /// It recovers a genuinely embedded delay exactly (property-tested
-    /// at 16/48 kHz across the network-delay envelope), but when the
-    /// correlation surface carries near-tied side lobes the decimated
-    /// argmax can land on a different lobe than the exact argmax:
-    /// measured on the eval corpus, speech pitch side lobes one F0
-    /// period (~75–110 samples at 16 kHz) from the true peak reorder
-    /// under decimation, and on uncorrelated attack-trial pairs the
-    /// surface is flat enough that *any* coarse search shifts the
-    /// reported lag. Callers that only need fast alignment of sharply
-    /// peaked signals can request it; callers whose downstream scores
-    /// depend on exact argmax semantics should stay on `Auto`.
-    CoarseToFine,
 }
-
-/// `min(N, M) · max(N, M)` multiply-adds below which the direct form wins
-/// the full correlation (measured on the bench host: the direct form ran
-/// 3x faster at 4k MACs and lost from ~16k MACs up, where the FFT's
-/// fixed plan-lookup + pack/unpack overhead stops dominating).
-const XCORR_TIME_MAX_MACS: usize = 1 << 13;
-
-/// Overlap-save only pays off when the template's spectrum is reused
-/// across many blocks: template at most this long ...
-const OVERLAP_SAVE_MAX_TEMPLATE: usize = 4_096;
-
-/// ... and the other input at least this factor longer. Below the ratio
-/// the single big FFT is measurably cheaper than the block stream.
-const OVERLAP_SAVE_MIN_RATIO: usize = 8;
 
 /// `W · min(N, M)` multiply-adds below which the windowed time-domain
 /// scan beats the bounded FFT (measured on the bench host: the FFT path
@@ -109,83 +47,11 @@ const OVERLAP_SAVE_MIN_RATIO: usize = 8;
 /// won from ~64k MACs up — e.g. already 1.8x at N=512, W=257).
 const LAG_TIME_MAX_MACS: usize = 1 << 15;
 
-/// Decimation factor of the coarse pass. At the paper's 16 kHz audio
-/// rate this searches the lag window at an effective 2 kHz; the boxcar's
-/// first spectral null lands at `fs / 8`, enough anti-aliasing for the
-/// broad speech correlation peak to survive while the coarse FFT shrinks
-/// by 8x (and its lag window by 8x on top).
-const COARSE_DECIMATION: usize = 8;
-
-/// Full-rate lags searched around the coarse estimate. Boxcar decimation
-/// can move the coarse peak by ±1 coarse sample (±[`COARSE_DECIMATION`]
-/// fine lags); twice that margin absorbs the filter transition as well.
-const REFINE_RADIUS: isize = 2 * COARSE_DECIMATION as isize;
-
-/// Full linear cross-correlation of `a` and `b`, path chosen by input
-/// size ([`XcorrPath::Auto`]).
-///
-/// The output has length `a.len() + b.len() - 1`; index
-/// `k` corresponds to lag `k - (b.len() - 1)` of `a` relative to `b`.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] if either input is empty.
-pub fn cross_correlate(a: &[f32], b: &[f32]) -> Result<Vec<f32>, DspError> {
-    cross_correlate_with(a, b, XcorrPath::Auto)
-}
-
-/// [`cross_correlate`] with an explicit path (parity tests and benches
-/// force each one; [`XcorrPath::Auto`] reproduces the public behaviour).
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] if either input is empty.
-pub fn cross_correlate_with(a: &[f32], b: &[f32], path: XcorrPath) -> Result<Vec<f32>, DspError> {
-    if a.is_empty() {
-        return Err(DspError::EmptyInput("cross_correlate lhs"));
-    }
-    if b.is_empty() {
-        return Err(DspError::EmptyInput("cross_correlate rhs"));
-    }
-    let _span = thrubarrier_obs::span!("dsp.cross_correlate");
-    let path = match path {
-        XcorrPath::Auto => choose_xcorr_path(a.len(), b.len()),
-        p => p,
-    };
-    match path {
-        XcorrPath::TimeDomain => {
-            thrubarrier_obs::counter!("dsp.xcorr.path.time").incr();
-            Ok(cross_correlate_time(a, b))
-        }
-        XcorrPath::Fft => {
-            thrubarrier_obs::counter!("dsp.xcorr.path.fft").incr();
-            Ok(xcorr_fft_full(a, b))
-        }
-        XcorrPath::OverlapSave => {
-            thrubarrier_obs::counter!("dsp.xcorr.path.overlap_save").incr();
-            Ok(xcorr_overlap_save(a, b))
-        }
-        XcorrPath::Auto => unreachable!("Auto resolved above"),
-    }
-}
-
-/// Measured size heuristic for [`XcorrPath::Auto`].
-fn choose_xcorr_path(n: usize, m: usize) -> XcorrPath {
-    let short = n.min(m);
-    let long = n.max(m);
-    if short.saturating_mul(long) <= XCORR_TIME_MAX_MACS {
-        XcorrPath::TimeDomain
-    } else if short <= OVERLAP_SAVE_MAX_TEMPLATE && long / short >= OVERLAP_SAVE_MIN_RATIO {
-        XcorrPath::OverlapSave
-    } else {
-        XcorrPath::Fft
-    }
-}
-
-/// Direct `O(N·M)` cross-correlation with [`cross_correlate`]'s exact
-/// output layout. Exact (no transform rounding): this is the parity
-/// oracle the proptests pin the fast paths against. Empty inputs yield
-/// an empty output.
+/// Direct `O(N·M)` full linear cross-correlation of `a` and `b`. Exact
+/// (no transform rounding): this is the oracle the tests pin the
+/// bounded-lag searches against. The output has length
+/// `a.len() + b.len() - 1`; index `k` corresponds to lag `k - (b.len() - 1)`
+/// of `a` relative to `b`. Empty inputs yield an empty output.
 pub fn cross_correlate_time(a: &[f32], b: &[f32]) -> Vec<f32> {
     if a.is_empty() || b.is_empty() {
         return Vec::new();
@@ -208,43 +74,6 @@ fn lag_dot(a: &[f32], b: &[f32], lag: isize) -> f32 {
     let ai = &a[i0 as usize..i1 as usize];
     let bi = &b[(i0 - lag) as usize..];
     ai.iter().zip(bi).map(|(x, y)| x * y).sum()
-}
-
-/// Full correlation via one conjugate multiply of the padded half
-/// spectra (transform length `next_pow2(N + M - 1)`).
-fn xcorr_fft_full(a: &[f32], b: &[f32]) -> Vec<f32> {
-    let out_len = a.len() + b.len() - 1;
-    let n = fft::next_pow2(out_len);
-    // Both inputs are real, so only the non-negative half spectra are
-    // needed: their product is conjugate-symmetric, and the planned real
-    // inverse reconstructs the correlation at half the transform cost of
-    // the full complex route.
-    let mut fa: Vec<Complex> = Vec::new();
-    let mut fb: Vec<Complex> = Vec::new();
-    fft::half_spectrum_into(a, n, &mut fa);
-    // Reverse b to turn convolution into correlation.
-    let rb: Vec<f32> = b.iter().rev().copied().collect();
-    fft::half_spectrum_into(&rb, n, &mut fb);
-    for (x, y) in fa.iter_mut().zip(&fb) {
-        *x *= *y;
-    }
-    let mut out = Vec::new();
-    fft::real_inverse_into(&fa, n, &mut out);
-    out.truncate(out_len);
-    out
-}
-
-/// Full correlation as an overlap-save convolution with the reversed
-/// template. Convolution commutes, so the shorter input always serves as
-/// the template whose spectrum is computed once.
-fn xcorr_overlap_save(a: &[f32], b: &[f32]) -> Vec<f32> {
-    let rb: Vec<f32> = b.iter().rev().copied().collect();
-    // cross_correlate(a, b) == convolve(a, reverse(b)), index for index.
-    if b.len() <= a.len() {
-        filter::overlap_save_convolve(a, &rb)
-    } else {
-        filter::overlap_save_convolve(&rb, a)
-    }
 }
 
 /// Estimates the delay (in samples) of `delayed` relative to `reference`
@@ -323,23 +152,12 @@ pub fn estimate_delay_with(
             let window = bounded_window_fft(delayed, reference, lag_lo, lag_hi);
             lag_lo + stats::argmax(&window).expect("window is non-empty") as isize
         }
-        LagSearch::CoarseToFine => {
-            thrubarrier_obs::counter!("dsp.estimate_delay.path.coarse_fine").incr();
-            coarse_to_fine_lag(delayed, reference, lag_lo, lag_hi)
-        }
         LagSearch::Auto => unreachable!("Auto resolved above"),
     };
     Ok(lag)
 }
 
 /// Measured size heuristic for [`LagSearch::Auto`].
-///
-/// Auto only ever picks between the two *exact* searches. Coarse-to-fine
-/// is faster still (0.47 ms vs 1.3 ms at the 1 s sync shape) but is an
-/// approximation on near-tied and flat correlation surfaces — selecting
-/// it by size alone measurably shifted downstream detection scores on
-/// the eval corpus (see [`LagSearch::CoarseToFine`]) — so it stays a
-/// caller decision rather than a size decision.
 fn choose_lag_search(n: usize, m: usize, window: usize) -> LagSearch {
     let short = n.min(m);
     if window.saturating_mul(short) <= LAG_TIME_MAX_MACS {
@@ -379,36 +197,6 @@ fn bounded_window_fft(a: &[f32], b: &[f32], lag_lo: isize, lag_hi: isize) -> Vec
     (lag_lo..=lag_hi)
         .map(|lag| circ[lag.rem_euclid(n_fft as isize) as usize])
         .collect()
-}
-
-/// Coarse-to-fine bounded-lag search: boxcar-decimate both signals by
-/// [`COARSE_DECIMATION`], locate the peak at the low rate with the
-/// bounded FFT window, then rescan `±`[`REFINE_RADIUS`] full-rate lags
-/// around the scaled-up coarse estimate with exact dot products.
-fn coarse_to_fine_lag(a: &[f32], b: &[f32], lag_lo: isize, lag_hi: isize) -> isize {
-    let d = COARSE_DECIMATION as isize;
-    let ca = resample::decimate_boxcar(a, COARSE_DECIMATION).expect("factor is non-zero");
-    let cb = resample::decimate_boxcar(b, COARSE_DECIMATION).expect("factor is non-zero");
-    // One coarse lag of slack on each side covers the rounding of the
-    // window bounds to the coarse grid.
-    let c_lo = (lag_lo.div_euclid(d) - 1).max(-(cb.len() as isize - 1));
-    let c_hi = (lag_hi.div_euclid(d) + 2).min(ca.len() as isize - 1);
-    let coarse = {
-        let _span = thrubarrier_obs::span!("dsp.estimate_delay.coarse");
-        let window = bounded_window_fft(&ca, &cb, c_lo, c_hi);
-        (c_lo + stats::argmax(&window).expect("window is non-empty") as isize) * d
-    };
-    let _span = thrubarrier_obs::span!("dsp.estimate_delay.refine");
-    let r_lo = (coarse - REFINE_RADIUS).clamp(lag_lo, lag_hi);
-    let r_hi = (coarse + REFINE_RADIUS).clamp(lag_lo, lag_hi);
-    let window = bounded_window_time(a, b, r_lo, r_hi);
-    let best = r_lo + stats::argmax(&window).expect("window is non-empty") as isize;
-    // How far the exact peak sat from the coarse estimate; values at the
-    // histogram's top bucket (== REFINE_RADIUS) mean the refinement
-    // window may be clipping real peaks.
-    thrubarrier_obs::histogram!("dsp.estimate_delay.refine_shift")
-        .record((best - coarse).unsigned_abs() as u64);
-    best
 }
 
 /// Removes the first `delay` samples if positive, or prepends zeros if
@@ -512,22 +300,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    const ALL_XCORR_PATHS: [XcorrPath; 4] = [
-        XcorrPath::Auto,
-        XcorrPath::TimeDomain,
-        XcorrPath::Fft,
-        XcorrPath::OverlapSave,
-    ];
-
-    const ALL_LAG_SEARCHES: [LagSearch; 4] = [
-        LagSearch::Auto,
-        LagSearch::TimeDomain,
-        LagSearch::Fft,
-        LagSearch::CoarseToFine,
-    ];
+    const ALL_LAG_SEARCHES: [LagSearch; 3] =
+        [LagSearch::Auto, LagSearch::TimeDomain, LagSearch::Fft];
 
     #[test]
-    fn cross_correlation_matches_naive_on_every_path() {
+    fn time_domain_correlation_matches_naive() {
         let a = [1.0f32, 2.0, 3.0];
         let b = [0.5f32, -1.0];
         // Naive correlation: c[k] = sum_i a[i] * b[i - (k - (len_b - 1))].
@@ -543,51 +320,20 @@ mod tests {
             }
             *slot = acc;
         }
-        for path in ALL_XCORR_PATHS {
-            let fast = cross_correlate_with(&a, &b, path).unwrap();
-            assert_eq!(fast.len(), naive.len());
-            for (f, n) in fast.iter().zip(&naive) {
-                assert!((f - n).abs() < 1e-4, "{path:?}: {fast:?} vs {naive:?}");
-            }
-        }
+        assert_eq!(cross_correlate_time(&a, &b), naive);
+        assert!(cross_correlate_time(&[], &[1.0]).is_empty());
     }
 
     #[test]
     fn empty_inputs_are_rejected() {
-        assert!(cross_correlate(&[], &[1.0]).is_err());
-        assert!(cross_correlate(&[1.0], &[]).is_err());
         assert!(estimate_delay(&[], &[1.0], 4).is_err());
         assert!(estimate_delay(&[1.0], &[], 4).is_err());
     }
 
     #[test]
     fn single_sample_inputs_work_on_every_path() {
-        for path in ALL_XCORR_PATHS {
-            let c = cross_correlate_with(&[2.0], &[3.0], path).unwrap();
-            assert_eq!(c.len(), 1);
-            assert!((c[0] - 6.0).abs() < 1e-5, "{path:?}: {c:?}");
-        }
         for search in ALL_LAG_SEARCHES {
             assert_eq!(estimate_delay_with(&[1.0], &[1.0], 10, search).unwrap(), 0);
-        }
-    }
-
-    #[test]
-    fn overlap_save_path_handles_short_lhs() {
-        // The template side may be either argument; both orders must
-        // produce the directed correlation of (a, b).
-        let long: Vec<f32> = (0..500)
-            .map(|i| ((i * 7) % 13) as f32 * 0.1 - 0.6)
-            .collect();
-        let short: Vec<f32> = (0..9).map(|i| ((i * 5) % 11) as f32 * 0.2 - 1.0).collect();
-        for (a, b) in [(&long[..], &short[..]), (&short[..], &long[..])] {
-            let fast = cross_correlate_with(a, b, XcorrPath::OverlapSave).unwrap();
-            let oracle = cross_correlate_time(a, b);
-            assert_eq!(fast.len(), oracle.len());
-            let scale = oracle.iter().fold(1.0f32, |m, &v| m.max(v.abs()));
-            for (i, (f, r)) in fast.iter().zip(&oracle).enumerate() {
-                assert!((f - r).abs() / scale < 1e-4, "sample {i}: {f} vs {r}");
-            }
         }
     }
 
@@ -659,13 +405,8 @@ mod tests {
 
     #[test]
     fn auto_path_selection_covers_all_paths() {
-        assert_eq!(choose_xcorr_path(16, 16), XcorrPath::TimeDomain);
-        assert_eq!(choose_xcorr_path(100_000, 64), XcorrPath::OverlapSave);
-        assert_eq!(choose_xcorr_path(16_000, 16_000), XcorrPath::Fft);
         assert_eq!(choose_lag_search(500, 500, 64), LagSearch::TimeDomain);
         assert_eq!(choose_lag_search(4_000, 4_000, 2_048), LagSearch::Fft);
-        // Auto never trades exactness for speed: the big-input case stays
-        // on the exact FFT window, not coarse-to-fine.
         assert_eq!(choose_lag_search(16_000, 16_000, 8_001), LagSearch::Fft);
     }
 

@@ -15,10 +15,9 @@
 //! * sample-rate conversion with *and without* anti-aliasing ([`resample`] —
 //!   the "without" path models the aliasing behaviour of wearable
 //!   accelerometers),
-//! * a cross-correlation engine with size-selected time-domain / FFT /
-//!   overlap-save paths, bounded-lag coarse-to-fine delay estimation,
-//!   and the 2-D Pearson correlation used by the paper's attack
-//!   detector ([`correlate`]),
+//! * bounded-lag delay estimation with size-selected time-domain / FFT
+//!   searches, and the 2-D Pearson correlation used by the paper's
+//!   attack detector ([`correlate`]),
 //! * descriptive statistics including the third-quartile estimator used by
 //!   the phoneme-selection criteria ([`stats`]),
 //! * deterministic signal generators (tones, chirps, Gaussian noise)

@@ -4,7 +4,7 @@
 //! loudspeaker and microphone coloration, accelerometer and wearable
 //! pickup, the synthesizer's spectral shaping — filters a signal through
 //! a gain-vs-frequency closure via
-//! [`fft::apply_frequency_response`](crate::fft::apply_frequency_response).
+//! [`crate::fft::apply_frequency_response`].
 //! The closures are pure functions of a handful of device parameters, yet
 //! the seed implementation re-evaluated their transcendental math for
 //! every FFT bin on every call.
@@ -214,7 +214,7 @@ pub fn cached_curve(
 }
 
 /// Drop-in cached replacement for
-/// [`fft::apply_frequency_response`](crate::fft::apply_frequency_response):
+/// [`crate::fft::apply_frequency_response`]:
 /// filters `signal` through `gain`, evaluating the closure only the first
 /// time a given `(key, padded-length, sample_rate)` combination is seen
 /// on this thread.

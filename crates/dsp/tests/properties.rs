@@ -143,32 +143,6 @@ proptest! {
         }
     }
 
-    /// The FFT path of the full correlation is a tolerance-gated drop-in
-    /// for the exact time-domain oracle on mixed lengths, including the
-    /// degenerate N=1 and strongly asymmetric N>>M shapes.
-    #[test]
-    fn fft_cross_correlation_matches_time_domain_oracle(
-        a in prop::collection::vec(-1.0f32..1.0, 1..400),
-        b_len in prop::sample::select(vec![1usize, 2, 7, 63, 64, 350]),
-        seed in 0u64..1000,
-    ) {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let b: Vec<f32> = (0..b_len).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let oracle = correlate::cross_correlate_time(&a, &b);
-        for path in [correlate::XcorrPath::Fft, correlate::XcorrPath::OverlapSave] {
-            let fast = correlate::cross_correlate_with(&a, &b, path).unwrap();
-            prop_assert_eq!(fast.len(), oracle.len());
-            let scale = oracle.iter().fold(1.0f32, |m, &v| m.max(v.abs()));
-            for (i, (f, r)) in fast.iter().zip(&oracle).enumerate() {
-                prop_assert!(
-                    (f - r).abs() / scale < 1e-4,
-                    "{:?} sample {}: {} vs {}", path, i, f, r
-                );
-            }
-        }
-    }
-
     /// Every bounded-lag search path recovers a genuinely embedded delay
     /// exactly; the auto path must match whichever it picked.
     #[test]
@@ -187,7 +161,6 @@ proptest! {
             correlate::LagSearch::Auto,
             correlate::LagSearch::TimeDomain,
             correlate::LagSearch::Fft,
-            correlate::LagSearch::CoarseToFine,
         ] {
             let est =
                 correlate::estimate_delay_with(&reference, &delayed, max_lag, search).unwrap();

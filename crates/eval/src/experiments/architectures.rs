@@ -1,7 +1,7 @@
 //! Detector-architecture comparison: bidirectional LSTM vs. GRU.
 //!
 //! The paper chooses LSTM units for its BRNN, citing a comparative
-//! speech study (its reference [21]) that finds LSTM and GRU close.
+//! speech study (its reference \[21\]) that finds LSTM and GRU close.
 //! This experiment trains both architectures on the same synthesized
 //! corpus and labels and reports frame accuracy — reproducing that
 //! design-choice check within the workspace.

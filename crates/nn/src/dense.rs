@@ -127,32 +127,17 @@ impl Dense {
     }
 
     /// Flat-batch backward: `x` holds the `n` cached input rows,
-    /// `dys` the `n` output-gradient rows. Parameter gradients are
-    /// accumulated as one `dW += dYᵀ·X` GEMM plus a bias column sum;
-    /// input gradients land in `dx` (resized to `n x input_size`).
-    pub(crate) fn backward_flat(&mut self, x: &[f32], dys: &[f32], n: usize, dx: &mut Vec<f32>) {
-        self.w.grad.add_tn_product(dys, x, n);
-        let bg = self.b.grad.data_mut();
-        for row in dys.chunks_exact(self.w.value.rows().max(1)) {
-            for (slot, &d) in bg.iter_mut().zip(row) {
-                *slot += d;
-            }
-        }
-        dx.clear();
-        dx.resize(n * self.input_size(), 0.0);
-        self.w.value.matmul_t_to(dys, n, dx);
-    }
-
-    /// Fused-engine variant of [`Dense::backward_flat`]: the weight
-    /// gradient accumulates through the register-tiled
-    /// [`Matrix::add_tn_product_fused`] (within-fma-rounding of the
-    /// unfused GEMM), the bias sum is unchanged, and the input
-    /// gradients run as one `dX = Wᵀ·dY` GEMM over a cached transpose
-    /// keyed by the weight's version ticket (rebuilt only after an
-    /// optimizer step). The head's `Wᵀ` is a tall narrow matrix, so the
-    /// GEMM takes the column-streaming narrow path, whose per-element
-    /// plain fold matches [`Matrix::matmul_t_to`]'s accumulation order
-    /// — input gradients are bitwise identical to the unfused path.
+    /// `dys` the `n` output-gradient rows. The weight gradient
+    /// accumulates as one `dW += dYᵀ·X` through the register-tiled
+    /// [`Matrix::add_tn_product_fused`] (within fma rounding of the
+    /// per-frame [`Dense::backward`]) plus a bias column sum; input
+    /// gradients land in `dx` (resized to `n x input_size`) as one
+    /// `dX = Wᵀ·dY` GEMM over a cached transpose keyed by the weight's
+    /// version ticket (rebuilt only after an optimizer step). The
+    /// head's `Wᵀ` is a tall narrow matrix, so the GEMM takes the
+    /// column-streaming narrow path, whose per-element plain fold
+    /// matches [`Matrix::matvec_transposed`]'s accumulation order —
+    /// input gradients are bitwise identical to the per-frame path.
     pub(crate) fn backward_flat_fused(
         &mut self,
         x: &[f32],
@@ -246,7 +231,8 @@ mod tests {
         let dxs = per_frame.backward(&cache, &dys);
         let mut batched = layer.clone();
         let mut dx = Vec::new();
-        batched.backward_flat(&flat, &dys_flat, 3, &mut dx);
+        let mut wt = TransposedCache::new();
+        batched.backward_flat_fused(&flat, &dys_flat, 3, &mut dx, &mut wt);
         for (a, b) in batched.w.grad.data().iter().zip(per_frame.w.grad.data()) {
             assert!((a - b).abs() < 1e-6);
         }
@@ -257,12 +243,12 @@ mod tests {
     }
 
     #[test]
-    fn fused_flat_backward_matches_unfused() {
+    fn fused_flat_backward_matches_per_frame_on_head_shape() {
         // Head-shaped layer (few outputs, wide input) over enough
         // frames to exercise the tiled accumulate: weight gradients
-        // match within fma rounding, bias gradients and input
-        // gradients bitwise (the narrow Wᵀ GEMM shares the plain fold
-        // of `matmul_t_to`).
+        // match the per-frame backward within fma rounding, bias
+        // gradients and input gradients bitwise (the narrow Wᵀ GEMM
+        // shares the plain fold of `matvec_transposed`).
         let mut rng = StdRng::seed_from_u64(9);
         let layer = Dense::new(128, 2, &mut rng);
         let n = 17;
@@ -270,8 +256,10 @@ mod tests {
         let dys: Vec<f32> = (0..n * 2).map(|i| (i as f32 * 0.71).cos()).collect();
 
         let mut plain = layer.clone();
-        let mut dx_plain = Vec::new();
-        plain.backward_flat(&x, &dys, n, &mut dx_plain);
+        let xs: Vec<Vec<f32>> = x.chunks(128).map(<[f32]>::to_vec).collect();
+        let dys_rows: Vec<Vec<f32>> = dys.chunks(2).map(<[f32]>::to_vec).collect();
+        let (_, cache) = plain.forward(&xs);
+        let dx_plain: Vec<f32> = plain.backward(&cache, &dys_rows).concat();
 
         let mut fused = layer.clone();
         let mut wt = TransposedCache::new();

@@ -15,7 +15,7 @@
 //! matrix differs from the `W`-side one.
 
 use crate::act::{gru_gates_backward_fused, sigmoid, sigmoid_slice, tanh, tanh_slice};
-use crate::batch::{BackwardPath, BatchWorkspace, DirCache, PackedBatch};
+use crate::batch::{BatchWorkspace, DirCache, PackedBatch};
 use crate::matrix::{pack_rows, GemmScratch, Matrix};
 use crate::param::Param;
 use rand::Rng;
@@ -248,7 +248,7 @@ impl Gru {
     /// and the input projections come from the epoch-persistent
     /// `dir.proj` cache. Hidden states are *added* into `out[seq][t]`
     /// (index-reversed when `reversed`); activations are cached in
-    /// `dir` for [`Gru::backward_batch_dir`].
+    /// `dir` for [`Gru::backward_batch_dir_fused`].
     pub(crate) fn forward_batch_dir(
         &self,
         pack: &PackedBatch,
@@ -412,98 +412,16 @@ impl Gru {
     /// sequence `i`'s flat output gradient (`len_i x H` row-major,
     /// natural time order). Accumulates parameter gradients only —
     /// input gradients are skipped as in
-    /// [`crate::lstm::Lstm::backward_batch_dir`].
-    pub(crate) fn backward_batch_dir(
-        &mut self,
-        pack: &PackedBatch,
-        dir: &DirCache,
-        reversed: bool,
-        dhs: &[&[f32]],
-        scratch: &mut GemmScratch,
-    ) {
-        let hl = self.hidden_size;
-        let gr = 3 * hl;
-        let total = pack.total_rows();
-        let nb0 = if pack.max_len() == 0 {
-            0
-        } else {
-            pack.active(0)
-        };
-        let GemmScratch {
-            dz, dz_u, bh, bc, ..
-        } = scratch;
-        dz.clear();
-        dz.resize(total * gr, 0.0);
-        dz_u.clear();
-        dz_u.resize(total * gr, 0.0);
-        // bh holds dh_next rows (zero for sequences joining the reverse
-        // traversal at their final step), bc the Uᵀ·dU temporaries.
-        bh.clear();
-        bh.resize(nb0 * hl, 0.0);
-        bc.clear();
-        bc.resize(nb0 * hl, 0.0);
-        for t in (0..pack.max_len()).rev() {
-            let nb = pack.active(t);
-            let off = pack.offset(t);
-            for b in 0..nb {
-                let r = off + b;
-                let gates = &dir.gates[r * gr..(r + 1) * gr];
-                let (gz, grt, gn) = (&gates[..hl], &gates[hl..2 * hl], &gates[2 * hl..]);
-                let h_prev = &dir.h_prev[r * hl..(r + 1) * hl];
-                let un_h = &dir.aux[r * hl..(r + 1) * hl];
-                let dz_t = &mut dz[r * gr..(r + 1) * gr];
-                let du_t = &mut dz_u[r * gr..(r + 1) * gr];
-                let pos = if reversed { pack.lens()[b] - 1 - t } else { t };
-                let dh_seq = &dhs[pack.order()[b]][pos * hl..(pos + 1) * hl];
-                let dh_next = &mut bh[b * hl..(b + 1) * hl];
-                for k in 0..hl {
-                    let dh = dh_seq[k] + dh_next[k];
-                    let d_z = dh * (h_prev[k] - gn[k]);
-                    let d_n = dh * (1.0 - gz[k]);
-                    let dz_pre = d_z * gz[k] * (1.0 - gz[k]);
-                    let dn_pre = d_n * (1.0 - gn[k] * gn[k]);
-                    let d_r = dn_pre * un_h[k];
-                    let dr_pre = d_r * grt[k] * (1.0 - grt[k]);
-                    dz_t[k] = dz_pre;
-                    dz_t[hl + k] = dr_pre;
-                    dz_t[2 * hl + k] = dn_pre;
-                    du_t[k] = dz_pre;
-                    du_t[hl + k] = dr_pre;
-                    du_t[2 * hl + k] = dn_pre * grt[k];
-                    // Direct-path half of dh_next; the Uᵀ half joins
-                    // after the step's transposed GEMM below.
-                    dh_next[k] = dh * gz[k];
-                }
-            }
-            self.u
-                .value
-                .matmul_t_to(&dz_u[off * gr..(off + nb) * gr], nb, &mut bc[..nb * hl]);
-            for (slot, &d) in bh[..nb * hl].iter_mut().zip(&bc[..nb * hl]) {
-                *slot += d;
-            }
-        }
-        self.w.grad.add_tn_product(dz, pack.x(reversed), total);
-        self.u.grad.add_tn_product(dz_u, &dir.h_prev, total);
-        let bg = self.b.grad.data_mut();
-        for row in dz.chunks_exact(gr) {
-            for (slot, &d) in bg.iter_mut().zip(row) {
-                *slot += d;
-            }
-        }
-    }
-
-    /// Fused-engine twin of [`Gru::backward_batch_dir`], the GRU half
-    /// of the register-tiled batched backward engine (see
-    /// [`crate::lstm::Lstm::backward_batch_dir_fused`] for the staging
-    /// story). Per reverse step it runs one 3H-wide
+    /// [`crate::lstm::Lstm::backward_batch_dir_fused`], which also tells
+    /// the staging story. Per reverse step it runs one 3H-wide
     /// [`gru_gates_backward_fused`] sweep per active row — writing the
     /// *direct* `dh·z` half of `dh_next` in place — then accumulates
     /// the recurrent `Uᵀ·dZᵤ` half on top with a single fused GEMM over
     /// the direction's version-keyed cached transpose. The final
     /// `dW += dZᵀ·X` / `dU += dZᵤᵀ·H_prev` accumulations stream through
     /// the register-tiled [`Matrix::add_tn_product_fused`]. Gradients
-    /// match the unfused path within fma rounding; the gate sweep itself
-    /// is bitwise exact.
+    /// match the sequential backward within fma rounding; the gate sweep
+    /// itself is bitwise exact.
     pub(crate) fn backward_batch_dir_fused(
         &mut self,
         pack: &PackedBatch,
@@ -546,7 +464,7 @@ impl Gru {
                     let pos = if reversed { pack.lens()[b] - 1 - t } else { t };
                     let dh_seq = &dhs[pack.order()[b]][pos * hl..(pos + 1) * hl];
                     // Pre-sum the sequence gradient onto dh_next
-                    // (bitwise equal to the unfused `dh_seq + dh_next`;
+                    // (bitwise equal to the sequential `dh_seq + dh_next`;
                     // IEEE addition commutes); the sweep then overwrites
                     // the row with the direct `dh·z` half.
                     for (slot, &d) in bh[b * hl..(b + 1) * hl].iter_mut().zip(dh_seq) {
@@ -730,7 +648,7 @@ impl BiGru {
 
     /// Batched inference: summed hidden states per sequence in caller
     /// order, without recording backward-pass caches. A re-nesting
-    /// wrapper around [`BiGru::hidden_states_batch_flat`] — outputs
+    /// wrapper around the crate-internal flat packed pass — outputs
     /// match the sequential engine within fused-multiply-add rounding
     /// and are bitwise batch-size invariant.
     pub fn hidden_states_batch(
@@ -756,32 +674,20 @@ impl BiGru {
     /// Batched BPTT through both directions; `dhs[i]` is caller
     /// sequence `i`'s flat output gradient (`len_i x H` row-major).
     /// Must follow a [`BiGru::forward_batch`] on the same workspace.
-    /// `path` selects the fused engine
-    /// ([`Gru::backward_batch_dir_fused`]) or the unfused parity
-    /// oracle; per-engine path counters mirror the
-    /// `acoustics.render.path.*` convention.
+    /// Accumulates parameter gradients only, on the fused engine;
+    /// gradients match [`BiGru::backward_with_scratch`] within
+    /// fused-multiply-add rounding.
     pub fn backward_batch(
         &mut self,
         ws: &mut BatchWorkspace,
         dhs: &[&[f32]],
         scratch: &mut GemmScratch,
-        path: BackwardPath,
     ) {
         let BatchWorkspace { pack, fwd, bwd, .. } = ws;
-        match path {
-            BackwardPath::Fused => {
-                thrubarrier_obs::counter!("nn.train.backward.path.fused").incr();
-                self.fwd
-                    .backward_batch_dir_fused(pack, fwd, false, dhs, scratch);
-                self.bwd
-                    .backward_batch_dir_fused(pack, bwd, true, dhs, scratch);
-            }
-            BackwardPath::Unfused => {
-                thrubarrier_obs::counter!("nn.train.backward.path.unfused").incr();
-                self.fwd.backward_batch_dir(pack, fwd, false, dhs, scratch);
-                self.bwd.backward_batch_dir(pack, bwd, true, dhs, scratch);
-            }
-        }
+        self.fwd
+            .backward_batch_dir_fused(pack, fwd, false, dhs, scratch);
+        self.bwd
+            .backward_batch_dir_fused(pack, bwd, true, dhs, scratch);
     }
 
     /// All trainable parameters of both directions.
@@ -1016,98 +922,63 @@ mod tests {
     #[test]
     fn batched_backward_matches_sequential_gradients() {
         use crate::batch::BatchWorkspace;
-        let (d, h) = (3usize, 4usize);
-        let mut rng = StdRng::seed_from_u64(53);
-        let bi = BiGru::new(d, h, &mut rng);
-        let seqs: Vec<Vec<Vec<f32>>> = [3usize, 5, 2]
-            .iter()
-            .enumerate()
-            .map(|(i, &len)| toy_inputs(len, d, 600 + i as u64))
-            .collect();
-        let refs: Vec<&[Vec<f32>]> = seqs.iter().map(|s| s.as_slice()).collect();
-        let mut scratch = GemmScratch::new();
+        // The fused batched engine must reproduce the sequential
+        // gradients within fma rounding. Cases: (input, hidden, model
+        // seed, input seed, lengths, output gradient at (seq, k)) — a
+        // small all-ones case, and a training-like shape with a
+        // length-1 sequence and non-constant gradients.
+        type DhAt = fn(usize, usize) -> f32;
+        type Case = (usize, usize, u64, u64, &'static [usize], DhAt);
+        let cases: [Case; 2] = [
+            (3, 4, 53, 600, &[3, 5, 2], |_, _| 1.0),
+            (5, 16, 61, 700, &[7, 4, 1, 5], |_, k| (0.3 * k as f32).sin()),
+        ];
+        for (d, h, seed, input_seed, lens, dh_at) in cases {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let bi = BiGru::new(d, h, &mut rng);
+            let seqs: Vec<Vec<Vec<f32>>> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| toy_inputs(len, d, input_seed + i as u64))
+                .collect();
+            let refs: Vec<&[Vec<f32>]> = seqs.iter().map(|s| s.as_slice()).collect();
+            let flat: Vec<Vec<f32>> = seqs
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (0..s.len() * h).map(|k| dh_at(i, k)).collect())
+                .collect();
+            let mut scratch = GemmScratch::new();
 
-        let mut seq_model = bi.clone();
-        for seq in &seqs {
-            let (_, cache) = seq_model.forward_with_scratch(seq, &mut scratch);
-            let dhs = vec![vec![1.0f32; h]; seq.len()];
-            seq_model.backward(&cache, &dhs);
-        }
+            let mut seq_model = bi.clone();
+            for (seq, dh) in seqs.iter().zip(&flat) {
+                let (_, cache) = seq_model.forward_with_scratch(seq, &mut scratch);
+                let dhs: Vec<Vec<f32>> = dh.chunks(h).map(<[f32]>::to_vec).collect();
+                seq_model.backward(&cache, &dhs);
+            }
 
-        for path in [BackwardPath::Unfused, BackwardPath::Fused] {
             let mut bat_model = bi.clone();
             let mut ws = BatchWorkspace::new();
             bat_model.forward_batch(&refs, &mut ws, &mut scratch);
-            let flat: Vec<Vec<f32>> = seqs.iter().map(|s| vec![1.0f32; s.len() * h]).collect();
             let dhs: Vec<&[f32]> = flat.iter().map(|v| v.as_slice()).collect();
-            bat_model.backward_batch(&mut ws, &dhs, &mut scratch, path);
+            bat_model.backward_batch(&mut ws, &dhs, &mut scratch);
 
-            for (ps, pb) in [
-                (&seq_model.fwd.w, &bat_model.fwd.w),
-                (&seq_model.fwd.u, &bat_model.fwd.u),
-                (&seq_model.fwd.b, &bat_model.fwd.b),
-                (&seq_model.bwd.w, &bat_model.bwd.w),
-                (&seq_model.bwd.u, &bat_model.bwd.u),
-                (&seq_model.bwd.b, &bat_model.bwd.b),
-            ] {
+            for (name, (ps, pb)) in ["fwd.w", "fwd.u", "fwd.b", "bwd.w", "bwd.u", "bwd.b"]
+                .iter()
+                .zip([
+                    (&seq_model.fwd.w, &bat_model.fwd.w),
+                    (&seq_model.fwd.u, &bat_model.fwd.u),
+                    (&seq_model.fwd.b, &bat_model.fwd.b),
+                    (&seq_model.bwd.w, &bat_model.bwd.w),
+                    (&seq_model.bwd.u, &bat_model.bwd.u),
+                    (&seq_model.bwd.b, &bat_model.bwd.b),
+                ])
+            {
                 for (a, b) in ps.grad.data().iter().zip(pb.grad.data()) {
                     assert!(
                         (a - b).abs() < 1e-4 * a.abs().max(1.0),
-                        "{path:?}: {a} vs {b}"
+                        "h {h} {name}: {a} vs {b}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn fused_backward_matches_unfused_within_rounding() {
-        use crate::batch::BatchWorkspace;
-        let (d, h) = (5usize, 16usize);
-        let mut rng = StdRng::seed_from_u64(61);
-        let bi = BiGru::new(d, h, &mut rng);
-        let seqs: Vec<Vec<Vec<f32>>> = [7usize, 4, 1, 5]
-            .iter()
-            .enumerate()
-            .map(|(i, &len)| toy_inputs(len, d, 700 + i as u64))
-            .collect();
-        let refs: Vec<&[Vec<f32>]> = seqs.iter().map(|s| s.as_slice()).collect();
-        let flat: Vec<Vec<f32>> = seqs
-            .iter()
-            .map(|s| {
-                (0..s.len() * h)
-                    .map(|j| (0.3 * j as f32).sin())
-                    .collect::<Vec<f32>>()
-            })
-            .collect();
-        let dhs: Vec<&[f32]> = flat.iter().map(|v| v.as_slice()).collect();
-
-        let run = |path: BackwardPath| {
-            let mut m = bi.clone();
-            let mut ws = BatchWorkspace::new();
-            let mut scratch = GemmScratch::new();
-            m.forward_batch(&refs, &mut ws, &mut scratch);
-            m.backward_batch(&mut ws, &dhs, &mut scratch, path);
-            [
-                m.fwd.w.grad.data().to_vec(),
-                m.fwd.u.grad.data().to_vec(),
-                m.fwd.b.grad.data().to_vec(),
-                m.bwd.w.grad.data().to_vec(),
-                m.bwd.u.grad.data().to_vec(),
-                m.bwd.b.grad.data().to_vec(),
-            ]
-        };
-        let unfused = run(BackwardPath::Unfused);
-        let fused = run(BackwardPath::Fused);
-        for (name, (gu, gf)) in ["fwd.w", "fwd.u", "fwd.b", "bwd.w", "bwd.u", "bwd.b"]
-            .iter()
-            .zip(unfused.iter().zip(&fused))
-        {
-            for (a, b) in gu.iter().zip(gf) {
-                assert!(
-                    (a - b).abs() < 1e-4 * a.abs().max(1.0),
-                    "{name}: {a} vs {b}"
-                );
             }
         }
     }
@@ -1121,8 +992,7 @@ mod tests {
         let mut scratch = GemmScratch::new();
         let out = bi.forward_batch(&[], &mut ws, &mut scratch);
         assert!(out.is_empty());
-        bi.backward_batch(&mut ws, &[], &mut scratch, BackwardPath::Fused);
-        bi.backward_batch(&mut ws, &[], &mut scratch, BackwardPath::Unfused);
+        bi.backward_batch(&mut ws, &[], &mut scratch);
         for p in bi.params_mut() {
             assert!(p.grad.data().iter().all(|&g| g == 0.0));
         }

@@ -60,7 +60,7 @@ pub mod param;
 pub mod score;
 pub mod serialize;
 
-pub use batch::{BackwardPath, BatchWorkspace};
+pub use batch::BatchWorkspace;
 pub use matrix::{GemmScratch, Matrix, TransposedCache};
 pub use model::BrnnClassifier;
 pub use score::{PendingScore, ScoreClient, ScoreService};

@@ -28,7 +28,7 @@
 //! skips the activation caches entirely.
 
 use crate::act::{gates_fused, lstm_gates_backward_fused, tanh_slice};
-use crate::batch::{BackwardPath, BatchWorkspace, DirCache, PackedBatch};
+use crate::batch::{BatchWorkspace, DirCache, PackedBatch};
 use crate::matrix::{pack_rows, GemmScratch, Matrix};
 use crate::param::Param;
 use rand::Rng;
@@ -426,7 +426,7 @@ impl Lstm {
     /// cache of [`Lstm::fill_proj`]. Hidden states are *added* into
     /// `out[seq][t]` (index-reversed when `reversed`); per-row
     /// activations go through the same [`lstm_cell`] as the sequential
-    /// path and are cached in `dir` for [`Lstm::backward_batch_dir`].
+    /// path and are cached in `dir` for [`Lstm::backward_batch_dir_fused`].
     ///
     /// Every row of every step on the wide GEMM path (>= 32 columns) is
     /// bitwise identical to the per-sequence engine: the projection
@@ -589,107 +589,29 @@ impl Lstm {
     /// Batched BPTT over a packed minibatch. `dhs[i]` is caller
     /// sequence `i`'s flat output gradient, `len_i x H` row-major in
     /// natural time order. Parameter gradients are accumulated into
-    /// `self.{w,u,b}.grad` as three GEMMs over all packed rows.
+    /// `self.{w,u,b}.grad`; unlike [`Lstm::backward_with_scratch`] no
+    /// input gradients are returned (the classifier's inputs are data,
+    /// so the input-side `dX = dZ·W` GEMM is skipped entirely).
     ///
-    /// Unlike [`Lstm::backward_with_scratch`] this does not return
-    /// input gradients: the classifier's inputs are data, so skipping
-    /// `dX = dZ·W` saves the input-side GEMM entirely.
-    pub(crate) fn backward_batch_dir(
-        &mut self,
-        pack: &PackedBatch,
-        dir: &DirCache,
-        reversed: bool,
-        dhs: &[&[f32]],
-        scratch: &mut GemmScratch,
-    ) {
-        let hl = self.hidden_size;
-        let gr = 4 * hl;
-        let total = pack.total_rows();
-        let nb0 = if pack.max_len() == 0 {
-            0
-        } else {
-            pack.active(0)
-        };
-        let GemmScratch { dz, bh, bc, .. } = scratch;
-        dz.clear();
-        dz.resize(total * gr, 0.0);
-        // bh/bc hold dh_next/dc_next rows. A sequence joins the reverse
-        // traversal at its own final step, where its rows have never
-        // been written — the zero boundary condition comes for free.
-        bh.clear();
-        bh.resize(nb0 * hl, 0.0);
-        bc.clear();
-        bc.resize(nb0 * hl, 0.0);
-        for t in (0..pack.max_len()).rev() {
-            let nb = pack.active(t);
-            let off = pack.offset(t);
-            for b in 0..nb {
-                let r = off + b;
-                let gates = &dir.gates[r * gr..(r + 1) * gr];
-                let (gi, gf, gg, go) = (
-                    &gates[..hl],
-                    &gates[hl..2 * hl],
-                    &gates[2 * hl..3 * hl],
-                    &gates[3 * hl..],
-                );
-                let tanh_c = &dir.aux[r * hl..(r + 1) * hl];
-                let c_prev = &dir.c_prev[r * hl..(r + 1) * hl];
-                let dz_t = &mut dz[r * gr..(r + 1) * gr];
-                let pos = if reversed { pack.lens()[b] - 1 - t } else { t };
-                let dh_seq = &dhs[pack.order()[b]][pos * hl..(pos + 1) * hl];
-                let dh_next = &bh[b * hl..(b + 1) * hl];
-                let dc_next = &mut bc[b * hl..(b + 1) * hl];
-                for k in 0..hl {
-                    let dh = dh_seq[k] + dh_next[k];
-                    let dc = dc_next[k] + dh * go[k] * (1.0 - tanh_c[k] * tanh_c[k]);
-                    let d_o = dh * tanh_c[k];
-                    let d_i = dc * gg[k];
-                    let d_f = dc * c_prev[k];
-                    let d_g = dc * gi[k];
-                    dz_t[k] = d_i * gi[k] * (1.0 - gi[k]);
-                    dz_t[hl + k] = d_f * gf[k] * (1.0 - gf[k]);
-                    dz_t[2 * hl + k] = d_g * (1.0 - gg[k] * gg[k]);
-                    dz_t[3 * hl + k] = d_o * go[k] * (1.0 - go[k]);
-                    dc_next[k] = dc * gf[k];
-                }
-            }
-            // dh_next for step t-1, all active rows in one GEMM.
-            self.u
-                .value
-                .matmul_t_to(&dz[off * gr..(off + nb) * gr], nb, &mut bh[..nb * hl]);
-        }
-        self.w.grad.add_tn_product(dz, pack.x(reversed), total);
-        self.u.grad.add_tn_product(dz, &dir.h_prev, total);
-        let bg = self.b.grad.data_mut();
-        for row in dz.chunks_exact(gr) {
-            for (slot, &d) in bg.iter_mut().zip(row) {
-                *slot += d;
-            }
-        }
-    }
-
-    /// Fused-engine variant of [`Lstm::backward_batch_dir`]: the same
-    /// reverse traversal over the packed layout, with every stage on
-    /// the fused kernels —
+    /// The reverse traversal runs three fused stages:
     ///
-    /// 1. the per-row four-gate gradient loop becomes one 4H-wide
-    ///    [`lstm_gates_backward_fused`] sweep (bitwise identical to the
-    ///    per-gate formulas on every instruction set);
-    /// 2. the per-step `dh_next = Uᵀ·dZ` transpose-multiply becomes a
+    /// 1. one 4H-wide [`lstm_gates_backward_fused`] gate-gradient sweep
+    ///    per active row (bitwise identical to the per-gate formulas of
+    ///    the sequential backward on every instruction set);
+    /// 2. the per-step `dh_next = Uᵀ·dZ` transpose-multiply as a
     ///    register-tiled [`Matrix::matmul_nt_fused_to`] GEMM over a
     ///    `Uᵀ` view served by the direction's version-keyed
     ///    [`crate::matrix::TransposedCache`] (rebuilt only when the
     ///    optimizer stepped `U`);
-    /// 3. the final `dW += dZᵀ·X` / `dU += dZᵀ·H_prev` accumulations
-    ///    run on the register-tiled [`Matrix::add_tn_product_fused`],
-    ///    which streams the gradient matrices through cache once
-    ///    instead of once per packed row.
+    /// 3. the final `dW += dZᵀ·X` / `dU += dZᵀ·H_prev` accumulations on
+    ///    the register-tiled [`Matrix::add_tn_product_fused`], which
+    ///    streams the gradient matrices through cache once instead of
+    ///    once per packed row.
     ///
     /// Numerics: stages (2) and (3) contract multiplies and adds into
     /// fused multiply-adds but preserve each element's summation order,
-    /// so gradients match the unfused path within fma rounding (and
-    /// remain deterministic and bitwise lane-invariant); stage (1) is
-    /// bitwise exact.
+    /// so gradients match the sequential backward within fma rounding
+    /// (and remain deterministic and bitwise lane-invariant).
     pub(crate) fn backward_batch_dir_fused(
         &mut self,
         pack: &PackedBatch,
@@ -734,7 +656,7 @@ impl Lstm {
                     let pos = if reversed { pack.lens()[b] - 1 - t } else { t };
                     let dh_seq = &dhs[pack.order()[b]][pos * hl..(pos + 1) * hl];
                     // Pre-sum the sequence gradient onto dh_next
-                    // (bitwise equal to the unfused `dh_seq + dh_next`;
+                    // (bitwise equal to the sequential `dh_seq + dh_next`;
                     // IEEE addition commutes), then run the whole-row
                     // gate sweep off the summed value.
                     for (slot, &d) in bh[b * hl..(b + 1) * hl].iter_mut().zip(dh_seq) {
@@ -944,9 +866,10 @@ impl BiLstm {
 
     /// Batched inference: summed hidden states per sequence in caller
     /// order, without recording backward-pass caches. A re-nesting
-    /// wrapper around [`BiLstm::hidden_states_batch_flat`] — see there
-    /// for the numerics (fused recurrent GEMMs, within-rounding match
-    /// to the sequential engine).
+    /// wrapper around the crate-internal flat packed pass, whose
+    /// recurrent GEMMs run on the fused-FMA kernel family: outputs match
+    /// the sequential engine within fused-multiply-add rounding and are
+    /// bitwise batch-size invariant.
     pub fn hidden_states_batch(
         &self,
         seqs: &[&[Vec<f32>]],
@@ -970,33 +893,20 @@ impl BiLstm {
     /// Batched BPTT through both directions. `dhs[i]` is caller
     /// sequence `i`'s flat output gradient (`len_i x H` row-major).
     /// Must follow a [`BiLstm::forward_batch`] on the same workspace.
-    /// Accumulates parameter gradients only (no input gradients — see
-    /// [`Lstm::backward_batch_dir`]). `path` selects the fused engine
-    /// ([`Lstm::backward_batch_dir_fused`]) or the unfused parity
-    /// oracle; per-engine path counters mirror the
-    /// `acoustics.render.path.*` convention.
+    /// Accumulates parameter gradients only (no input gradients), on
+    /// the fused engine; gradients match [`BiLstm::backward_with_scratch`]
+    /// within fused-multiply-add rounding.
     pub fn backward_batch(
         &mut self,
         ws: &mut BatchWorkspace,
         dhs: &[&[f32]],
         scratch: &mut GemmScratch,
-        path: BackwardPath,
     ) {
         let BatchWorkspace { pack, fwd, bwd, .. } = ws;
-        match path {
-            BackwardPath::Fused => {
-                thrubarrier_obs::counter!("nn.train.backward.path.fused").incr();
-                self.fwd
-                    .backward_batch_dir_fused(pack, fwd, false, dhs, scratch);
-                self.bwd
-                    .backward_batch_dir_fused(pack, bwd, true, dhs, scratch);
-            }
-            BackwardPath::Unfused => {
-                thrubarrier_obs::counter!("nn.train.backward.path.unfused").incr();
-                self.fwd.backward_batch_dir(pack, fwd, false, dhs, scratch);
-                self.bwd.backward_batch_dir(pack, bwd, true, dhs, scratch);
-            }
-        }
+        self.fwd
+            .backward_batch_dir_fused(pack, fwd, false, dhs, scratch);
+        self.bwd
+            .backward_batch_dir_fused(pack, bwd, true, dhs, scratch);
     }
 
     /// All trainable parameters of both directions.
@@ -1264,101 +1174,67 @@ mod tests {
 
     #[test]
     fn batched_backward_matches_sequential_gradients() {
-        let (d, h) = (3usize, 4usize);
-        let mut rng = StdRng::seed_from_u64(33);
-        let bi = BiLstm::new(d, h, &mut rng);
-        let seqs: Vec<Vec<Vec<f32>>> = [4usize, 6, 2]
-            .iter()
-            .enumerate()
-            .map(|(i, &len)| toy_inputs(len, d, 200 + i as u64))
-            .collect();
-        let refs: Vec<&[Vec<f32>]> = seqs.iter().map(|s| s.as_slice()).collect();
-        let mut scratch = GemmScratch::new();
+        // The fused batched engine must reproduce the sequential
+        // gradients within fma rounding. Cases: (input, hidden, model
+        // seed, input seed, lengths, output gradient at (seq, k)) — a
+        // small all-ones case, and a training-like shape with a
+        // length-1 sequence and structured non-constant gradients.
+        type DhAt = fn(usize, usize) -> f32;
+        type Case = (usize, usize, u64, u64, &'static [usize], DhAt);
+        let cases: [Case; 2] = [
+            (3, 4, 33, 200, &[4, 6, 2], |_, _| 1.0),
+            (5, 16, 39, 500, &[7, 4, 1, 5], |i, k| {
+                ((i * 31 + k) as f32 * 0.37).sin()
+            }),
+        ];
+        for (d, h, seed, input_seed, lens, dh_at) in cases {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let bi = BiLstm::new(d, h, &mut rng);
+            let seqs: Vec<Vec<Vec<f32>>> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| toy_inputs(len, d, input_seed + i as u64))
+                .collect();
+            let refs: Vec<&[Vec<f32>]> = seqs.iter().map(|s| s.as_slice()).collect();
+            let flat: Vec<Vec<f32>> = seqs
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (0..s.len() * h).map(|k| dh_at(i, k)).collect())
+                .collect();
+            let mut scratch = GemmScratch::new();
 
-        // Sequential reference: accumulate gradients over all sequences
-        // with dL/dh = 1 everywhere.
-        let mut seq_model = bi.clone();
-        for seq in &seqs {
-            let (_, cache) = seq_model.forward_with_scratch(seq, &mut scratch);
-            let dhs = vec![vec![1.0f32; h]; seq.len()];
-            seq_model.backward_with_scratch(&cache, &dhs, &mut scratch);
-        }
+            // Sequential reference: accumulate gradients over all
+            // sequences.
+            let mut seq_model = bi.clone();
+            for (seq, dh) in seqs.iter().zip(&flat) {
+                let (_, cache) = seq_model.forward_with_scratch(seq, &mut scratch);
+                let dhs: Vec<Vec<f32>> = dh.chunks(h).map(<[f32]>::to_vec).collect();
+                seq_model.backward_with_scratch(&cache, &dhs, &mut scratch);
+            }
 
-        // Both engines must reproduce the sequential gradients; the
-        // unfused path is the exact oracle, the fused path matches
-        // within fma rounding.
-        for path in [BackwardPath::Unfused, BackwardPath::Fused] {
             let mut bat_model = bi.clone();
             let mut ws = BatchWorkspace::new();
             bat_model.forward_batch(&refs, &mut ws, &mut scratch);
-            let flat: Vec<Vec<f32>> = seqs.iter().map(|s| vec![1.0f32; s.len() * h]).collect();
             let dhs: Vec<&[f32]> = flat.iter().map(|v| v.as_slice()).collect();
-            bat_model.backward_batch(&mut ws, &dhs, &mut scratch, path);
+            bat_model.backward_batch(&mut ws, &dhs, &mut scratch);
 
-            for (ps, pb) in [
+            for (pi, (ps, pb)) in [
                 (&seq_model.fwd.w, &bat_model.fwd.w),
                 (&seq_model.fwd.u, &bat_model.fwd.u),
                 (&seq_model.fwd.b, &bat_model.fwd.b),
                 (&seq_model.bwd.w, &bat_model.bwd.w),
                 (&seq_model.bwd.u, &bat_model.bwd.u),
                 (&seq_model.bwd.b, &bat_model.bwd.b),
-            ] {
+            ]
+            .into_iter()
+            .enumerate()
+            {
                 for (a, b) in ps.grad.data().iter().zip(pb.grad.data()) {
                     assert!(
                         (a - b).abs() < 1e-4 * a.abs().max(1.0),
-                        "{path:?}: {a} vs {b}"
+                        "h {h} param {pi}: {a} vs {b}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn fused_backward_matches_unfused_within_rounding() {
-        // Direct fused-vs-unfused parity at a training-like shape:
-        // mixed lengths (including length 1), structured non-constant
-        // output gradients. The only differences allowed are fma
-        // contraction in the gradient GEMMs.
-        let (d, h) = (5usize, 16usize);
-        let mut rng = StdRng::seed_from_u64(39);
-        let bi = BiLstm::new(d, h, &mut rng);
-        let seqs: Vec<Vec<Vec<f32>>> = [7usize, 4, 1, 5]
-            .iter()
-            .enumerate()
-            .map(|(i, &len)| toy_inputs(len, d, 500 + i as u64))
-            .collect();
-        let refs: Vec<&[Vec<f32>]> = seqs.iter().map(|s| s.as_slice()).collect();
-        let mut scratch = GemmScratch::new();
-        let flat: Vec<Vec<f32>> = seqs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                (0..s.len() * h)
-                    .map(|k| ((i * 31 + k) as f32 * 0.37).sin())
-                    .collect()
-            })
-            .collect();
-        let dhs: Vec<&[f32]> = flat.iter().map(|v| v.as_slice()).collect();
-
-        let mut grads = Vec::new();
-        for path in [BackwardPath::Unfused, BackwardPath::Fused] {
-            let mut m = bi.clone();
-            let mut ws = BatchWorkspace::new();
-            m.forward_batch(&refs, &mut ws, &mut scratch);
-            m.backward_batch(&mut ws, &dhs, &mut scratch, path);
-            grads.push(
-                m.params_mut()
-                    .iter()
-                    .map(|p| p.grad.data().to_vec())
-                    .collect::<Vec<_>>(),
-            );
-        }
-        for (pi, (unf, fus)) in grads[0].iter().zip(&grads[1]).enumerate() {
-            for (k, (a, b)) in unf.iter().zip(fus).enumerate() {
-                assert!(
-                    (a - b).abs() < 1e-4 * a.abs().max(1.0),
-                    "param {pi} elem {k}: unfused {a} vs fused {b}"
-                );
             }
         }
     }
@@ -1402,8 +1278,7 @@ mod tests {
         let mut scratch = GemmScratch::new();
         let refs: Vec<&[Vec<f32>]> = vec![];
         assert!(bi.forward_batch(&refs, &mut ws, &mut scratch).is_empty());
-        bi.backward_batch(&mut ws, &[], &mut scratch, BackwardPath::Fused);
-        bi.backward_batch(&mut ws, &[], &mut scratch, BackwardPath::Unfused);
+        bi.backward_batch(&mut ws, &[], &mut scratch);
         let empty: Vec<Vec<f32>> = vec![];
         let one = toy_inputs(2, 2, 400);
         let refs: Vec<&[Vec<f32>]> = vec![&empty, &one];

@@ -1821,10 +1821,10 @@ impl Matrix {
     /// GEMMs (recurrent `Z += H · Uᵀ`, cached input projections and the
     /// flattened dense head).
     ///
-    /// Each dot product follows [`dot_fused_scalar`]: sixteen
+    /// Each dot product follows `dot_fused_scalar`: sixteen
     /// accumulator lanes updated with single-rounding fused
     /// multiply-adds, halving the floating-point instruction count of
-    /// the unfused [`dot`] semantics. On hardware without FMA execution
+    /// the unfused `dot` semantics. On hardware without FMA execution
     /// units that halving is irrelevant, but wherever FMA exists it is
     /// the difference between a batched GEMM that merely matches the
     /// per-sequence engine's arithmetic throughput and one that beats
@@ -1852,33 +1852,6 @@ impl Matrix {
             return;
         }
         matmul_nt_fused_rows(&self.data, self.rows, self.cols, x, out, add);
-    }
-
-    /// Batched transposed product `C = X · self`: `x` holds `n`
-    /// row-major rows of `self.rows()` values and row `i` of `out` is
-    /// `selfᵀ · x_i` — the batched form of
-    /// [`Matrix::matvec_transposed_into`] (each output row computed with
-    /// the same accumulation order, so rows match it bitwise). Batched
-    /// BPTT uses this to chain a whole timestep block's gate gradients
-    /// back through the recurrent weights in one call.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `x.len() == n * self.rows()` and
-    /// `out.len() == n * self.cols()`.
-    pub fn matmul_t_to(&self, x: &[f32], n: usize, out: &mut [f32]) {
-        assert_eq!(x.len(), n * self.rows, "matmul_t dimension mismatch");
-        assert_eq!(out.len(), n * self.cols, "matmul_t output length mismatch");
-        if self.rows == 0 {
-            out.iter_mut().for_each(|v| *v = 0.0);
-            return;
-        }
-        for (xi, oi) in x
-            .chunks_exact(self.rows)
-            .zip(out.chunks_exact_mut(self.cols.max(1)))
-        {
-            self.matvec_transposed_into(xi, oi);
-        }
     }
 
     /// Transposed matrix–vector product `selfᵀ * x` — used in
@@ -1943,7 +1916,7 @@ impl Matrix {
 
     /// Fused register-tiled variant of [`Matrix::add_tn_product`]: the
     /// same batched gradient accumulation `self += Aᵀ · B`, computed by
-    /// [`add_tn_rows`]. Each output element is one sequential
+    /// `add_tn_rows`. Each output element is one sequential
     /// fused-multiply-add fold over the `n` packed rows followed by a
     /// single `+=`, so the result differs from the unfused path only by
     /// fma rounding plus one final add per element, and is
@@ -2020,7 +1993,7 @@ impl Matrix {
     }
 
     /// Sum of squares of all elements (for gradient-norm diagnostics),
-    /// computed with the shared [`dot`] kernel's lane semantics.
+    /// computed with the shared `dot` kernel's lane semantics.
     pub fn frobenius_sq(&self) -> f32 {
         dot(&self.data, &self.data)
     }
@@ -2428,22 +2401,6 @@ mod tests {
         let mut out = vec![f32::NAN; n * 17];
         m.matmul_nt_to(&x, n, &mut out, false);
         assert_eq!(out, m.matmul_nt(&x, n));
-    }
-
-    #[test]
-    fn matmul_t_to_matches_per_row_transposed_matvec_bitwise() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let m = Matrix::xavier(40, 9, &mut rng);
-        let n = 6;
-        let x: Vec<f32> = (0..n * 40).map(|i| (i as f32 * 0.33).cos()).collect();
-        let mut out = vec![f32::NAN; n * 9];
-        m.matmul_t_to(&x, n, &mut out);
-        for t in 0..n {
-            let single = m.matvec_transposed(&x[t * 40..(t + 1) * 40]);
-            for (a, b) in out[t * 9..(t + 1) * 9].iter().zip(&single) {
-                assert_eq!(a.to_bits(), b.to_bits(), "t {t}");
-            }
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use thrubarrier_nn::gru::BiGru;
 use thrubarrier_nn::loss;
 use thrubarrier_nn::lstm::{BiLstm, Lstm};
 use thrubarrier_nn::model::TrainConfig;
-use thrubarrier_nn::{BackwardPath, BatchWorkspace, BrnnClassifier, GemmScratch, Matrix};
+use thrubarrier_nn::{BatchWorkspace, BrnnClassifier, GemmScratch, Matrix};
 
 fn sequence_strategy() -> impl Strategy<Value = Vec<Vec<f32>>> {
     prop::collection::vec(prop::collection::vec(-1.0f32..1.0, 3), 1..12)
@@ -600,7 +600,7 @@ proptest! {
             })
             .collect();
         let dhs: Vec<&[f32]> = flat.iter().map(|v| v.as_slice()).collect();
-        net.backward_batch(&mut ws, &dhs, &mut scratch, BackwardPath::Fused);
+        net.backward_batch(&mut ws, &dhs, &mut scratch);
 
         for pi in 0..6 {
             let grads = bilstm_param(&mut net, pi).grad.data().to_vec();
@@ -652,7 +652,7 @@ proptest! {
             })
             .collect();
         let dhs: Vec<&[f32]> = flat.iter().map(|v| v.as_slice()).collect();
-        net.backward_batch(&mut ws, &dhs, &mut scratch, BackwardPath::Fused);
+        net.backward_batch(&mut ws, &dhs, &mut scratch);
 
         for pi in 0..6 {
             let grads = bigru_param(&mut net, pi).grad.data().to_vec();
@@ -690,9 +690,9 @@ fn fused_backward_accumulates_nothing_on_empty_batch() {
     let mut ws = BatchWorkspace::new();
     let mut scratch = GemmScratch::new();
     lstm.forward_batch(&[], &mut ws, &mut scratch);
-    lstm.backward_batch(&mut ws, &[], &mut scratch, BackwardPath::Fused);
+    lstm.backward_batch(&mut ws, &[], &mut scratch);
     gru.forward_batch(&[], &mut ws, &mut scratch);
-    gru.backward_batch(&mut ws, &[], &mut scratch, BackwardPath::Fused);
+    gru.backward_batch(&mut ws, &[], &mut scratch);
     for pi in 0..6 {
         assert!(bilstm_param(&mut lstm, pi)
             .grad

@@ -44,16 +44,6 @@ use rand::Rng;
 use std::cell::RefCell;
 use thrubarrier_dsp::{fft, gen, resample, AudioBuffer, Complex};
 
-/// Which implementation a [`Wearable::convert`] call runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConversionPath {
-    /// The fused single-transform engine (this module).
-    #[default]
-    Fused,
-    /// The staged per-effect chain — the parity oracle.
-    Staged,
-}
-
 /// Reusable scratch for fused audio→vibration conversions.
 ///
 /// Holds the half-spectrum and time-domain working buffers; FFT plans
@@ -76,8 +66,9 @@ impl ConversionEngine {
         Self::default()
     }
 
-    /// Cross-domain conversion of one recording on the path selected by
-    /// `wearable.conversion`. Semantics match
+    /// Cross-domain conversion of one recording: one forward transform,
+    /// two curve multiplies, two inverse transforms, Parseval noise
+    /// metering, in-place leak / interference mixing. Semantics match
     /// [`Wearable::convert_staged`]: same output rate and length, same
     /// RNG draw sequence, tolerance-level numeric agreement.
     pub fn convert<R: Rng + ?Sized>(
@@ -88,47 +79,6 @@ impl ConversionEngine {
         rng: &mut R,
     ) -> AudioBuffer {
         let _span = thrubarrier_obs::span!("vibration.convert");
-        match wearable.conversion {
-            ConversionPath::Fused => {
-                thrubarrier_obs::counter!("vibration.convert.path.fused").incr();
-                self.convert_fused(wearable, recording, sample_rate, rng)
-            }
-            ConversionPath::Staged => {
-                thrubarrier_obs::counter!("vibration.convert.path.staged").incr();
-                wearable.convert_staged(recording, sample_rate, rng)
-            }
-        }
-    }
-
-    /// Converts a recording pair — the VA recording and the wearable
-    /// recording of `DefenseSystem::vibration_score` — back-to-back
-    /// through one engine borrow, sharing warm plans, curve tables and
-    /// scratch across both conversions. Equivalent to two sequential
-    /// [`ConversionEngine::convert`] calls on the same RNG.
-    pub fn convert_pair<R: Rng + ?Sized>(
-        &mut self,
-        wearable: &Wearable,
-        va_audio: &[f32],
-        wearable_audio: &[f32],
-        sample_rate: u32,
-        rng: &mut R,
-    ) -> (AudioBuffer, AudioBuffer) {
-        let _span = thrubarrier_obs::span!("vibration.convert_pair");
-        let a = self.convert(wearable, va_audio, sample_rate, rng);
-        let b = self.convert(wearable, wearable_audio, sample_rate, rng);
-        (a, b)
-    }
-
-    /// The fused conversion: one forward transform, two curve
-    /// multiplies, two inverse transforms, Parseval noise metering,
-    /// in-place leak / interference mixing.
-    fn convert_fused<R: Rng + ?Sized>(
-        &mut self,
-        wearable: &Wearable,
-        recording: &[f32],
-        sample_rate: u32,
-        rng: &mut R,
-    ) -> AudioBuffer {
         let acc = &wearable.accelerometer;
         if recording.is_empty() {
             let mut vib = AudioBuffer::empty(acc.sample_rate);
@@ -200,6 +150,25 @@ impl ConversionEngine {
             motion.add_into(vib.samples_mut(), acc.sample_rate, rng);
         }
         vib
+    }
+
+    /// Converts a recording pair — the VA recording and the wearable
+    /// recording of `DefenseSystem::vibration_score` — back-to-back
+    /// through one engine borrow, sharing warm plans, curve tables and
+    /// scratch across both conversions. Equivalent to two sequential
+    /// [`ConversionEngine::convert`] calls on the same RNG.
+    pub fn convert_pair<R: Rng + ?Sized>(
+        &mut self,
+        wearable: &Wearable,
+        va_audio: &[f32],
+        wearable_audio: &[f32],
+        sample_rate: u32,
+        rng: &mut R,
+    ) -> (AudioBuffer, AudioBuffer) {
+        let _span = thrubarrier_obs::span!("vibration.convert_pair");
+        let a = self.convert(wearable, va_audio, sample_rate, rng);
+        let b = self.convert(wearable, wearable_audio, sample_rate, rng);
+        (a, b)
     }
 }
 
@@ -285,18 +254,6 @@ mod tests {
         let sb = w.convert(&b, 16_000, &mut rng_seq);
         assert_eq!(pa.samples(), sa.samples());
         assert_eq!(pb.samples(), sb.samples());
-    }
-
-    #[test]
-    fn staged_path_selector_reproduces_oracle_bitwise() {
-        let mut w = Wearable::moto_360();
-        w.conversion = ConversionPath::Staged;
-        let sig = thrubarrier_dsp::gen::chirp(100.0, 4_000.0, 0.2, 16_000, 0.6);
-        let mut rng_a = StdRng::seed_from_u64(3);
-        let mut rng_b = StdRng::seed_from_u64(3);
-        let via_engine = w.convert(&sig, 16_000, &mut rng_a);
-        let direct = w.convert_staged(&sig, 16_000, &mut rng_b);
-        assert_eq!(via_engine.samples(), direct.samples());
     }
 
     #[test]

@@ -57,5 +57,5 @@ pub mod motion;
 pub mod wearable;
 
 pub use accelerometer::Accelerometer;
-pub use engine::{with_engine, ConversionEngine, ConversionPath};
+pub use engine::{with_engine, ConversionEngine};
 pub use wearable::{Wearable, WearableSpeaker};

@@ -1,7 +1,7 @@
 //! Wearable device presets and the audio→vibration conversion.
 
 use crate::accelerometer::Accelerometer;
-use crate::engine::{self, ConversionPath};
+use crate::engine;
 use crate::motion::BodyMotion;
 use rand::Rng;
 use thrubarrier_dsp::AudioBuffer;
@@ -74,10 +74,6 @@ pub struct Wearable {
     pub accelerometer: Accelerometer,
     /// Interference from the wearer's movement, if simulated.
     pub body_motion: Option<BodyMotion>,
-    /// Which conversion implementation [`Wearable::convert`] runs: the
-    /// fused single-transform engine (default) or the staged per-effect
-    /// chain kept as the parity oracle.
-    pub conversion: ConversionPath,
 }
 
 impl Wearable {
@@ -88,7 +84,6 @@ impl Wearable {
             speaker: WearableSpeaker::smartwatch(),
             accelerometer: Accelerometer::smartwatch_200hz(),
             body_motion: None,
-            conversion: ConversionPath::Fused,
         }
     }
 
@@ -99,7 +94,6 @@ impl Wearable {
             speaker: WearableSpeaker::smartwatch(),
             accelerometer: Accelerometer::moto_360(),
             body_motion: None,
-            conversion: ConversionPath::Fused,
         }
     }
 
@@ -113,8 +107,8 @@ impl Wearable {
     /// speaker and captures it with the accelerometer, returning the
     /// vibration-domain signal (at the accelerometer rate).
     ///
-    /// Runs through the per-thread [`crate::engine::ConversionEngine`]
-    /// on the path selected by [`Wearable::conversion`]. Batch call
+    /// Runs through the per-thread fused
+    /// [`crate::engine::ConversionEngine`]. Batch call
     /// sites that convert two recordings back-to-back should prefer
     /// [`crate::engine::with_engine`] +
     /// [`crate::engine::ConversionEngine::convert_pair`].
