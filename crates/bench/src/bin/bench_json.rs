@@ -110,6 +110,23 @@ fn run_stages(iters: usize) -> SweepResult {
         }),
     );
 
+    // The conversion's inverse transform: a real inverse at n = 32768
+    // (a 16384-point complex transform plus the unpacking), the size the
+    // decision pool's selected audio converts at; each vibration
+    // conversion runs two of them.
+    let conv_signal = gen::chirp(150.0, 3_000.0, 0.3, 16_000, 32_768.0 / 16_000.0);
+    let mut conv_spec = Vec::new();
+    fft::half_spectrum_into(&conv_signal, 32_768, &mut conv_spec);
+    let mut conv_time = Vec::new();
+    out.insert(
+        "fft_real_inverse_32k",
+        median_ns(iters, || {
+            conv_time.clear();
+            fft::real_inverse_into(black_box(&conv_spec), 32_768, &mut conv_time);
+            black_box(&conv_time);
+        }),
+    );
+
     let barrier = Barrier::new(BarrierMaterial::GlassWindow);
     out.insert(
         "barrier_transmit_16k_samples",
@@ -762,6 +779,35 @@ fn run_check(current: &RunRecord, history: &[RunRecord], cfg: &sentinel::CheckCo
     report.pass()
 }
 
+const USAGE: &str = "usage: bench_json [--label NAME] [--out FILE] [--iters N] [--best-of N] \
+                     [--trace-out FILE] [--check] [--dry-run] [--ledger FILE] [--no-ledger] \
+                     [--window N] [--k F]";
+
+/// Prints `message` and the usage line, then exits with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// The value after `flag`; a missing one is a usage error.
+fn value_arg(flag: &str, value: Option<String>) -> String {
+    value.unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
+}
+
+/// Parses the value after `flag` as a positive number; a missing,
+/// non-numeric or non-positive value is a usage error.
+fn positive_arg<T>(flag: &str, value: Option<String>) -> T
+where
+    T: std::str::FromStr + PartialOrd + Default,
+{
+    let value = value_arg(flag, value);
+    match value.parse::<T>() {
+        Ok(v) if v > T::default() => v,
+        _ => usage_error(&format!("{flag} must be a positive number, got {value:?}")),
+    }
+}
+
 fn main() {
     let mut label = "post".to_string();
     let mut out_path = "BENCH_pipeline.json".to_string();
@@ -776,53 +822,21 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--label" => label = args.next().expect("--label needs a value"),
-            "--out" => out_path = args.next().expect("--out needs a value"),
-            "--iters" => {
-                iters = args
-                    .next()
-                    .expect("--iters needs a value")
-                    .parse()
-                    .expect("--iters must be an integer")
-            }
-            "--best-of" => {
-                best_of = args
-                    .next()
-                    .expect("--best-of needs a value")
-                    .parse()
-                    .expect("--best-of must be an integer")
-            }
-            "--trace-out" => trace_out = Some(args.next().expect("--trace-out needs a value")),
+            "--label" => label = value_arg("--label", args.next()),
+            "--out" => out_path = value_arg("--out", args.next()),
+            "--iters" => iters = positive_arg("--iters", args.next()),
+            "--best-of" => best_of = positive_arg("--best-of", args.next()),
+            "--trace-out" => trace_out = Some(value_arg("--trace-out", args.next())),
             "--check" => check = true,
             "--dry-run" => {
                 check = true;
                 dry_run = true;
             }
-            "--ledger" => ledger_path = args.next().expect("--ledger needs a value"),
+            "--ledger" => ledger_path = value_arg("--ledger", args.next()),
             "--no-ledger" => no_ledger = true,
-            "--window" => {
-                check_cfg.window = args
-                    .next()
-                    .expect("--window needs a value")
-                    .parse()
-                    .expect("--window must be an integer")
-            }
-            "--k" => {
-                check_cfg.k = args
-                    .next()
-                    .expect("--k needs a value")
-                    .parse()
-                    .expect("--k must be a number")
-            }
-            other => {
-                eprintln!("unknown argument {other}");
-                eprintln!(
-                    "usage: bench_json [--label NAME] [--out FILE] [--iters N] [--best-of N] \
-                     [--trace-out FILE] [--check] [--dry-run] [--ledger FILE] [--no-ledger] \
-                     [--window N] [--k F]"
-                );
-                std::process::exit(2);
-            }
+            "--window" => check_cfg.window = positive_arg("--window", args.next()),
+            "--k" => check_cfg.k = positive_arg("--k", args.next()),
+            other => usage_error(&format!("unknown argument {other}")),
         }
     }
     if trace_out.is_some() && !thrubarrier_obs::COMPILED {
@@ -854,7 +868,7 @@ fn main() {
     // performance for every label symmetrically.
     eprintln!("benchmarking ({iters} iterations per stage, best of {best_of} sweeps) ...");
     let mut sweep = run_stages(iters);
-    for _ in 1..best_of.max(1) {
+    for _ in 1..best_of {
         for (name, ns) in run_stages(iters).stages {
             let slot = sweep.stages.entry(name).or_insert(ns);
             *slot = (*slot).min(ns);

@@ -38,17 +38,16 @@ pub fn next_pow2(n: usize) -> usize {
 
 /// A precomputed plan for FFTs of one power-of-two size.
 ///
-/// Holds the bit-reversal permutation, the forward twiddle factors of
-/// every butterfly stage (concatenated, `n - 1` entries total) and the
-/// unpacking twiddles used when this plan serves as the half-size kernel
-/// of a `2n`-point real transform. Each twiddle is evaluated directly
-/// from its angle, so plans are accurate to f32 rounding even at large
-/// sizes where the old multiply-recurrence visibly drifted.
+/// Holds the forward twiddle factors of every butterfly stage
+/// (concatenated, `n - 1` entries total) and the unpacking twiddles used
+/// when this plan serves as the half-size kernel of a `2n`-point real
+/// transform. Each twiddle is evaluated directly from its angle, so
+/// plans are accurate to f32 rounding even at large sizes where the old
+/// multiply-recurrence visibly drifted. The bit-reversal permutation
+/// needs no table: it is computed tile by tile.
 #[derive(Debug, Clone)]
 pub struct FftPlan {
     n: usize,
-    /// `rev[i]` = bit-reversed index of `i` (u32 halves the table size).
-    rev: Vec<u32>,
     /// Forward stage twiddles: for each stage `len = 2, 4, .., n`, the
     /// `len/2` factors `exp(-i·2πk/len)`, concatenated in stage order.
     twiddles: Vec<Complex>,
@@ -68,14 +67,6 @@ impl FftPlan {
         if !n.is_power_of_two() {
             return Err(DspError::FftLengthNotPowerOfTwo(n));
         }
-        let bits = n.trailing_zeros();
-        let rev = if n <= 1 {
-            Vec::new()
-        } else {
-            (0..n)
-                .map(|i| (i.reverse_bits() >> (usize::BITS - bits)) as u32)
-                .collect()
-        };
         let mut twiddles = Vec::with_capacity(n.saturating_sub(1));
         let mut len = 2usize;
         while len <= n {
@@ -94,7 +85,6 @@ impl FftPlan {
             .collect();
         Ok(FftPlan {
             n,
-            rev,
             twiddles,
             real_twiddles,
         })
@@ -135,31 +125,144 @@ impl FftPlan {
     /// Bit-reversal permutation followed by the radix-2 stages, each
     /// stage run by `kernel`'s butterfly body. Every kernel performs the
     /// same IEEE operations per butterfly, so the result does not depend
-    /// on which one runs.
+    /// on which one runs. The AVX2 kernel runs the stages two at a time
+    /// ([`stage_pair_avx2`]); the butterflies and their operands are the
+    /// same as one stage at a time, only their order changes.
     fn process<const INVERSE: bool>(&self, buf: &mut [Complex], kernel: Kernel) {
         assert_eq!(buf.len(), self.n, "buffer length must match plan size");
         if self.n <= 1 {
             return;
         }
-        for (i, &j) in self.rev.iter().enumerate() {
-            let j = j as usize;
+        bit_reverse_permute(buf);
+        let mut twiddles = self.twiddles.as_slice();
+        let mut half = 1usize;
+        while half < self.n {
+            match kernel {
+                #[cfg(target_arch = "x86_64")]
+                Kernel::Avx2 if half >= 4 && 4 * half <= self.n => {
+                    // Stage `2·half`'s twiddles follow stage `half`'s.
+                    let (pair, rest) = twiddles.split_at(3 * half);
+                    twiddles = rest;
+                    let (tw_h, tw_2h) = pair.split_at(half);
+                    // SAFETY: `Kernel::Avx2` is only produced after a
+                    // successful run-time AVX2 check.
+                    unsafe { stage_pair_avx2::<INVERSE>(buf, tw_h, tw_2h) };
+                    half <<= 2;
+                }
+                _ => {
+                    let (stage, rest) = twiddles.split_at(half);
+                    twiddles = rest;
+                    match kernel {
+                        #[cfg(target_arch = "x86_64")]
+                        // SAFETY: as above.
+                        Kernel::Avx2 if half >= 4 => unsafe { stage_avx2::<INVERSE>(buf, stage) },
+                        _ => stage_scalar::<INVERSE>(buf, stage),
+                    }
+                    half <<= 1;
+                }
+            }
+        }
+    }
+}
+
+/// log2 of the tile side of [`bit_reverse_permute`]: a tile row of
+/// `2^3` complex values is one 64-byte cache line.
+const TILE_BITS: u32 = 3;
+/// Side of a bit-reversal tile.
+const TILE: usize = 1 << TILE_BITS;
+/// `REV_TILE[d]` is `d` with its [`TILE_BITS`] bits reversed.
+const REV_TILE: [usize; TILE] = [0, 4, 2, 6, 1, 5, 3, 7];
+/// `REV_SMALL[i]` is `i` with its `2·TILE_BITS` bits reversed: the swap
+/// loop's index table for the sizes below the tile threshold (a table
+/// load is cheaper than `reverse_bits`, which x86-64 has no instruction
+/// for).
+const REV_SMALL: [u8; TILE * TILE] = {
+    let mut table = [0u8; TILE * TILE];
+    let mut i = 0;
+    while i < TILE * TILE {
+        table[i] = (i as u8).reverse_bits() >> (u8::BITS - 2 * TILE_BITS);
+        i += 1;
+    }
+    table
+};
+
+/// `i` with its low `bits` bits reversed (`bits >= 1`).
+#[inline]
+fn reverse_low_bits(i: usize, bits: u32) -> usize {
+    i.reverse_bits() >> (usize::BITS - bits)
+}
+
+/// In-place bit-reversal permutation of a power-of-two-length buffer:
+/// afterwards `buf[i]` holds what was at `reverse_low_bits(i, log2 n)`.
+///
+/// A plain swap loop touches a new cache line on nearly every swap once
+/// the buffer outgrows the cache. This walks the buffer in tiles
+/// instead (the COBRA scheme): an index splits into
+/// `(top | middle | low)` with [`TILE_BITS`] bits at each end, and
+/// reversal maps the 8×8 tile of middle bits `c` onto the tile of
+/// `reverse(c)`, transposing it with both axes bit-reversed. Each tile
+/// is eight cache-line rows; it is copied whole into a stack buffer and
+/// its partner's rows are overwritten whole, so every line is read and
+/// written once. Sizes below `2^(2·TILE_BITS + 1)` have no middle bits
+/// and keep the swap loop. Only values move, so the result is bitwise
+/// the swap loop's.
+fn bit_reverse_permute(buf: &mut [Complex]) {
+    let n = buf.len();
+    debug_assert!(n.is_power_of_two());
+    if n <= 2 {
+        return;
+    }
+    let bits = n.trailing_zeros();
+    if bits <= 2 * TILE_BITS {
+        let shift = 2 * TILE_BITS - bits;
+        for (i, &j) in REV_SMALL[..n].iter().enumerate() {
+            let j = usize::from(j >> shift);
             if j > i {
                 buf.swap(i, j);
             }
         }
-        let mut twiddles = self.twiddles.as_slice();
-        let mut half = 1usize;
-        while half < self.n {
-            let (stage, rest) = twiddles.split_at(half);
-            twiddles = rest;
-            match kernel {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: `Kernel::Avx2` is only produced after a
-                // successful run-time AVX2 check.
-                Kernel::Avx2 if half >= 4 => unsafe { stage_avx2::<INVERSE>(buf, stage) },
-                _ => stage_scalar::<INVERSE>(buf, stage),
-            }
-            half <<= 1;
+        return;
+    }
+    let mid_bits = bits - 2 * TILE_BITS;
+    // Row `r` of tile `c` is `buf[r·stride + c·TILE..][..TILE]`.
+    let stride = n >> TILE_BITS;
+    let mut tile = [Complex::ZERO; TILE * TILE];
+    let mut partner = [Complex::ZERO; TILE * TILE];
+    for c in 0..1usize << mid_bits {
+        let c_rev = reverse_low_bits(c, mid_bits);
+        if c_rev < c {
+            continue;
+        }
+        load_tile(buf, stride, c * TILE, &mut tile);
+        if c_rev != c {
+            load_tile(buf, stride, c_rev * TILE, &mut partner);
+            store_tile_reversed(buf, stride, c * TILE, &partner);
+        }
+        store_tile_reversed(buf, stride, c_rev * TILE, &tile);
+    }
+}
+
+/// Copies the `TILE` rows at column `offset` of `buf` (rows `stride`
+/// apart) into `tile`, row-major.
+#[inline]
+fn load_tile(buf: &[Complex], stride: usize, offset: usize, tile: &mut [Complex; TILE * TILE]) {
+    for (row, src) in tile.chunks_exact_mut(TILE).zip(buf.chunks_exact(stride)) {
+        row.copy_from_slice(&src[offset..offset + TILE]);
+    }
+}
+
+/// Writes `tile` back at column `offset` transposed with both axes
+/// bit-reversed: row `r`, column `d` receives `tile[rev(d)][rev(r)]`.
+#[inline]
+fn store_tile_reversed(
+    buf: &mut [Complex],
+    stride: usize,
+    offset: usize,
+    tile: &[Complex; TILE * TILE],
+) {
+    for (&r_rev, dst) in REV_TILE.iter().zip(buf.chunks_exact_mut(stride)) {
+        for (&d_rev, v) in REV_TILE.iter().zip(&mut dst[offset..offset + TILE]) {
+            *v = tile[d_rev * TILE + r_rev];
         }
     }
 }
@@ -206,12 +309,7 @@ fn stage_scalar<const INVERSE: bool>(buf: &mut [Complex], tw: &[Complex]) {
 
 /// AVX2 body of [`stage_scalar`], four butterflies per register.
 ///
-/// Bitwise identical to the scalar body: the complex product is two
-/// per-lane multiplies (`b·w_re`, `swap(b)·w_im`) joined by `addsub`,
-/// which yields `b.re·w.re − b.im·w.im` in the real lane and
-/// `b.im·w.re + b.re·w.im` in the imaginary lane — the scalar sum with
-/// its two (commutative) addends swapped. No FMA is used, so every
-/// product is rounded before the add exactly as in scalar code. The
+/// Bitwise identical to the scalar body: see [`butterfly_avx2`]. The
 /// inverse conjugates twiddles by flipping their imaginary sign bits,
 /// which is what `Complex::conj` does; the trivial `(1, -0)` twiddle is
 /// multiplied like any other. `tw.len()` must be a multiple of 4, which
@@ -223,14 +321,9 @@ fn stage_scalar<const INVERSE: bool>(buf: &mut [Complex], tw: &[Complex]) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn stage_avx2<const INVERSE: bool>(buf: &mut [Complex], tw: &[Complex]) {
-    use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_addsub_ps, _mm256_loadu_ps, _mm256_movehdup_ps, _mm256_moveldup_ps,
-        _mm256_mul_ps, _mm256_permute_ps, _mm256_setr_ps, _mm256_storeu_ps, _mm256_sub_ps,
-        _mm256_xor_ps,
-    };
+    use std::arch::x86_64::{_mm256_loadu_ps, _mm256_storeu_ps};
     let half = tw.len();
     debug_assert_eq!(half % 4, 0);
-    let conj = _mm256_setr_ps(0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0);
     for block in buf.chunks_exact_mut(2 * half) {
         let (lo, hi) = block.split_at_mut(half);
         for ((a, b), t) in lo
@@ -241,19 +334,115 @@ unsafe fn stage_avx2<const INVERSE: bool>(buf: &mut [Complex], tw: &[Complex]) {
             // `Complex` is `repr(C)`, so four of them are eight packed
             // f32 lanes `[re, im, re, im, ..]`.
             let (pa, pb) = (a.as_mut_ptr().cast::<f32>(), b.as_mut_ptr().cast::<f32>());
-            let mut w = _mm256_loadu_ps(t.as_ptr().cast::<f32>());
-            if INVERSE {
-                w = _mm256_xor_ps(w, conj);
+            // SAFETY: `a`, `b` and `t` are chunks of exactly four
+            // `Complex`, i.e. eight in-bounds f32 lanes each.
+            unsafe {
+                let w = twiddles_avx2::<INVERSE>(_mm256_loadu_ps(t.as_ptr().cast::<f32>()));
+                let (sum, diff) = butterfly_avx2(_mm256_loadu_ps(pa), _mm256_loadu_ps(pb), w);
+                _mm256_storeu_ps(pa, sum);
+                _mm256_storeu_ps(pb, diff);
             }
-            let x = _mm256_loadu_ps(pa);
-            let v = _mm256_loadu_ps(pb);
-            let re_part = _mm256_mul_ps(v, _mm256_moveldup_ps(w));
-            let im_part = _mm256_mul_ps(_mm256_permute_ps(v, 0b1011_0001), _mm256_movehdup_ps(w));
-            let y = _mm256_addsub_ps(re_part, im_part);
-            _mm256_storeu_ps(pa, _mm256_add_ps(x, y));
-            _mm256_storeu_ps(pb, _mm256_sub_ps(x, y));
         }
     }
+}
+
+/// Two consecutive AVX2 stages, `half` and `2·half`, in one sweep.
+///
+/// In a block of `4·half` bins with quarters `q0..q3`, stage `half`
+/// pairs `q0[k]`/`q1[k]` and `q2[k]`/`q3[k]` under `tw_h[k]`; stage
+/// `2·half` then pairs `q0[k]`/`q2[k]` under `tw_2h[k]` and
+/// `q1[k]`/`q3[k]` under `tw_2h[half + k]`. The four bins at offset `k`
+/// depend on nothing else, so running both stages on them while they sit
+/// in registers performs exactly the butterflies of two [`stage_avx2`]
+/// calls on the same operands: the output is bitwise the same, and the
+/// buffer is swept once instead of twice.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn stage_pair_avx2<const INVERSE: bool>(
+    buf: &mut [Complex],
+    tw_h: &[Complex],
+    tw_2h: &[Complex],
+) {
+    use std::arch::x86_64::{_mm256_loadu_ps, _mm256_storeu_ps};
+    let half = tw_h.len();
+    // The unsafe loads below rely on these two; checked once per pass.
+    assert!(half.is_multiple_of(4) && tw_2h.len() == 2 * half);
+    debug_assert_eq!(buf.len() % (4 * half), 0);
+    let (tw_lo, tw_hi) = tw_2h.split_at(half);
+    for block in buf.chunks_exact_mut(4 * half) {
+        debug_assert_eq!(block.len(), 4 * half);
+        let p = block.as_mut_ptr().cast::<f32>();
+        for k in (0..half).step_by(4) {
+            // SAFETY: `k + 4 <= half`, so each quarter's four bins
+            // `q·half + k .. q·half + k + 4` (`q < 4`) lie inside the
+            // `4·half`-bin block, and each twiddle read `k .. k + 4` lies
+            // inside `tw_h`, `tw_lo` and `tw_hi` (`half` entries each).
+            // A `Complex` is two packed f32 lanes (`repr(C)`).
+            unsafe {
+                let q0 = p.add(2 * k);
+                let q1 = q0.add(2 * half);
+                let q2 = q1.add(2 * half);
+                let q3 = q2.add(2 * half);
+                let tw = |t: &[Complex]| {
+                    twiddles_avx2::<INVERSE>(_mm256_loadu_ps(t.as_ptr().add(k).cast::<f32>()))
+                };
+                let w = tw(tw_h);
+                let (a0, a1) = butterfly_avx2(_mm256_loadu_ps(q0), _mm256_loadu_ps(q1), w);
+                let (a2, a3) = butterfly_avx2(_mm256_loadu_ps(q2), _mm256_loadu_ps(q3), w);
+                let (b0, b2) = butterfly_avx2(a0, a2, tw(tw_lo));
+                let (b1, b3) = butterfly_avx2(a1, a3, tw(tw_hi));
+                _mm256_storeu_ps(q0, b0);
+                _mm256_storeu_ps(q1, b1);
+                _mm256_storeu_ps(q2, b2);
+                _mm256_storeu_ps(q3, b3);
+            }
+        }
+    }
+}
+
+/// Four twiddles as loaded, conjugated for the inverse transform by
+/// flipping the imaginary sign bits (what `Complex::conj` does).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn twiddles_avx2<const INVERSE: bool>(w: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::{_mm256_setr_ps, _mm256_xor_ps};
+    if INVERSE {
+        let conj = _mm256_setr_ps(0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0);
+        _mm256_xor_ps(w, conj)
+    } else {
+        w
+    }
+}
+
+/// Four radix-2 butterflies: `(x + v·w, x − v·w)` per complex lane.
+///
+/// Bitwise identical to the scalar butterfly: the complex product is two
+/// per-lane multiplies (`v·w_re`, `swap(v)·w_im`) joined by `addsub`,
+/// which yields `v.re·w.re − v.im·w.im` in the real lane and
+/// `v.im·w.re + v.re·w.im` in the imaginary lane — the scalar sum with
+/// its two (commutative) addends swapped. No FMA is used, so every
+/// product is rounded before the add exactly as in scalar code.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn butterfly_avx2(
+    x: std::arch::x86_64::__m256,
+    v: std::arch::x86_64::__m256,
+    w: std::arch::x86_64::__m256,
+) -> (std::arch::x86_64::__m256, std::arch::x86_64::__m256) {
+    use std::arch::x86_64::{
+        _mm256_add_ps, _mm256_addsub_ps, _mm256_movehdup_ps, _mm256_moveldup_ps, _mm256_mul_ps,
+        _mm256_permute_ps, _mm256_sub_ps,
+    };
+    let re_part = _mm256_mul_ps(v, _mm256_moveldup_ps(w));
+    let im_part = _mm256_mul_ps(_mm256_permute_ps(v, 0b1011_0001), _mm256_movehdup_ps(w));
+    let y = _mm256_addsub_ps(re_part, im_part);
+    (_mm256_add_ps(x, y), _mm256_sub_ps(x, y))
 }
 
 thread_local! {
@@ -465,10 +654,13 @@ fn real_inverse_with(z: &mut Vec<Complex>, spec: &[Complex], n: usize, out: &mut
                     even + odd * Complex::I
                 }),
         );
-        p.inverse(z);
+        p.process::<true>(z, Kernel::detect());
     });
+    // `FftPlan::inverse`'s `1/half` scale, folded into the interleave:
+    // the same `re·s`, `im·s` products, one pass fewer.
+    let scale = 1.0 / half as f32;
     out.reserve(n);
-    out.extend(z.iter().flat_map(|v| [v.re, v.im]));
+    out.extend(z.iter().flat_map(|v| [v.re * scale, v.im * scale]));
 }
 
 /// Forward FFT of a real signal, zero-padded to the next power of two (or
@@ -787,24 +979,78 @@ mod tests {
         ]
     }
 
+    /// Bit-reversed index table, as the plans stored it before the tiled
+    /// permutation.
+    fn rev_table(n: usize) -> Vec<usize> {
+        let bits = n.trailing_zeros();
+        (0..n)
+            .map(|i| if n <= 1 { 0 } else { reverse_low_bits(i, bits) })
+            .collect()
+    }
+
+    /// `FftPlan::process` as it was before the tiled permutation and the
+    /// paired AVX2 stages: the `rev`-table swap loop, then one
+    /// `stage_scalar` sweep per stage.
+    fn process_frozen<const INVERSE: bool>(plan: &FftPlan, buf: &mut [Complex]) {
+        if plan.n <= 1 {
+            return;
+        }
+        for (i, j) in rev_table(plan.n).into_iter().enumerate() {
+            if j > i {
+                buf.swap(i, j);
+            }
+        }
+        let mut twiddles = plan.twiddles.as_slice();
+        let mut half = 1usize;
+        while half < plan.n {
+            let (stage, rest) = twiddles.split_at(half);
+            twiddles = rest;
+            stage_scalar::<INVERSE>(buf, stage);
+            half <<= 1;
+        }
+    }
+
     #[test]
-    fn simd_stages_match_scalar_stages_bitwise() {
+    fn transforms_match_frozen_reference_bitwise() {
         // `Kernel::detect()` is the scalar kernel on CPUs without AVX2,
-        // where this check is trivially true.
+        // where its half of this check repeats the scalar half.
         for log2 in 1..=17 {
             let n = 1usize << log2;
             let plan = FftPlan::new(n).unwrap();
             for (case, input) in parity_inputs(n, log2 as u64).into_iter().enumerate() {
-                let mut fast = input.clone();
-                let mut reference = input.clone();
-                plan.process::<false>(&mut fast, Kernel::detect());
-                plan.process::<false>(&mut reference, Kernel::Scalar);
-                assert!(bits(&fast) == bits(&reference), "forward n={n} case {case}");
-                let mut fast = input.clone();
-                let mut reference = input;
-                plan.process::<true>(&mut fast, Kernel::detect());
-                plan.process::<true>(&mut reference, Kernel::Scalar);
-                assert!(bits(&fast) == bits(&reference), "inverse n={n} case {case}");
+                let mut want = input.clone();
+                process_frozen::<false>(&plan, &mut want);
+                let mut want_inv = input.clone();
+                process_frozen::<true>(&plan, &mut want_inv);
+                for kernel in [Kernel::detect(), Kernel::Scalar] {
+                    let mut got = input.clone();
+                    plan.process::<false>(&mut got, kernel);
+                    assert!(
+                        bits(&got) == bits(&want),
+                        "forward n={n} case {case} {kernel:?}"
+                    );
+                    let mut got = input.clone();
+                    plan.process::<true>(&mut got, kernel);
+                    assert!(
+                        bits(&got) == bits(&want_inv),
+                        "inverse n={n} case {case} {kernel:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tiled_bit_reversal_matches_table_order() {
+        // Sizes below the tile threshold (n < 128) take the swap loop.
+        for log2 in 0..=17 {
+            let n = 1usize << log2;
+            let mut buf: Vec<Complex> = (0..n)
+                .map(|i| Complex::new(i as f32, -(i as f32)))
+                .collect();
+            bit_reverse_permute(&mut buf);
+            for (i, (v, j)) in buf.iter().zip(rev_table(n)).enumerate() {
+                assert_eq!(*v, Complex::new(j as f32, -(j as f32)), "n={n} index {i}");
             }
         }
     }
@@ -838,7 +1084,8 @@ mod tests {
     }
 
     /// The unpacking step of the real inverse as it was written before
-    /// the iterator rewrite.
+    /// the iterator rewrite, with the `1/half` scale still applied by
+    /// `FftPlan::inverse` rather than folded into the interleave.
     fn real_inverse_indexed(spec: &[Complex], n: usize) -> Vec<f32> {
         if n == 1 {
             return vec![spec[0].re];
@@ -873,14 +1120,19 @@ mod tests {
                 let want = half_spectrum_indexed(&signal, n);
                 assert!(bits(&got) == bits(&want), "forward n={n} len={len}");
             }
-            let spec: Vec<Complex> = (0..n / 2 + 1)
-                .map(|_| Complex::new(rng.gen_range(-1.0f32..1.0), rng.gen_range(-1.0f32..1.0)))
-                .collect();
-            let mut got = Vec::new();
-            real_inverse_into(&spec, n, &mut got);
-            let want = real_inverse_indexed(&spec, n);
-            let to_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert!(to_bits(&got) == to_bits(&want), "inverse n={n}");
+            // Random, signed-zero, subnormal and near-overflow spectra:
+            // the folded scale must round the same products, Inf and NaN
+            // included.
+            for (case, spec) in parity_inputs(n / 2 + 1, log2 as u64)
+                .into_iter()
+                .enumerate()
+            {
+                let mut got = Vec::new();
+                real_inverse_into(&spec, n, &mut got);
+                let want = real_inverse_indexed(&spec, n);
+                let to_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert!(to_bits(&got) == to_bits(&want), "inverse n={n} case {case}");
+            }
         }
     }
 
