@@ -47,7 +47,6 @@ use thrubarrier_eval::scenario::TrialContext;
 use thrubarrier_nn::act::gates_fused;
 use thrubarrier_nn::lstm::BiLstm;
 use thrubarrier_nn::model::{BrnnClassifier, TrainConfig};
-use thrubarrier_nn::score::{ScoreService, DEFAULT_MAX_BATCH};
 use thrubarrier_nn::{BatchWorkspace, GemmScratch};
 use thrubarrier_obs::ledger::{Ledger, RunRecord};
 use thrubarrier_vibration::Wearable;
@@ -356,7 +355,8 @@ fn run_stages(iters: usize) -> SweepResult {
 
     // The BRNN phoneme detector at paper dimensions (14 MFCCs, 64 LSTM
     // units per direction, 2 classes) segmenting one second of audio —
-    // the per-verification inference cost of the online detector.
+    // the per-verification inference cost of the online detector, which
+    // scores its recording as a batch of one on the packed engine.
     let mut rng = StdRng::seed_from_u64(4);
     let brnn = BrnnClassifier::new(mfcc.n_coeffs(), 64, 2, &mut rng);
     let feats = mfcc.extract(&gen::chirp(100.0, 900.0, 0.4, 16_000, 1.0));
@@ -390,13 +390,12 @@ fn run_stages(iters: usize) -> SweepResult {
         }),
     );
 
-    // Per-worker inline scoring as the eval runner's non-service path
-    // does it: 8 worker threads, each scoring its own group of 8
-    // one-second segments with a fresh workspace per group (every group
-    // is new data in a real run, so nothing is pack- or
-    // projection-cached — unlike `brnn_segment_batch8`, which re-scores
-    // identical data into a warm workspace). 64 segments per timed run;
-    // the baseline for `brnn_score_service_8t`.
+    // Per-worker scoring as the eval runner does it: 8 worker threads,
+    // each scoring its own group of 8 one-second segments with a fresh
+    // workspace per group (every group is new data in a real run, so
+    // nothing is pack- or projection-cached — unlike
+    // `brnn_segment_batch8`, which re-scores identical data into a warm
+    // workspace). 64 segments per timed run.
     out.insert(
         "brnn_score_inline_8t",
         median_ns(iters.max(16), || {
@@ -413,33 +412,6 @@ fn run_stages(iters: usize) -> SweepResult {
             });
         }),
     );
-
-    // The shared scoring service under the default eval shape: 8 worker
-    // threads each submit a group of 8 one-second segments to one engine
-    // thread, which coalesces concurrent groups into wide fused-GEMM
-    // packs (up to the 64-segment drain cap). 64 segments per timed run;
-    // compare per segment against `brnn_score_inline_8t` for the win of
-    // cross-worker coalescing.
-    let service = ScoreService::spawn(brnn.clone(), DEFAULT_MAX_BATCH);
-    out.insert(
-        "brnn_score_service_8t",
-        median_ns(iters.max(16), || {
-            std::thread::scope(|scope| {
-                for _ in 0..8 {
-                    let client = service.client();
-                    let feats = &batch_feats;
-                    scope.spawn(move || {
-                        let tickets: Vec<_> =
-                            feats.iter().map(|f| client.submit(f.clone())).collect();
-                        for t in tickets {
-                            black_box(t.wait());
-                        }
-                    });
-                }
-            });
-        }),
-    );
-    drop(service);
 
     // The gate-fused activation sweep over one LSTM row's 4H gate
     // buffer at paper width (H = 64): sigmoid on the input/forget and

@@ -1,7 +1,7 @@
 //! `repro` — regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro [--quick|--full] [--scale X] [--seed N] [--trace-out FILE] <experiment>...
+//! repro [--quick|--full] [--scale X] [--seed N] [--csv DIR] [--trace-out FILE] <experiment>...
 //!
 //! experiments:
 //!   table1 table2 fig3 fig4 fig6 fig7 fig9 fig10
@@ -9,8 +9,10 @@
 //!   ablation extensions architectures naive-baseline all
 //! ```
 //!
-//! Every name is checked before any experiment runs: an unknown one
-//! prints the valid names and exits with status 2.
+//! Every argument is checked before any experiment runs: an unknown
+//! experiment name prints the valid names, and a flag with a missing or
+//! bad value (a non-integer seed, a scale that is not a finite positive
+//! number) prints the usage line; both exit with status 2.
 
 use std::env;
 use thrubarrier_attack::AttackKind;
@@ -42,6 +44,23 @@ const EXPERIMENTS: [&str; 17] = [
     "naive-baseline",
 ];
 
+const USAGE: &str =
+    "usage: repro [--quick|--full] [--scale X] [--seed N] [--csv DIR] [--trace-out FILE] <experiment>...";
+
+/// Prints `message` and the usage line, then exits with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// The value after `flag`; a missing one is a usage error.
+fn value_arg(flag: &str, value: Option<&String>) -> String {
+    value
+        .cloned()
+        .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
+}
+
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
     let mut preset = ReproPreset::default_preset();
@@ -49,27 +68,28 @@ fn main() {
     let mut csv_dir: Option<std::path::PathBuf> = None;
     let mut trace_out: Option<std::path::PathBuf> = None;
     let mut experiments: Vec<String> = Vec::new();
-    let mut iter = args.iter().peekable();
+    let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--quick" => preset = ReproPreset::quick(),
             "--full" => preset = ReproPreset::full(),
             "--scale" => {
-                let v = iter.next().expect("--scale needs a value");
-                preset.scale = v.parse().expect("--scale must be a number");
+                let v = value_arg("--scale", iter.next());
+                preset.scale = match v.parse::<f32>() {
+                    Ok(x) if x.is_finite() && x > 0.0 => x,
+                    _ => usage_error(&format!(
+                        "--scale must be a finite positive number, got {v:?}"
+                    )),
+                };
             }
             "--seed" => {
-                let v = iter.next().expect("--seed needs a value");
-                seed = Some(v.parse().expect("--seed must be an integer"));
+                let v = value_arg("--seed", iter.next());
+                seed = Some(v.parse().unwrap_or_else(|_| {
+                    usage_error(&format!("--seed must be an unsigned integer, got {v:?}"))
+                }));
             }
-            "--csv" => {
-                let v = iter.next().expect("--csv needs a directory");
-                csv_dir = Some(std::path::PathBuf::from(v));
-            }
-            "--trace-out" => {
-                let v = iter.next().expect("--trace-out needs a file");
-                trace_out = Some(std::path::PathBuf::from(v));
-            }
+            "--csv" => csv_dir = Some(value_arg("--csv", iter.next()).into()),
+            "--trace-out" => trace_out = Some(value_arg("--trace-out", iter.next()).into()),
             "--help" | "-h" => {
                 print_help();
                 return;
@@ -127,7 +147,7 @@ fn main() {
 fn print_help() {
     println!(
         "repro — regenerate the paper's tables and figures\n\n\
-         usage: repro [--quick|--full] [--scale X] [--seed N] <experiment>...\n\n\
+         {USAGE}\n\n\
          experiments: table1 table2 fig3 fig4 fig6 fig7 fig9 fig10\n\
                       fig11a fig11b fig11c fig11d phoneme-detection\n\
                       ablation extensions architectures naive-baseline all\n\n\

@@ -47,6 +47,6 @@ pub mod system;
 
 pub use detector::CorrelationDetector;
 pub use guard::{VaGuard, Verdict};
-pub use segmentation::{EnergySelector, PhonemeDetector, ScoringBackend, SegmentSelector};
+pub use segmentation::{EnergySelector, PhonemeDetector, SegmentSelector};
 pub use selection::{PhonemeSelection, SelectionConfig};
 pub use system::{DefenseMethod, DefenseSystem};

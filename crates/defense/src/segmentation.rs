@@ -7,49 +7,20 @@
 //! 0–900 Hz (deliberately low — thru-barrier sounds have no high
 //! frequencies left), 14 cepstral coefficients.
 //!
-//! Inference rides the minibatched BRNN engine in `thrubarrier_nn`: the
-//! per-verification `sensitive_frames` call records no backward-pass
-//! state, and [`SegmentSelector::sensitive_frames_batch`] packs many
-//! recordings into one minibatch so every timestep is a single GEMM over
-//! all active recordings.
+//! Inference rides the packed BRNN engine in `thrubarrier_nn`: the
+//! per-verification `sensitive_frames` call scores its recording as a
+//! batch of one, and [`SegmentSelector::sensitive_frames_batch`] packs
+//! many recordings into one minibatch so every timestep is a single GEMM
+//! over all active recordings. Both give the same mask bits.
 
 use rand::Rng;
 use std::collections::HashSet;
-use std::sync::Arc;
 use thrubarrier_dsp::mel::MfccExtractor;
 use thrubarrier_nn::model::{BrnnClassifier, TrainConfig};
 use thrubarrier_nn::param::AdamConfig;
-use thrubarrier_nn::{BatchWorkspace, GemmScratch, ScoreClient};
+use thrubarrier_nn::{BatchWorkspace, GemmScratch};
 use thrubarrier_phoneme::corpus::{frame_labels, LabelledUtterance};
 use thrubarrier_phoneme::inventory::PhonemeId;
-
-/// Where batched phoneme scoring runs: inline in the calling thread, or
-/// routed to a shared engine.
-///
-/// [`PhonemeDetector::sensitive_frames_batch`] classifies MFCC feature
-/// sequences through its own BRNN by default (the inline path — right
-/// for single-trial use and single-threaded runs). Installing a backend
-/// with [`PhonemeDetector::with_scoring_backend`] redirects only that
-/// batched classification; featurization and thresholding stay local,
-/// and the single-recording [`SegmentSelector::sensitive_frames`] path
-/// is never routed.
-///
-/// The canonical backend is [`thrubarrier_nn::ScoreClient`] — a handle
-/// to the shared cross-worker scoring service.
-pub trait ScoringBackend: Send + Sync + std::fmt::Debug {
-    /// Per-frame argmax class labels for each feature sequence, in
-    /// caller order. Takes the sequences by value (a routed backend
-    /// ships them to another thread; the caller has just featurized
-    /// them, so this moves rather than copies). Must agree bitwise
-    /// with [`BrnnClassifier::predict_batch`] on the same model.
-    fn classify_batch(&self, seqs: Vec<Vec<Vec<f32>>>) -> Vec<Vec<usize>>;
-}
-
-impl ScoringBackend for ScoreClient {
-    fn classify_batch(&self, seqs: Vec<Vec<Vec<f32>>>) -> Vec<Vec<usize>> {
-        ScoreClient::classify_batch(self, seqs)
-    }
-}
 
 /// Anything that can mark the sensitive frames of a recording.
 ///
@@ -72,23 +43,6 @@ pub trait SegmentSelector: Send + Sync {
             .iter()
             .map(|audio| self.sensitive_frames(audio, sample_rate))
             .collect()
-    }
-
-    /// The BRNN behind this selector, when there is one — lets callers
-    /// (the eval runner) spawn a shared scoring engine from the same
-    /// weights. Selectors without a network return `None` (the
-    /// default).
-    fn classifier(&self) -> Option<&BrnnClassifier> {
-        None
-    }
-
-    /// A copy of this selector whose batched scoring goes through
-    /// `backend`. Returns `None` (the default) when the selector has no
-    /// batched classification to route — callers then keep the original
-    /// selector.
-    fn with_backend(&self, backend: Arc<dyn ScoringBackend>) -> Option<Arc<dyn SegmentSelector>> {
-        let _ = backend;
-        None
     }
 }
 
@@ -179,10 +133,6 @@ pub struct PhonemeDetector {
     model: BrnnClassifier,
     mfcc: MfccExtractor,
     sensitive: HashSet<PhonemeId>,
-    /// When set, batched mask computation sends feature sequences here
-    /// instead of running `predict_batch` inline; single-recording
-    /// calls always stay inline.
-    backend: Option<Arc<dyn ScoringBackend>>,
 }
 
 /// Training hyper-parameters for [`PhonemeDetector::train`].
@@ -256,7 +206,6 @@ impl PhonemeDetector {
             model,
             mfcc,
             sensitive: sensitive.clone(),
-            backend: None,
         }
     }
 
@@ -346,27 +295,12 @@ impl PhonemeDetector {
             model,
             mfcc: MfccExtractor::paper_default(),
             sensitive,
-            backend: None,
         })
     }
 
-    /// The trained BRNN itself (e.g. to clone its weights into a shared
-    /// scoring service).
+    /// The trained BRNN itself.
     pub fn model(&self) -> &BrnnClassifier {
         &self.model
-    }
-
-    /// A copy of this detector whose batched scoring is routed through
-    /// `backend`. The detector keeps its own model for the inline
-    /// single-recording path; only
-    /// [`SegmentSelector::sensitive_frames_batch`] classification moves
-    /// to the backend, which must score with the same weights for masks
-    /// to stay identical.
-    pub fn with_scoring_backend(&self, backend: Arc<dyn ScoringBackend>) -> PhonemeDetector {
-        PhonemeDetector {
-            backend: Some(backend),
-            ..self.clone()
-        }
     }
 }
 
@@ -384,36 +318,18 @@ impl SegmentSelector for PhonemeDetector {
     /// Batched override: all recordings are featurized, packed into one
     /// minibatch and classified through the batched BRNN engine
     /// ([`BrnnClassifier::predict_batch`]) — one GEMM per timestep over
-    /// every active recording instead of per-utterance matrix-vector
-    /// work. With a [`ScoringBackend`] installed, classification is
-    /// submitted to the backend instead (the shared engine coalesces
-    /// groups from many workers into even wider packs); the fused
-    /// inference kernels are bitwise batch-size invariant, so the masks
-    /// are identical either way.
+    /// every active recording. The fused inference kernels are bitwise
+    /// batch-size invariant, so each mask equals the one
+    /// [`SegmentSelector::sensitive_frames`] gives.
     fn sensitive_frames_batch(&self, recordings: &[&[f32]], _sample_rate: u32) -> Vec<Vec<bool>> {
         let feats: Vec<Vec<Vec<f32>>> = recordings.iter().map(|a| self.mfcc.extract(a)).collect();
         let _span = thrubarrier_obs::span!("defense.classify");
-        let labels = match &self.backend {
-            Some(backend) => backend.classify_batch(feats),
-            None => {
-                let seqs: Vec<&[Vec<f32>]> = feats.iter().map(|f| f.as_slice()).collect();
-                let mut ws = BatchWorkspace::new();
-                let mut scratch = GemmScratch::new();
-                self.model.predict_batch(&seqs, &mut ws, &mut scratch)
-            }
-        };
-        labels
+        let seqs: Vec<&[Vec<f32>]> = feats.iter().map(|f| f.as_slice()).collect();
+        self.model
+            .predict_batch(&seqs, &mut BatchWorkspace::new(), &mut GemmScratch::new())
             .into_iter()
             .map(|preds| preds.into_iter().map(|c| c == 1).collect())
             .collect()
-    }
-
-    fn classifier(&self) -> Option<&BrnnClassifier> {
-        Some(&self.model)
-    }
-
-    fn with_backend(&self, backend: Arc<dyn ScoringBackend>) -> Option<Arc<dyn SegmentSelector>> {
-        Some(Arc::new(self.with_scoring_backend(backend)))
     }
 }
 
@@ -576,39 +492,6 @@ mod tests {
         for (audio, mask) in recordings.iter().zip(&default_batch) {
             assert_eq!(mask, &energy.sensitive_frames(audio, 16_000));
         }
-    }
-
-    #[test]
-    fn backend_routed_masks_match_inline_masks() {
-        let mut rng = StdRng::seed_from_u64(33);
-        let panel = speaker_panel(1, 1, &mut rng);
-        let synth = Synthesizer::new(16_000);
-        let corpus = training_corpus(&synth, 4, &panel, &mut rng);
-        let sensitive: HashSet<PhonemeId> =
-            [Inventory::by_symbol("ih").unwrap()].into_iter().collect();
-        let cfg = DetectorTrainConfig {
-            hidden_size: 8,
-            epochs: 1,
-            batch_size: 4,
-            learning_rate: 3e-3,
-        };
-        let det = PhonemeDetector::train(&sensitive, &corpus, &cfg, &mut rng);
-        let service = thrubarrier_nn::ScoreService::spawn(det.model().clone(), 16);
-        let routed = det.with_scoring_backend(Arc::new(service.client()));
-        let recordings: Vec<&[f32]> = corpus.iter().map(|u| u.utterance.audio.samples()).collect();
-        assert_eq!(
-            routed.sensitive_frames_batch(&recordings, 16_000),
-            det.sensitive_frames_batch(&recordings, 16_000)
-        );
-        // The trait-level routing hook produces the same masks.
-        let via_trait = SegmentSelector::with_backend(&det, Arc::new(service.client()))
-            .expect("detector supports backends");
-        assert_eq!(
-            via_trait.sensitive_frames_batch(&recordings, 16_000),
-            det.sensitive_frames_batch(&recordings, 16_000)
-        );
-        drop(via_trait);
-        drop(routed);
     }
 
     #[test]

@@ -120,23 +120,6 @@ impl DefenseSystem {
         &self.selector
     }
 
-    /// A copy of this system whose selector routes batched segment
-    /// scoring through `backend` (the shared cross-worker scoring
-    /// engine). Selectors with no batched classifier — or none that
-    /// supports routing — are kept as-is, and single-recording scoring
-    /// always stays on the inline path, so this is safe to call
-    /// unconditionally.
-    pub fn with_scoring_backend(
-        &self,
-        backend: Arc<dyn crate::segmentation::ScoringBackend>,
-    ) -> Self {
-        let mut out = self.clone();
-        if let Some(routed) = self.selector.with_backend(backend) {
-            out.selector = routed;
-        }
-        out
-    }
-
     /// Scores a recording pair with the **full** pipeline. Higher = more
     /// likely legitimate; `[0, 1]`.
     pub fn score<R: Rng + ?Sized>(

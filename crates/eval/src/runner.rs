@@ -13,7 +13,6 @@ use thrubarrier_defense::segmentation::{
 };
 use thrubarrier_defense::selection::{run_selection, SelectionConfig};
 use thrubarrier_defense::{DefenseMethod, DefenseSystem};
-use thrubarrier_nn::score::{ScoreService, DEFAULT_MAX_BATCH};
 use thrubarrier_phoneme::command::CommandBank;
 use thrubarrier_phoneme::corpus::{speaker_panel, training_corpus};
 use thrubarrier_phoneme::inventory::PhonemeId;
@@ -219,28 +218,6 @@ impl Runner {
         let plans = self.plan_trials();
         let cfg = &self.config;
         let n_threads = cfg.threads.max(1);
-        // Shared scoring engine: with several workers and a selector
-        // backed by a BRNN, spawn one engine thread from the same
-        // weights and route every worker's batched mask scoring through
-        // it — the engine coalesces groups from all workers into one
-        // wide fused-GEMM pack per drain. The fused kernels are bitwise
-        // batch-size invariant, so scores are identical to inline
-        // per-worker batching. Declared before the system so the
-        // workers' client handles drop first and the engine join in
-        // `Drop` cannot block.
-        let service = if n_threads > 1 {
-            selector
-                .classifier()
-                .map(|model| ScoreService::spawn(model.clone(), DEFAULT_MAX_BATCH))
-        } else {
-            None
-        };
-        let selector = match &service {
-            Some(service) => selector
-                .with_backend(Arc::new(service.client()))
-                .unwrap_or(selector),
-            None => selector,
-        };
         let system = DefenseSystem::with_selector(Wearable::fossil_gen_5(), selector);
         let chunks: Vec<Vec<TrialPlan>> = split_round_robin(&plans, n_threads);
         let utterances = &*self.utterances;
@@ -665,14 +642,13 @@ mod tests {
     }
 
     #[test]
-    fn score_service_scores_are_bitwise_identical_to_inline() {
-        // threads = 1 scores every mask inline in the worker; threads
-        // ∈ {4, 8} route all mask scoring through the shared engine,
-        // whose drains coalesce groups from different workers into
-        // arbitrary interleavings. Identical score multisets prove the
-        // service path is bitwise equivalent to inline batching (the
-        // fused kernels are batch-size invariant, so coalescing wider
-        // packs changes nothing).
+    fn brnn_selector_scores_are_invariant_to_thread_count() {
+        // With the BRNN selector every worker scores its own groups'
+        // masks through the packed engine. Threads ∈ {1, 4, 8} split the
+        // trials into different groups, so packs differ in width and
+        // make-up; identical score multisets prove the masks do not
+        // depend on how trials are shared out (the fused kernels are
+        // batch-size invariant).
         let mut cfg = tiny_config();
         cfg.selector = SelectorChoice::Brnn {
             corpus_size: 6,

@@ -898,9 +898,8 @@ mod tests {
     #[test]
     fn batched_inference_is_bitwise_batch_size_invariant() {
         use crate::batch::BatchWorkspace;
-        // The property the shared scoring service relies on: a
-        // sequence's inferred states must not depend on what else is in
-        // the batch.
+        // A sequence's inferred states must not depend on what else is
+        // in the batch.
         let mut rng = StdRng::seed_from_u64(57);
         let bi = BiGru::new(3, 34, &mut rng);
         let seqs: Vec<Vec<Vec<f32>>> = [5usize, 2, 7]

@@ -11,6 +11,8 @@
 //!   products) shared by every layer,
 //! * [`matrix::GemmScratch`] — reusable working buffers so the hot
 //!   inference/training paths allocate nothing per timestep,
+//! * [`batch::BatchWorkspace`] — the packed minibatch layout shared by
+//!   batched training and the one inference engine,
 //! * [`act`] — branch-free rational `tanh`/`sigmoid` kernels that the
 //!   gate loops auto-vectorize through (scalar libm transcendentals
 //!   cost as much as the matrix products at this model size),
@@ -24,6 +26,13 @@
 //! * [`loss`] — softmax cross-entropy,
 //! * [`model::BrnnClassifier`] — the assembled per-frame binary
 //!   classifier with a training loop.
+//!
+//! All classifier inference runs on one engine: the packed BiLSTM pass
+//! with fused-FMA recurrent GEMMs, then one flat head GEMM
+//! ([`model::BrnnClassifier::predict_batch`]). Scoring one recording is a
+//! batch of one; the kernels are bitwise batch-size invariant, so a
+//! recording gets the same labels alone or inside any pack. Only the
+//! training forward pass stays on the unfused kernels.
 //!
 //! Gradients are verified against finite differences in the test suite.
 //!
@@ -57,10 +66,8 @@ pub mod lstm;
 pub mod matrix;
 pub mod model;
 pub mod param;
-pub mod score;
 pub mod serialize;
 
 pub use batch::BatchWorkspace;
 pub use matrix::{GemmScratch, Matrix, TransposedCache};
 pub use model::BrnnClassifier;
-pub use score::{PendingScore, ScoreClient, ScoreService};

@@ -9,7 +9,8 @@
 //!
 //! The four per-gate weight matrices live concatenated in single fused
 //! `4H x I` (input) and `4H x H` (recurrent) row-major matrices, so one
-//! blocked product serves all gates. Per sequence the engine does:
+//! blocked product serves all gates. The per-sequence training engine
+//! ([`Lstm::forward`], [`Lstm::backward`]) does:
 //!
 //! 1. **Time-batched input projections** — `W·x_t` for *all* timesteps
 //!    in one [`Matrix::matmul_nt`] GEMM before the recurrence starts;
@@ -22,10 +23,16 @@
 //!    gradients into one `T x 4H` buffer and applies `dW += dZᵀ·X` /
 //!    `dU += dZᵀ·H_prev` as single [`Matrix::add_tn_product`] GEMMs.
 //!
-//! All entry points have `*_with_scratch` variants that stream through a
-//! caller-provided [`GemmScratch`]; the plain variants allocate a fresh
-//! scratch per call. Inference-only traversal ([`BiLstm::hidden_states_with_scratch`])
-//! skips the activation caches entirely.
+//! The training entry points have `*_with_scratch` variants that stream
+//! through a caller-provided [`GemmScratch`]; the plain variants
+//! allocate a fresh scratch per call. The packed minibatch engines
+//! ([`BiLstm::forward_batch`], [`BiLstm::backward_batch`]) run the same
+//! recurrences over many sequences at once.
+//!
+//! Inference has one engine: the packed pass behind
+//! [`BiLstm::hidden_states_batch`], which records no backward-pass state
+//! and runs its recurrent GEMMs on the fused-FMA kernels. A single
+//! sequence is a batch of one.
 
 use crate::act::{gates_fused, lstm_gates_backward_fused, tanh_slice};
 use crate::batch::{BatchWorkspace, DirCache, PackedBatch};
@@ -245,72 +252,6 @@ impl Lstm {
             outputs.push(h.to_vec());
         }
         (outputs, cache)
-    }
-
-    /// Inference-only traversal: runs the recurrence and *adds* each
-    /// hidden state into `out` (index-reversed when `reversed`), without
-    /// recording any backward-pass state. `out` must hold `xs.len()`
-    /// vectors of `hidden_size` values.
-    pub(crate) fn infer_add(
-        &self,
-        xs: &[Vec<f32>],
-        reversed: bool,
-        scratch: &mut GemmScratch,
-        out: &mut [Vec<f32>],
-    ) {
-        let t_len = xs.len();
-        assert_eq!(out.len(), t_len, "output length mismatch");
-        let hl = self.hidden_size;
-        pack_rows(xs, self.input_size, reversed, &mut scratch.x_flat);
-        self.w
-            .value
-            .matmul_nt_into(&scratch.x_flat, t_len, &mut scratch.proj);
-        scratch.z.clear();
-        scratch.z.resize(4 * hl, 0.0);
-        scratch.state.clear();
-        scratch.state.resize(2 * hl, 0.0);
-        let (h, c) = scratch.state.split_at_mut(hl);
-        let bias = self.b.value.data();
-        for t in 0..t_len {
-            for ((z, &p), &bv) in scratch
-                .z
-                .iter_mut()
-                .zip(&scratch.proj[t * 4 * hl..(t + 1) * 4 * hl])
-                .zip(bias)
-            {
-                *z = p + bv;
-            }
-            self.u.value.matvec_add_into(h, &mut scratch.z);
-            // Activate in place — no backward pass, so nothing is cached.
-            gates_fused(&mut scratch.z, hl);
-            let (gi, rest) = scratch.z.split_at(hl);
-            let (gf, rest) = rest.split_at(hl);
-            let (gg, go) = rest.split_at(hl);
-            for k in 0..hl {
-                c[k] = gf[k] * c[k] + gi[k] * gg[k];
-            }
-            h.copy_from_slice(c);
-            tanh_slice(h);
-            for k in 0..hl {
-                h[k] *= go[k];
-            }
-            let slot = if reversed { t_len - 1 - t } else { t };
-            for (o, &v) in out[slot].iter_mut().zip(h.iter()) {
-                *o += v;
-            }
-        }
-    }
-
-    /// Hidden states only (no backward-pass cache) — the inference fast
-    /// path used when gradients are not needed.
-    pub fn hidden_states_with_scratch(
-        &self,
-        xs: &[Vec<f32>],
-        scratch: &mut GemmScratch,
-    ) -> Vec<Vec<f32>> {
-        let mut out = vec![vec![0.0f32; self.hidden_size]; xs.len()];
-        self.infer_add(xs, false, scratch, &mut out);
-        out
     }
 
     /// Backpropagates through time. `dhs` holds the loss gradient with
@@ -763,19 +704,6 @@ impl BiLstm {
         )
     }
 
-    /// Summed hidden states without backward-pass caches — the inference
-    /// fast path for a trained detector.
-    pub fn hidden_states_with_scratch(
-        &self,
-        xs: &[Vec<f32>],
-        scratch: &mut GemmScratch,
-    ) -> Vec<Vec<f32>> {
-        let mut out = vec![vec![0.0f32; self.hidden_size()]; xs.len()];
-        self.fwd.infer_add(xs, false, scratch, &mut out);
-        self.bwd.infer_add(xs, true, scratch, &mut out);
-        out
-    }
-
     /// Backpropagates through both directions, accumulating parameter
     /// gradients and returning input gradients.
     pub fn backward(&mut self, cache: &BiLstmCache, dhs: &[Vec<f32>]) -> Vec<Vec<f32>> {
@@ -961,23 +889,6 @@ mod tests {
         assert!(hs.is_empty());
         let dxs = lstm.backward(&cache, &[]);
         assert!(dxs.is_empty());
-        let mut scratch = GemmScratch::new();
-        assert!(lstm
-            .hidden_states_with_scratch(&[], &mut scratch)
-            .is_empty());
-    }
-
-    #[test]
-    fn inference_path_matches_training_forward() {
-        // The cache-free inference traversal must be bitwise identical
-        // to the training forward pass (same kernels, same order).
-        let mut rng = StdRng::seed_from_u64(15);
-        let lstm = Lstm::new(4, 6, &mut rng);
-        let xs = toy_inputs(11, 4, 16);
-        let (hs, _) = lstm.forward(&xs);
-        let mut scratch = GemmScratch::new();
-        let inferred = lstm.hidden_states_with_scratch(&xs, &mut scratch);
-        assert_eq!(hs, inferred);
     }
 
     #[test]
@@ -1102,21 +1013,6 @@ mod tests {
         for t in 0..6 {
             for k in 0..4 {
                 assert!((out[t][k] - (hf[t][k] + hb[5 - t][k])).abs() < 1e-6);
-            }
-        }
-    }
-
-    #[test]
-    fn bilstm_inference_matches_training_forward() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let bi = BiLstm::new(3, 4, &mut rng);
-        let xs = toy_inputs(6, 3, 14);
-        let (out, _) = bi.forward(&xs);
-        let mut scratch = GemmScratch::new();
-        let inferred = bi.hidden_states_with_scratch(&xs, &mut scratch);
-        for (a, b) in out.iter().zip(&inferred) {
-            for (x, y) in a.iter().zip(b) {
-                assert!((x - y).abs() < 1e-6);
             }
         }
     }

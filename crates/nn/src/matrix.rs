@@ -1817,9 +1817,10 @@ impl Matrix {
     }
 
     /// [`Matrix::matmul_nt_to`] with *fused* multiply-add semantics —
-    /// the throughput kernel behind the packed-batch engines' forward
-    /// GEMMs (recurrent `Z += H · Uᵀ`, cached input projections and the
-    /// flattened dense head).
+    /// the throughput kernel behind the inference engine's recurrent
+    /// GEMMs (`Z += H · Uᵀ`) and the fused backward's transposed
+    /// GEMMs. The cached input projections and the dense head stay on
+    /// the unfused kernels.
     ///
     /// Each dot product follows `dot_fused_scalar`: sixteen
     /// accumulator lanes updated with single-rounding fused
@@ -1834,8 +1835,8 @@ impl Matrix {
     /// other, and the result stays independent of batch size and row
     /// position, but outputs differ from [`Matrix::matmul_nt_to`] by
     /// ~1e-7 relative error. Gradient paths and the per-sequence
-    /// engines therefore stay on the unfused kernels, and batched
-    /// outputs match sequential ones within tolerance rather than
+    /// training forward therefore stay on the unfused kernels, and
+    /// inference outputs match that forward within tolerance rather than
     /// bitwise.
     ///
     /// # Panics
@@ -2005,12 +2006,11 @@ impl Matrix {
 /// lengths: every user resizes the buffers it needs, so capacity grows
 /// to the high-water mark and is then reused allocation-free. Callers
 /// that score or train many sequences should create one scratch and
-/// thread it through `*_with_scratch` entry points; the convenience
-/// wrappers create a fresh scratch per call.
+/// thread it through the batched entry points and the `*_with_scratch`
+/// training passes; the convenience wrappers create a fresh scratch per
+/// call.
 #[derive(Debug, Clone, Default)]
 pub struct GemmScratch {
-    /// Packed input sequence, `T x input_size` row-major.
-    pub(crate) x_flat: Vec<f32>,
     /// Time-batched input projections `W·x_t`, `T x gate_rows`.
     pub(crate) proj: Vec<f32>,
     /// Current step's gate pre-activations, `gate_rows`.

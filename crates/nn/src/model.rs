@@ -74,58 +74,35 @@ impl BrnnClassifier {
         self.step
     }
 
-    /// Per-frame logits for a sequence (inference path: no backward
-    /// caches are recorded).
+    /// Per-frame logits for a sequence: the packed inference engine of
+    /// [`BrnnClassifier::predict_batch`] run as a batch of one.
     pub fn logits(&self, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        let mut scratch = GemmScratch::new();
-        self.logits_with_scratch(xs, &mut scratch)
-    }
-
-    /// [`BrnnClassifier::logits`] streaming through a reusable
-    /// [`GemmScratch`] — the per-verification hot path of the online
-    /// detector.
-    pub fn logits_with_scratch(&self, xs: &[Vec<f32>], scratch: &mut GemmScratch) -> Vec<Vec<f32>> {
-        let _span = thrubarrier_obs::span!("nn.predict");
-        let hs = self.rnn.hidden_states_with_scratch(xs, scratch);
-        hs.iter().map(|h| self.head.apply(h)).collect()
+        let mut logits = Vec::new();
+        self.logits_flat(
+            &[xs],
+            &mut BatchWorkspace::new(),
+            &mut GemmScratch::new(),
+            &mut logits,
+        );
+        // One sequence packs its frames in time order, so row `t` of the
+        // flat output is frame `t`.
+        logits
+            .chunks_exact(self.n_classes())
+            .map(<[f32]>::to_vec)
+            .collect()
     }
 
     /// Per-frame class probabilities.
     pub fn predict_proba(&self, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        let mut scratch = GemmScratch::new();
-        self.predict_proba_with_scratch(xs, &mut scratch)
+        self.logits(xs).iter().map(|l| loss::softmax(l)).collect()
     }
 
-    /// [`BrnnClassifier::predict_proba`] with caller-provided scratch.
-    pub fn predict_proba_with_scratch(
-        &self,
-        xs: &[Vec<f32>],
-        scratch: &mut GemmScratch,
-    ) -> Vec<Vec<f32>> {
-        self.logits_with_scratch(xs, scratch)
-            .iter()
-            .map(|l| loss::softmax(l))
-            .collect()
-    }
-
-    /// Per-frame argmax class predictions.
+    /// Per-frame argmax class predictions: [`BrnnClassifier::predict_batch`]
+    /// on a batch of one.
     pub fn predict(&self, xs: &[Vec<f32>]) -> Vec<usize> {
-        let mut scratch = GemmScratch::new();
-        self.predict_with_scratch(xs, &mut scratch)
-    }
-
-    /// [`BrnnClassifier::predict`] with caller-provided scratch.
-    pub fn predict_with_scratch(&self, xs: &[Vec<f32>], scratch: &mut GemmScratch) -> Vec<usize> {
-        self.logits_with_scratch(xs, scratch)
-            .iter()
-            .map(|l| {
-                l.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
-            })
-            .collect()
+        self.predict_batch(&[xs], &mut BatchWorkspace::new(), &mut GemmScratch::new())
+            .pop()
+            .unwrap_or_default()
     }
 
     /// One optimizer step over a mini-batch of `(sequence, labels)`
@@ -290,10 +267,9 @@ impl BrnnClassifier {
     /// packed hidden-state buffer, the head runs one flat GEMM straight
     /// over that buffer (no per-frame vectors are materialized
     /// anywhere), and the argmax labels are scattered back to caller
-    /// order. Results agree with per-sequence
-    /// [`BrnnClassifier::predict`] within fused-multiply-add rounding
-    /// of the logits (so argmax labels can in principle differ on
-    /// exactly tied frames, but not in practice).
+    /// order. This is the classifier's only inference engine; the fused
+    /// kernels are bitwise batch-size invariant, so a sequence gets the
+    /// same labels here as from [`BrnnClassifier::predict`] alone.
     pub fn predict_batch(
         &self,
         seqs: &[&[Vec<f32>]],
@@ -301,26 +277,9 @@ impl BrnnClassifier {
         scratch: &mut GemmScratch,
     ) -> Vec<Vec<usize>> {
         let mut logits = Vec::new();
-        self.predict_batch_into(seqs, ws, scratch, &mut logits)
-    }
-
-    /// [`BrnnClassifier::predict_batch`] with a caller-owned flat logits
-    /// buffer, so long-lived callers (the scoring service engine) reuse
-    /// one allocation across drains instead of growing a fresh vector
-    /// per batch. The buffer is cleared and refilled; its contents
-    /// between calls are not meaningful to callers.
-    pub fn predict_batch_into(
-        &self,
-        seqs: &[&[Vec<f32>]],
-        ws: &mut BatchWorkspace,
-        scratch: &mut GemmScratch,
-        logits: &mut Vec<f32>,
-    ) -> Vec<Vec<usize>> {
-        let _span = thrubarrier_obs::span!("nn.predict_batch");
-        self.rnn.hidden_states_batch_flat(seqs, ws, scratch);
-        let nc = self.head.output_size();
+        self.logits_flat(seqs, ws, scratch, &mut logits);
+        let nc = self.n_classes();
         let pack = &ws.pack;
-        self.head.forward_flat(&ws.flat, pack.total_rows(), logits);
         let mut out: Vec<Vec<usize>> = seqs.iter().map(|s| Vec::with_capacity(s.len())).collect();
         for (b, (&i, &len)) in pack.order().iter().zip(pack.lens()).enumerate() {
             out[i].extend((0..len).map(|t| {
@@ -334,6 +293,23 @@ impl BrnnClassifier {
             }));
         }
         out
+    }
+
+    /// The inference engine: packs `seqs` into `ws`, runs the BiLSTM
+    /// into the flat packed hidden-state buffer and the head as one flat
+    /// GEMM over it. `logits` receives `total_rows x n_classes` values in
+    /// packed-row order (see [`crate::batch`]).
+    fn logits_flat(
+        &self,
+        seqs: &[&[Vec<f32>]],
+        ws: &mut BatchWorkspace,
+        scratch: &mut GemmScratch,
+        logits: &mut Vec<f32>,
+    ) {
+        let _span = thrubarrier_obs::span!("nn.predict_batch");
+        self.rnn.hidden_states_batch_flat(seqs, ws, scratch);
+        self.head
+            .forward_flat(&ws.flat, ws.pack.total_rows(), logits);
     }
 
     /// The eight parameter matrices in serialization order:
@@ -377,14 +353,16 @@ impl BrnnClassifier {
         })
     }
 
-    /// Frame-level accuracy over a labelled set of sequences.
+    /// Frame-level accuracy over a labelled set of sequences, each
+    /// scored as a batch of one through one reused workspace.
     pub fn accuracy(&self, data: &[(Vec<Vec<f32>>, Vec<usize>)]) -> f32 {
         let mut correct = 0usize;
         let mut total = 0usize;
+        let mut ws = BatchWorkspace::new();
         let mut scratch = GemmScratch::new();
         for (xs, ys) in data {
-            let preds = self.predict_with_scratch(xs, &mut scratch);
-            correct += preds.iter().zip(ys).filter(|(p, y)| p == y).count();
+            let preds = self.predict_batch(&[xs], &mut ws, &mut scratch);
+            correct += preds[0].iter().zip(ys).filter(|(p, y)| p == y).count();
             total += ys.len();
         }
         if total == 0 {
@@ -582,16 +560,41 @@ mod tests {
 
     #[test]
     fn predict_batch_matches_per_sequence_predict() {
+        // Single-recording inference (`logits`, `predict`) is the packed
+        // engine on a batch of one. The fused kernels are batch-size
+        // invariant, so every sequence's per-frame logits must equal its
+        // rows inside a wide mixed-length pack bit for bit — which pins
+        // single-recording and batched masks to the same labels.
         let mut rng = StdRng::seed_from_u64(320);
         let model = BrnnClassifier::new(3, 32, 2, &mut rng);
         let mut data = framewise_dataset(3, 9, 321);
         data.extend(framewise_dataset(2, 4, 322));
+        for (i, len) in [1usize, 12, 7, 3, 12, 5]
+            .into_iter()
+            .cycle()
+            .take(36)
+            .enumerate()
+        {
+            data.extend(framewise_dataset(1, len, 323 + i as u64));
+        }
         let seqs: Vec<&[Vec<f32>]> = data.iter().map(|(x, _)| x.as_slice()).collect();
         let mut ws = BatchWorkspace::new();
         let mut scratch = GemmScratch::new();
         let batched = model.predict_batch(&seqs, &mut ws, &mut scratch);
-        for (i, (xs, _)) in data.iter().enumerate() {
-            assert_eq!(batched[i], model.predict(xs), "seq {i}");
+        let mut packed = Vec::new();
+        model.logits_flat(&seqs, &mut ws, &mut scratch, &mut packed);
+        let nc = model.n_classes();
+        let pack = &ws.pack;
+        for (b, &i) in pack.order().iter().enumerate() {
+            let alone = model.logits(seqs[i]);
+            assert_eq!(alone.len(), pack.lens()[b], "seq {i}");
+            for (t, frame) in alone.iter().enumerate() {
+                let row = pack.offset(t) + b;
+                let in_pack = &packed[row * nc..(row + 1) * nc];
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(frame), bits(in_pack), "seq {i} frame {t}");
+            }
+            assert_eq!(batched[i], model.predict(seqs[i]), "seq {i}");
         }
     }
 

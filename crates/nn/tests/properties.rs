@@ -140,14 +140,10 @@ proptest! {
             })
             .collect();
         let (fused, _) = bi.forward(&xs);
-        let mut scratch = GemmScratch::new();
-        let inferred = bi.hidden_states_with_scratch(&xs, &mut scratch);
         for t in 0..t_len {
             for k in 0..4 {
                 prop_assert!(rel_close(fused[t][k], expected[t][k]),
                     "train-path fused {} vs legacy {} at [{t}][{k}]", fused[t][k], expected[t][k]);
-                prop_assert!(rel_close(inferred[t][k], expected[t][k]),
-                    "infer-path fused {} vs legacy {} at [{t}][{k}]", inferred[t][k], expected[t][k]);
             }
         }
     }

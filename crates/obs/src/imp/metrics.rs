@@ -4,14 +4,14 @@
 //! Counters and histograms are **sharded**: each holds [`SHARDS`]
 //! cache-line-aligned stripes and every recording thread writes only its
 //! own stripe, picked once per thread and cached in a thread-local.
-//! Under the score service and the eval worker pool every thread used to
+//! Under the eval worker pool every thread used to
 //! bounce the same cache line on each `fetch_add` (the FFT-plan hit
 //! counter alone takes ~430 k increments per bench run across all
 //! workers); with striping the hot path is an uncontended relaxed RMW on
 //! a line no other thread touches. Reads (`get`, `count`, quantiles) are
 //! snapshot-time only and aggregate across stripes. Gauges stay a single
 //! atomic: `set` has overwrite semantics that striping cannot preserve,
-//! and the only gauge writers (queue depth) are two threads at low rate.
+//! and gauges are written at low rate (once per eval run).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};

@@ -9,7 +9,7 @@ pub use export::{render_text, snapshot_json};
 pub use metrics::{Counter, Gauge, Histogram};
 pub use registry::{registry, reset, Registry};
 pub use span::{
-    finish_trace, label_thread, span_enter, start_trace, trace_active, SpanGuard, SpanStat, Timer,
+    finish_trace, label_thread, span_enter, start_trace, trace_active, SpanGuard, SpanStat,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};

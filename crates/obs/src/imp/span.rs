@@ -37,29 +37,6 @@ impl SpanStat {
     }
 }
 
-/// Lightweight manual timer for latencies that do not nest like spans
-/// (e.g. request submit → reply across threads). Zero-sized and inert
-/// in uninstrumented builds; holds nothing unless recording was enabled
-/// at [`Timer::start`].
-#[derive(Debug)]
-pub struct Timer(Option<Instant>);
-
-impl Timer {
-    /// Starts the timer (inert while recording is disabled).
-    #[inline]
-    pub fn start() -> Timer {
-        Timer(super::enabled().then(Instant::now))
-    }
-
-    /// Records the elapsed nanoseconds into `hist`.
-    #[inline]
-    pub fn observe(&self, hist: &Histogram) {
-        if let Some(t0) = self.0 {
-            hist.record(t0.elapsed().as_nanos() as u64);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Thread identity and the span stack.
 

@@ -56,7 +56,7 @@ mod imp;
 pub use imp::{
     enabled, finish_trace, label_thread, registry, render_text, reset, set_enabled, snapshot_json,
     span_enter, start_trace, trace_active, Counter, Gauge, Histogram, Registry, SpanGuard,
-    SpanStat, Timer,
+    SpanStat,
 };
 
 #[cfg(not(feature = "obs"))]
@@ -65,7 +65,7 @@ mod noop;
 pub use noop::{
     enabled, finish_trace, label_thread, registry, render_text, reset, set_enabled, snapshot_json,
     span_enter, start_trace, trace_active, Counter, Gauge, Histogram, Registry, SpanGuard,
-    SpanStat, Timer,
+    SpanStat,
 };
 
 /// `true` when the crate was built with the `obs` feature. A `const`, so

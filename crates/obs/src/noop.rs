@@ -93,19 +93,6 @@ impl SpanGuard {
     }
 }
 
-/// See the instrumented `Timer`; here a unit type.
-#[derive(Debug)]
-pub struct Timer;
-
-impl Timer {
-    #[inline(always)]
-    pub fn start() -> Timer {
-        Timer
-    }
-    #[inline(always)]
-    pub fn observe(&self, _hist: &Histogram) {}
-}
-
 /// See the instrumented `Registry`; here a unit type.
 #[derive(Debug, Default)]
 pub struct Registry;
