@@ -59,9 +59,14 @@ impl VaGuard {
     ///
     /// # Panics
     ///
-    /// Panics if `scores` is empty or `target_fdr` is outside `(0, 1)`.
+    /// Panics if `scores` is empty, if any score is NaN or infinite, or
+    /// if `target_fdr` is outside `(0, 1)`.
     pub fn calibrate_threshold(&mut self, scores: &[f32], target_fdr: f32) {
         assert!(!scores.is_empty(), "calibration needs at least one score");
+        assert!(
+            scores.iter().all(|s| s.is_finite()),
+            "calibration scores must all be finite"
+        );
         assert!(
             (0.0..1.0).contains(&target_fdr) && target_fdr > 0.0,
             "target_fdr must be in (0, 1)"
@@ -144,5 +149,12 @@ mod tests {
     #[should_panic(expected = "calibration needs at least one score")]
     fn calibration_rejects_empty_input() {
         VaGuard::new(DefenseSystem::paper_default()).calibrate_threshold(&[], 0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "calibration scores must all be finite")]
+    fn calibration_rejects_non_finite_scores() {
+        VaGuard::new(DefenseSystem::paper_default())
+            .calibrate_threshold(&[0.8, f32::NAN, 0.9], 0.1);
     }
 }

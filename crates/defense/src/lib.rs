@@ -49,4 +49,4 @@ pub use detector::CorrelationDetector;
 pub use guard::{VaGuard, Verdict};
 pub use segmentation::{EnergySelector, PhonemeDetector, SegmentSelector};
 pub use selection::{PhonemeSelection, SelectionConfig};
-pub use system::{DefenseMethod, DefenseSystem};
+pub use system::{Decision, DefenseMethod, DefenseSystem, Reason};

@@ -5,6 +5,7 @@ use crate::features::VibrationFeatureExtractor;
 use crate::segmentation::{extract_selected_samples, EnergySelector, SegmentSelector};
 use crate::sync;
 use rand::Rng;
+use std::borrow::Cow;
 use std::sync::Arc;
 use thrubarrier_dsp::AudioBuffer;
 use thrubarrier_vibration::Wearable;
@@ -42,6 +43,100 @@ impl DefenseMethod {
     }
 }
 
+/// Why a method did not score a recording pair.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Reason {
+    /// A recording holds no samples.
+    EmptyInput,
+    /// The two recordings have different sample rates.
+    RateMismatch,
+    /// Cross-correlation synchronization (Eq. 5) could not align the
+    /// recordings.
+    SyncFailed,
+    /// A recording holds a NaN or infinite sample, or scoring produced a
+    /// non-finite score.
+    NonFinite,
+    /// The sensitive-phoneme selection is shorter than
+    /// [`DefenseSystem::min_selected_s`] (full method only).
+    InsufficientEvidence {
+        /// Seconds of VA audio the mask selected.
+        selected_s: f32,
+    },
+}
+
+/// The outcome of one [`DefenseSystem::verify`] call: a score or a
+/// rejection per requested method, and the evidence behind them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Decision {
+    /// One entry per requested method, in request order. A score is
+    /// always finite and in `[0, 1]`; higher = more likely legitimate.
+    pub outcomes: Vec<(DefenseMethod, Result<f32, Reason>)>,
+    /// Estimated lag of the wearable recording in samples (positive =
+    /// wearable started late); `None` when synchronization is switched
+    /// off or the inputs were rejected before it ran.
+    pub sync_lag: Option<isize>,
+    /// Seconds of VA audio the full method's mask selected; `None` when
+    /// the full method was not requested or did not reach selection.
+    pub selected_s: Option<f32>,
+}
+
+impl Decision {
+    /// The outcome of `method`, or `None` if it was not requested.
+    pub fn outcome(&self, method: DefenseMethod) -> Option<Result<f32, Reason>> {
+        self.outcomes
+            .iter()
+            .find(|(m, _)| *m == method)
+            .map(|&(_, outcome)| outcome)
+    }
+
+    /// The score of `method`, with `0.0` (reads as "attack") for a
+    /// rejection or a method that was not requested.
+    pub fn score_or_zero(&self, method: DefenseMethod) -> f32 {
+        self.outcome(method).and_then(Result::ok).unwrap_or(0.0)
+    }
+
+    /// Records `method`'s outcome, turning a non-finite score into a
+    /// [`Reason::NonFinite`] rejection and counting every rejection
+    /// under `defense.reject.<reason>`.
+    fn push(&mut self, method: DefenseMethod, outcome: Result<f32, Reason>) {
+        let outcome = outcome.and_then(|s| {
+            if s.is_finite() {
+                Ok(s)
+            } else {
+                Err(Reason::NonFinite)
+            }
+        });
+        if let Err(reason) = outcome {
+            match reason {
+                Reason::EmptyInput => {
+                    thrubarrier_obs::counter!("defense.reject.empty_input").incr()
+                }
+                Reason::RateMismatch => {
+                    thrubarrier_obs::counter!("defense.reject.rate_mismatch").incr()
+                }
+                Reason::SyncFailed => {
+                    thrubarrier_obs::counter!("defense.reject.sync_failed").incr()
+                }
+                Reason::NonFinite => thrubarrier_obs::counter!("defense.reject.non_finite").incr(),
+                Reason::InsufficientEvidence { .. } => {
+                    thrubarrier_obs::counter!("defense.reject.insufficient_evidence").incr()
+                }
+            }
+        }
+        self.outcomes.push((method, outcome));
+    }
+}
+
+/// Whether every sample is finite, in one branch-free pass: with the
+/// sign bit cleared, adding one exponent LSB carries into bit 31
+/// exactly when the exponent field is all ones (±Inf or NaN).
+fn all_finite(samples: &[f32]) -> bool {
+    let carry = samples.iter().fold(0u32, |acc, x| {
+        acc | ((x.to_bits() & 0x7fff_ffff) + 0x0080_0000)
+    });
+    carry & 0x8000_0000 == 0
+}
+
 /// The end-to-end thru-barrier attack defense.
 ///
 /// Holds the wearable (whose speaker + accelerometer perform cross-domain
@@ -60,7 +155,8 @@ pub struct DefenseSystem {
     /// Maximum network delay the synchronizer searches over, seconds.
     pub max_sync_delay_s: f32,
     /// Minimum duration (seconds) of selected audio required for a
-    /// meaningful vibration comparison; shorter selections score 0.
+    /// meaningful vibration comparison; shorter selections are rejected
+    /// as [`Reason::InsufficientEvidence`].
     pub min_selected_s: f32,
     /// Ablation switch: run cross-correlation synchronization (Eq. 5)
     /// before comparing. Default true.
@@ -121,7 +217,8 @@ impl DefenseSystem {
     }
 
     /// Scores a recording pair with the **full** pipeline. Higher = more
-    /// likely legitimate; `[0, 1]`.
+    /// likely legitimate; `[0, 1]`. Any rejection scores `0.0`; use
+    /// [`DefenseSystem::verify`] to learn why.
     pub fn score<R: Rng + ?Sized>(
         &self,
         va_recording: &AudioBuffer,
@@ -131,7 +228,9 @@ impl DefenseSystem {
         self.score_with_method(DefenseMethod::Full, va_recording, wearable_recording, rng)
     }
 
-    /// Scores a recording pair with any of the three methods.
+    /// Scores a recording pair with any of the three methods. Any
+    /// rejection scores `0.0`; use [`DefenseSystem::verify`] to learn
+    /// why.
     pub fn score_with_method<R: Rng + ?Sized>(
         &self,
         method: DefenseMethod,
@@ -139,97 +238,117 @@ impl DefenseSystem {
         wearable_recording: &AudioBuffer,
         rng: &mut R,
     ) -> f32 {
-        if va_recording.is_empty() || wearable_recording.is_empty() {
-            return 0.0;
-        }
-        let _span = thrubarrier_obs::span!("defense.score");
-        let aligned_wearable = match self.align(va_recording, wearable_recording) {
-            Some(aligned) => aligned,
-            None => return 0.0,
-        };
-        match method {
-            DefenseMethod::AudioBaseline => {
-                let a = VibrationFeatureExtractor::extract_audio_baseline(va_recording);
-                let b = VibrationFeatureExtractor::extract_audio_baseline(&aligned_wearable);
-                self.detector.score(&a, &b)
-            }
-            DefenseMethod::VibrationBaseline => self.vibration_score(
-                va_recording.samples(),
-                aligned_wearable.samples(),
-                va_recording.sample_rate(),
-                rng,
-            ),
-            DefenseMethod::Full => {
-                let fs = va_recording.sample_rate();
-                let mask = {
-                    let _span = thrubarrier_obs::span!("defense.segmentation");
-                    self.selector.sensitive_frames(va_recording.samples(), fs)
-                };
-                self.masked_vibration_score(va_recording, &aligned_wearable, &mask, rng)
-            }
-        }
+        self.verify(va_recording, wearable_recording, None, &mut [(method, rng)])
+            .score_or_zero(method)
     }
 
-    /// Scores a recording pair with the **full** pipeline using a
-    /// precomputed sensitive-frame mask — e.g. one of many computed in a
-    /// single minibatch via [`SegmentSelector::sensitive_frames_batch`].
-    /// Identical to [`DefenseSystem::score`] when `mask` equals what the
-    /// system's own selector would produce.
-    pub fn score_full_with_mask<R: Rng + ?Sized>(
+    /// Verifies a recording pair: checks the inputs, aligns the wearable
+    /// recording once (Eq. 5) and scores every requested method from
+    /// that one alignment.
+    ///
+    /// Each method draws only from the RNG paired with it, so a method's
+    /// score does not depend on which other methods are requested.
+    /// `mask` is the full method's sensitive-frame mask, e.g. one of
+    /// many computed in a single minibatch via
+    /// [`SegmentSelector::sensitive_frames_batch`]; `None` runs the
+    /// system's own selector on the VA recording.
+    pub fn verify<R: Rng + ?Sized>(
         &self,
         va_recording: &AudioBuffer,
         wearable_recording: &AudioBuffer,
-        mask: &[bool],
-        rng: &mut R,
-    ) -> f32 {
-        if va_recording.is_empty() || wearable_recording.is_empty() {
-            return 0.0;
-        }
+        mask: Option<&[bool]>,
+        methods: &mut [(DefenseMethod, &mut R)],
+    ) -> Decision {
         let _span = thrubarrier_obs::span!("defense.score");
-        let aligned_wearable = match self.align(va_recording, wearable_recording) {
-            Some(aligned) => aligned,
-            None => return 0.0,
+        let mut decision = Decision {
+            outcomes: Vec::with_capacity(methods.len()),
+            sync_lag: None,
+            selected_s: None,
         };
-        self.masked_vibration_score(va_recording, &aligned_wearable, mask, rng)
-    }
-
-    /// Cross-correlation alignment of the wearable recording, honoring
-    /// the `synchronize` ablation switch. `None` = alignment failed.
-    fn align(
-        &self,
-        va_recording: &AudioBuffer,
-        wearable_recording: &AudioBuffer,
-    ) -> Option<AudioBuffer> {
-        if self.synchronize {
-            let _span = thrubarrier_obs::span!("defense.sync");
-            sync::synchronize(va_recording, wearable_recording, self.max_sync_delay_s)
-                .ok()
-                .map(|(aligned, _delay)| aligned)
-        } else {
-            Some(wearable_recording.clone())
-        }
-    }
-
-    /// The Full-method tail: applies the sensitive-frame mask to both
-    /// recordings and scores the selections in the vibration domain.
-    fn masked_vibration_score<R: Rng + ?Sized>(
-        &self,
-        va_recording: &AudioBuffer,
-        aligned_wearable: &AudioBuffer,
-        mask: &[bool],
-        rng: &mut R,
-    ) -> f32 {
+        let aligned_wearable = match self.align(va_recording, wearable_recording) {
+            Ok((aligned, lag)) => {
+                decision.sync_lag = lag;
+                aligned
+            }
+            Err(reason) => {
+                for &mut (method, _) in methods {
+                    decision.push(method, Err(reason));
+                }
+                return decision;
+            }
+        };
         let fs = va_recording.sample_rate();
-        // Frame geometry of the paper's MFCC front-end.
-        let (frame_len, hop) = (400, 160);
-        let va_sel = extract_selected_samples(va_recording.samples(), mask, frame_len, hop);
-        let w_sel = extract_selected_samples(aligned_wearable.samples(), mask, frame_len, hop);
-        if (va_sel.len() as f32) < self.min_selected_s * fs as f32 {
-            // Too little sensitive-phoneme evidence: treat as an
-            // attack (legitimate commands always contain it).
-            return 0.0;
+        for (method, rng) in methods.iter_mut() {
+            let outcome = match method {
+                DefenseMethod::AudioBaseline => {
+                    let a = VibrationFeatureExtractor::extract_audio_baseline(va_recording);
+                    let b = VibrationFeatureExtractor::extract_audio_baseline(&aligned_wearable);
+                    Ok(self.detector.score(&a, &b))
+                }
+                DefenseMethod::VibrationBaseline => Ok(self.vibration_score(
+                    va_recording.samples(),
+                    aligned_wearable.samples(),
+                    fs,
+                    &mut **rng,
+                )),
+                DefenseMethod::Full => {
+                    let own_mask;
+                    let mask = match mask {
+                        Some(mask) => mask,
+                        None => {
+                            let _span = thrubarrier_obs::span!("defense.segmentation");
+                            own_mask = self.selector.sensitive_frames(va_recording.samples(), fs);
+                            &own_mask
+                        }
+                    };
+                    // Frame geometry of the paper's MFCC front-end.
+                    let (frame_len, hop) = (400, 160);
+                    let va_sel =
+                        extract_selected_samples(va_recording.samples(), mask, frame_len, hop);
+                    let w_sel =
+                        extract_selected_samples(aligned_wearable.samples(), mask, frame_len, hop);
+                    let selected_s = va_sel.len() as f32 / fs as f32;
+                    decision.selected_s = Some(selected_s);
+                    if (va_sel.len() as f32) < self.min_selected_s * fs as f32 {
+                        // Too little sensitive-phoneme evidence: legitimate
+                        // commands always contain it.
+                        Err(Reason::InsufficientEvidence { selected_s })
+                    } else {
+                        Ok(self.vibration_score(&va_sel, &w_sel, fs, &mut **rng))
+                    }
+                }
+            };
+            decision.push(*method, outcome);
         }
-        self.vibration_score(&va_sel, &w_sel, fs, rng)
+        decision
+    }
+
+    /// Checks the recording pair and aligns the wearable recording by
+    /// cross-correlation, honoring the `synchronize` ablation switch.
+    /// Returns the aligned recording and the estimated lag in samples
+    /// (`None` when synchronization is switched off).
+    fn align<'w>(
+        &self,
+        va_recording: &AudioBuffer,
+        wearable_recording: &'w AudioBuffer,
+    ) -> Result<(Cow<'w, AudioBuffer>, Option<isize>), Reason> {
+        if va_recording.is_empty() || wearable_recording.is_empty() {
+            return Err(Reason::EmptyInput);
+        }
+        if va_recording.sample_rate() != wearable_recording.sample_rate() {
+            return Err(Reason::RateMismatch);
+        }
+        if !all_finite(va_recording.samples()) || !all_finite(wearable_recording.samples()) {
+            return Err(Reason::NonFinite);
+        }
+        if !self.synchronize {
+            return Ok((Cow::Borrowed(wearable_recording), None));
+        }
+        let _span = thrubarrier_obs::span!("defense.sync");
+        match sync::synchronize(va_recording, wearable_recording, self.max_sync_delay_s) {
+            Ok((aligned, lag)) => Ok((Cow::Owned(aligned), Some(lag))),
+            Err(_) => Err(Reason::SyncFailed),
+        }
     }
 
     /// RMS level every recording is replayed at: the wearable's speaker
@@ -356,16 +475,53 @@ mod tests {
         let sys = DefenseSystem::paper_default();
         let src = gen::chirp(150.0, 3_000.0, 0.1, 16_000, 1.0);
         let (a, b) = recording_pair(&src, 0.001, 8);
-        let mut rng_a = StdRng::seed_from_u64(9);
-        let mut rng_b = StdRng::seed_from_u64(9);
-        let inline = sys.score_with_method(DefenseMethod::Full, &a, &b, &mut rng_a);
+        let inline =
+            sys.score_with_method(DefenseMethod::Full, &a, &b, &mut StdRng::seed_from_u64(9));
         let mask = sys
             .selector()
             .sensitive_frames_batch(&[a.samples()], a.sample_rate())
             .pop()
             .unwrap();
-        let masked = sys.score_full_with_mask(&a, &b, &mask, &mut rng_b);
+        let mut rng = StdRng::seed_from_u64(9);
+        let decision = sys.verify(&a, &b, Some(&mask), &mut [(DefenseMethod::Full, &mut rng)]);
+        let masked = decision.outcome(DefenseMethod::Full).unwrap().unwrap();
         assert_eq!(inline.to_bits(), masked.to_bits());
+        assert!(decision.selected_s.unwrap() >= sys.min_selected_s);
+        assert!(decision.sync_lag.is_some());
+    }
+
+    #[test]
+    fn non_finite_scores_become_typed_rejections() {
+        let mut decision = Decision {
+            outcomes: Vec::new(),
+            sync_lag: None,
+            selected_s: None,
+        };
+        decision.push(DefenseMethod::AudioBaseline, Ok(f32::NAN));
+        decision.push(DefenseMethod::Full, Ok(0.5));
+        assert_eq!(
+            decision.outcome(DefenseMethod::AudioBaseline),
+            Some(Err(Reason::NonFinite))
+        );
+        assert_eq!(decision.score_or_zero(DefenseMethod::AudioBaseline), 0.0);
+        assert_eq!(decision.score_or_zero(DefenseMethod::Full), 0.5);
+        assert_eq!(decision.outcome(DefenseMethod::VibrationBaseline), None);
+    }
+
+    #[test]
+    fn finiteness_check_flags_exactly_inf_and_nan() {
+        assert!(all_finite(&[]));
+        assert!(all_finite(&[
+            0.0,
+            -0.0,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            1e-45
+        ]));
+        for bad in [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert!(!all_finite(&[0.1, bad, 0.2]), "{bad}");
+        }
     }
 
     #[test]

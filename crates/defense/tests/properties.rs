@@ -7,8 +7,27 @@ use thrubarrier_defense::segmentation::{
     extract_selected_samples, EnergySelector, SegmentSelector,
 };
 use thrubarrier_defense::sync;
-use thrubarrier_defense::{DefenseMethod, DefenseSystem};
+use thrubarrier_defense::{DefenseMethod, DefenseSystem, Reason};
 use thrubarrier_dsp::{gen, AudioBuffer};
+
+/// A speech-like recording: noise under a slow syllable-rate envelope.
+fn speechlike(rng: &mut StdRng, n: usize) -> Vec<f32> {
+    let mut sig = gen::gaussian_noise(rng, 0.1, n);
+    for (i, v) in sig.iter_mut().enumerate() {
+        *v *= 0.4 + 0.6 * (i as f32 / 900.0).sin().abs();
+    }
+    sig
+}
+
+/// The RNG a trial gives method `i` of [`DefenseMethod::all`].
+fn method_rng(seed: u64, i: usize) -> StdRng {
+    StdRng::seed_from_u64(seed ^ (0xC0FFEE + i as u64))
+}
+
+/// An outcome with its score as bits, so equality is bitwise.
+fn bits(outcome: Option<Result<f32, Reason>>) -> Option<Result<u32, Reason>> {
+    outcome.map(|o| o.map(f32::to_bits))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -95,5 +114,54 @@ proptest! {
         let mask = sel.sensitive_frames(&audio, 16_000);
         let expected = if len < 400 { 1 } else { (len - 400) / 160 + 1 };
         prop_assert_eq!(mask.len(), expected);
+    }
+
+    #[test]
+    fn each_method_scores_the_same_alone_or_together(
+        seed in 0u64..1_000,
+        delay_ms in 0u32..180,
+        mask_density in 0.0f64..1.0,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let source = speechlike(&mut rng, 16_000);
+        let va = AudioBuffer::new(source.clone(), 16_000);
+        let mut heard = source;
+        for v in &mut heard {
+            *v = 0.7 * *v + 0.005 * gen::standard_normal(&mut rng);
+        }
+        let wearable =
+            sync::apply_trigger_delay(&AudioBuffer::new(heard, 16_000), delay_ms as f32 / 1e3);
+        let frames = EnergySelector::default().sensitive_frames(va.samples(), 16_000).len();
+        let mask: Vec<bool> = (0..frames)
+            .map(|_| rand::Rng::gen_bool(&mut rng, mask_density))
+            .collect();
+        let default = DefenseSystem::paper_default();
+        let mut no_sync = default.clone();
+        no_sync.synchronize = false;
+        let mut no_replay = default.clone();
+        no_replay.normalize_replay = false;
+        let methods = DefenseMethod::all();
+        for system in [&default, &no_sync, &no_replay] {
+            for mask in [None, Some(mask.as_slice())] {
+                let mut rngs: Vec<StdRng> =
+                    (0..methods.len()).map(|i| method_rng(seed, i)).collect();
+                let mut all: Vec<_> = methods.iter().copied().zip(&mut rngs).collect();
+                let together = system.verify(&va, &wearable, mask, &mut all);
+                for (i, &method) in methods.iter().enumerate() {
+                    let mut rng = method_rng(seed, i);
+                    let alone = system.verify(&va, &wearable, mask, &mut [(method, &mut rng)]);
+                    prop_assert_eq!(
+                        bits(together.outcome(method)),
+                        bits(alone.outcome(method)),
+                        "{:?} sync {} replay {} mask {}",
+                        method,
+                        system.synchronize,
+                        system.normalize_replay,
+                        mask.is_some()
+                    );
+                    prop_assert_eq!(together.sync_lag, alone.sync_lag);
+                }
+            }
+        }
     }
 }

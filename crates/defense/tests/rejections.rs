@@ -1,0 +1,104 @@
+//! One input per rejection reason: `DefenseSystem::verify` names the
+//! reason, `score_with_method` reads it as `0.0`, and the matching
+//! `defense.reject.<reason>` counter advances.
+//!
+//! The counters live in the global obs registry, so this file holds a
+//! single test: no other test in its binary can bump them concurrently.
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::sync::Arc;
+use thrubarrier_defense::segmentation::SegmentSelector;
+use thrubarrier_defense::{DefenseMethod, DefenseSystem, Reason};
+use thrubarrier_dsp::{gen, AudioBuffer};
+use thrubarrier_vibration::Wearable;
+
+/// A selector that never marks a frame as sensitive.
+struct NothingSensitive;
+
+impl SegmentSelector for NothingSensitive {
+    fn sensitive_frames(&self, audio: &[f32], _sample_rate: u32) -> Vec<bool> {
+        vec![false; audio.len() / 160]
+    }
+}
+
+fn reject_count(name: &'static str) -> u64 {
+    thrubarrier_obs::registry().counter(name).get()
+}
+
+#[test]
+fn every_reason_is_typed_scored_zero_and_counted() {
+    let fs = 16_000;
+    let mut rng = StdRng::seed_from_u64(1);
+    let speech = AudioBuffer::new(gen::chirp(150.0, 3_000.0, 0.1, fs, 1.0), fs);
+    let mut nan = speech.samples().to_vec();
+    nan[4_000] = f32::NAN;
+    let nan = AudioBuffer::new(nan, fs);
+    let narrowband = AudioBuffer::new(gen::chirp(150.0, 3_000.0, 0.1, 8_000, 1.0), 8_000);
+    let default = DefenseSystem::paper_default();
+    let unselective =
+        DefenseSystem::with_selector(Wearable::fossil_gen_5(), Arc::new(NothingSensitive));
+
+    let cases = [
+        (
+            "defense.reject.empty_input",
+            &default,
+            AudioBuffer::empty(fs),
+            speech.clone(),
+            Reason::EmptyInput,
+        ),
+        (
+            "defense.reject.rate_mismatch",
+            &default,
+            narrowband,
+            speech.clone(),
+            Reason::RateMismatch,
+        ),
+        (
+            "defense.reject.non_finite",
+            &default,
+            speech.clone(),
+            nan,
+            Reason::NonFinite,
+        ),
+        (
+            "defense.reject.insufficient_evidence",
+            &unselective,
+            speech.clone(),
+            speech.clone(),
+            Reason::InsufficientEvidence { selected_s: 0.0 },
+        ),
+    ];
+    for (counter, system, va, wearable, reason) in cases {
+        let before = reject_count(counter);
+        let decision = system.verify(
+            &va,
+            &wearable,
+            None,
+            &mut [(DefenseMethod::Full, &mut StdRng::seed_from_u64(2))],
+        );
+        assert_eq!(decision.outcome(DefenseMethod::Full), Some(Err(reason)));
+        let score = system.score_with_method(DefenseMethod::Full, &va, &wearable, &mut rng);
+        assert_eq!(score, 0.0, "{counter}");
+        if thrubarrier_obs::COMPILED {
+            assert_eq!(reject_count(counter), before + 2, "{counter}");
+        }
+    }
+
+    // A precomputed all-false mask is the same rejection.
+    let frames = default
+        .selector()
+        .sensitive_frames(speech.samples(), fs)
+        .len();
+    let decision = default.verify(
+        &speech,
+        &speech,
+        Some(&vec![false; frames]),
+        &mut [(DefenseMethod::Full, &mut StdRng::seed_from_u64(3))],
+    );
+    assert_eq!(
+        decision.outcome(DefenseMethod::Full),
+        Some(Err(Reason::InsufficientEvidence { selected_s: 0.0 }))
+    );
+    assert_eq!(decision.selected_s, Some(0.0));
+}

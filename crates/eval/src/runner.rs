@@ -257,7 +257,7 @@ impl Runner {
                                 group.iter().zip(&trials).zip(&masks)
                             {
                                 let _span = thrubarrier_obs::span!("eval.trial");
-                                let scores = score_trial_with_mask(trial, *seed, system, mask);
+                                let scores = verify_trial(trial, *seed, system, Some(mask));
                                 out.push((plan.clone(), scores));
                             }
                         }
@@ -481,48 +481,30 @@ fn build_trial(
 
 /// Scores one trial with all three methods (deterministic per seed).
 pub fn score_trial(trial: &Trial, seed: u64, system: &DefenseSystem) -> [f32; 3] {
-    let mut out = [0.0f32; 3];
-    for (i, method) in DefenseMethod::all().into_iter().enumerate() {
-        let mut rng = StdRng::seed_from_u64(seed ^ (0xC0FFEE + i as u64));
-        out[i] = system.score_with_method(
-            method,
-            &trial.va_recording,
-            &trial.wearable_recording,
-            &mut rng,
-        );
-    }
-    out
+    verify_trial(trial, seed, system, None)
 }
 
-/// [`score_trial`] with a precomputed sensitive-frame mask for the full
-/// method — score-identical when `mask` matches what the system's own
-/// selector would produce on the trial's VA recording.
-fn score_trial_with_mask(
+/// Runs one [`DefenseSystem::verify`] over all three methods, each with
+/// its own RNG stream, and returns the scores in
+/// [`DefenseMethod::all`] order (`0.0` for a rejection). `mask` is the
+/// full method's precomputed sensitive-frame mask, if any.
+fn verify_trial(
     trial: &Trial,
     seed: u64,
     system: &DefenseSystem,
-    mask: &[bool],
+    mask: Option<&[bool]>,
 ) -> [f32; 3] {
-    let mut out = [0.0f32; 3];
-    for (i, method) in DefenseMethod::all().into_iter().enumerate() {
-        let mut rng = StdRng::seed_from_u64(seed ^ (0xC0FFEE + i as u64));
-        out[i] = if method == DefenseMethod::Full {
-            system.score_full_with_mask(
-                &trial.va_recording,
-                &trial.wearable_recording,
-                mask,
-                &mut rng,
-            )
-        } else {
-            system.score_with_method(
-                method,
-                &trial.va_recording,
-                &trial.wearable_recording,
-                &mut rng,
-            )
-        };
-    }
-    out
+    let methods = DefenseMethod::all();
+    let mut rngs: [StdRng; 3] =
+        std::array::from_fn(|i| StdRng::seed_from_u64(seed ^ (0xC0FFEE + i as u64)));
+    let mut requests: Vec<_> = methods.into_iter().zip(&mut rngs).collect();
+    let decision = system.verify(
+        &trial.va_recording,
+        &trial.wearable_recording,
+        mask,
+        &mut requests,
+    );
+    methods.map(|m| decision.score_or_zero(m))
 }
 
 #[cfg(test)]
