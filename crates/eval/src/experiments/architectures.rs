@@ -3,18 +3,18 @@
 //! The paper chooses LSTM units for its BRNN, citing a comparative
 //! speech study (its reference \[21\]) that finds LSTM and GRU close.
 //! This experiment trains both architectures on the same synthesized
-//! corpus and labels and reports frame accuracy — reproducing that
-//! design-choice check within the workspace.
+//! corpus and labels through the same classifier training loop
+//! ([`BrnnClassifier::train_step`]) and reports frame accuracy —
+//! reproducing that design-choice check within the workspace.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use thrubarrier_dsp::mel::MfccExtractor;
-use thrubarrier_nn::dense::Dense;
 use thrubarrier_nn::gru::BiGru;
-use thrubarrier_nn::loss;
 use thrubarrier_nn::lstm::BiLstm;
-use thrubarrier_nn::param::AdamConfig;
+use thrubarrier_nn::model::{BrnnClassifier, RecurrentCell, TrainConfig};
+use thrubarrier_nn::param::{AdamConfig, Param};
 use thrubarrier_phoneme::common::common_phonemes;
 use thrubarrier_phoneme::corpus::{frame_labels, speaker_panel, training_corpus};
 use thrubarrier_phoneme::inventory::PhonemeId;
@@ -65,110 +65,52 @@ pub struct ArchitectureStudy {
     pub rows: Vec<ArchitectureRow>,
 }
 
-enum Recurrent {
-    Lstm(BiLstm),
-    Gru(BiGru),
+type Labelled = Vec<(Vec<Vec<f32>>, Vec<usize>)>;
+
+/// Shared inputs of both rows.
+struct Study<'a> {
+    train: &'a Labelled,
+    test: &'a Labelled,
+    epochs: usize,
+    train_cfg: TrainConfig,
 }
 
-impl Recurrent {
-    fn forward_states(&self, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        match self {
-            Recurrent::Lstm(m) => m.forward(xs).0,
-            Recurrent::Gru(m) => m.forward(xs).0,
+/// One row: a classifier over `rnn` with a fresh two-class head,
+/// trained for `epochs` shuffled passes in minibatches of 8 through
+/// [`BrnnClassifier::train_step`] and scored on the held-out set.
+/// `rng` draws the head weights and the shuffles.
+fn study_row<C: RecurrentCell>(
+    name: &'static str,
+    rnn: C,
+    parameters: usize,
+    study: &Study,
+    rng: &mut StdRng,
+) -> ArchitectureRow {
+    let mut model = BrnnClassifier::with_cell(rnn, 2, rng);
+    let mut order: Vec<usize> = (0..study.train.len()).collect();
+    for _ in 0..study.epochs {
+        for i in (1..order.len()).rev() {
+            let j = rng.gen_range(0..=i);
+            order.swap(i, j);
+        }
+        for chunk in order.chunks(8) {
+            let batch: Vec<(&[Vec<f32>], &[usize])> = chunk
+                .iter()
+                .map(|&i| (study.train[i].0.as_slice(), study.train[i].1.as_slice()))
+                .collect();
+            model.train_step(&batch, &study.train_cfg);
         }
     }
+    ArchitectureRow {
+        name,
+        accuracy: model.accuracy(study.test),
+        parameters,
+    }
+}
 
-    fn parameter_count(&self) -> usize {
-        let count = |rows: usize, cols: usize| rows * cols;
-        match self {
-            Recurrent::Lstm(m) => {
-                2 * (count(m.fwd.w.value.rows(), m.fwd.w.value.cols())
-                    + count(m.fwd.u.value.rows(), m.fwd.u.value.cols())
-                    + m.fwd.b.value.rows())
-            }
-            Recurrent::Gru(m) => {
-                2 * (count(m.fwd.w.value.rows(), m.fwd.w.value.cols())
-                    + count(m.fwd.u.value.rows(), m.fwd.u.value.cols())
-                    + m.fwd.b.value.rows())
-            }
-        }
-    }
-
-    /// One training step over a batch; returns the mean loss.
-    fn train_step(
-        &mut self,
-        head: &mut Dense,
-        batch: &[(&[Vec<f32>], &[usize])],
-        cfg: &AdamConfig,
-        step: u64,
-    ) -> f32 {
-        match self {
-            Recurrent::Lstm(m) => {
-                for p in m.params_mut() {
-                    p.zero_grad();
-                }
-            }
-            Recurrent::Gru(m) => {
-                for p in m.params_mut() {
-                    p.zero_grad();
-                }
-            }
-        }
-        for p in head.params_mut() {
-            p.zero_grad();
-        }
-        let mut total = 0.0f32;
-        let scale = 1.0 / batch.len().max(1) as f32;
-        for (xs, ys) in batch {
-            if xs.is_empty() {
-                continue;
-            }
-            match self {
-                Recurrent::Lstm(m) => {
-                    let (hs, cache) = m.forward(xs);
-                    let (logits, head_cache) = head.forward(&hs);
-                    let (l, mut dl) = loss::sequence_cross_entropy(&logits, ys);
-                    total += l;
-                    for f in &mut dl {
-                        for d in f {
-                            *d *= scale;
-                        }
-                    }
-                    let dhs = head.backward(&head_cache, &dl);
-                    m.backward(&cache, &dhs);
-                }
-                Recurrent::Gru(m) => {
-                    let (hs, cache) = m.forward(xs);
-                    let (logits, head_cache) = head.forward(&hs);
-                    let (l, mut dl) = loss::sequence_cross_entropy(&logits, ys);
-                    total += l;
-                    for f in &mut dl {
-                        for d in f {
-                            *d *= scale;
-                        }
-                    }
-                    let dhs = head.backward(&head_cache, &dl);
-                    m.backward(&cache, &dhs);
-                }
-            }
-        }
-        match self {
-            Recurrent::Lstm(m) => {
-                for p in m.params_mut() {
-                    p.adam_step(cfg, step);
-                }
-            }
-            Recurrent::Gru(m) => {
-                for p in m.params_mut() {
-                    p.adam_step(cfg, step);
-                }
-            }
-        }
-        for p in head.params_mut() {
-            p.adam_step(cfg, step);
-        }
-        total * scale
-    }
+/// Total trainable values of a recurrent layer.
+fn parameter_count(params: Vec<&mut Param>) -> usize {
+    params.iter().map(|p| p.value.data().len()).sum()
 }
 
 /// Runs the LSTM-vs-GRU comparison.
@@ -198,56 +140,29 @@ pub fn run(cfg: &ArchitectureStudyConfig) -> ArchitectureStudy {
     let train = featurize(&training_corpus(&synth, cfg.corpus_size, &panel, &mut rng));
     let test = featurize(&training_corpus(&synth, cfg.test_size, &panel, &mut rng));
 
-    let adam = AdamConfig {
-        lr: 3e-3,
-        ..Default::default()
+    let study = Study {
+        train: &train,
+        test: &test,
+        epochs: cfg.epochs,
+        train_cfg: TrainConfig {
+            adam: AdamConfig {
+                lr: 3e-3,
+                ..Default::default()
+            },
+        },
     };
-    let rows = [("BiLSTM", true), ("BiGRU", false)]
-        .into_iter()
-        .map(|(name, is_lstm)| {
-            let mut arch_rng = StdRng::seed_from_u64(cfg.seed ^ 0xA);
-            let mut recurrent = if is_lstm {
-                Recurrent::Lstm(BiLstm::new(mfcc.n_coeffs(), cfg.hidden, &mut arch_rng))
-            } else {
-                Recurrent::Gru(BiGru::new(mfcc.n_coeffs(), cfg.hidden, &mut arch_rng))
-            };
-            let mut head = Dense::new(cfg.hidden, 2, &mut arch_rng);
-            let mut order: Vec<usize> = (0..train.len()).collect();
-            let mut step = 0u64;
-            for _ in 0..cfg.epochs {
-                for i in (1..order.len()).rev() {
-                    let j = arch_rng.gen_range(0..=i);
-                    order.swap(i, j);
-                }
-                for chunk in order.chunks(8) {
-                    let batch: Vec<(&[Vec<f32>], &[usize])> = chunk
-                        .iter()
-                        .map(|&i| (train[i].0.as_slice(), train[i].1.as_slice()))
-                        .collect();
-                    step += 1;
-                    recurrent.train_step(&mut head, &batch, &adam, step);
-                }
-            }
-            // Held-out frame accuracy.
-            let mut correct = 0usize;
-            let mut total = 0usize;
-            for (xs, ys) in &test {
-                let hs = recurrent.forward_states(xs);
-                let (logits, _) = head.forward(&hs);
-                for (l, &y) in logits.iter().zip(ys) {
-                    let pred = usize::from(l[1] > l[0]);
-                    correct += usize::from(pred == y);
-                    total += 1;
-                }
-            }
-            ArchitectureRow {
-                name,
-                accuracy: correct as f32 / total.max(1) as f32,
-                parameters: recurrent.parameter_count(),
-            }
-        })
-        .collect();
-    ArchitectureStudy { rows }
+    // Both rows draw their weights and shuffles from the same seed.
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xA);
+    let mut lstm = BiLstm::new(mfcc.n_coeffs(), cfg.hidden, &mut rng);
+    let parameters = parameter_count(lstm.params_mut());
+    let lstm_row = study_row("BiLSTM", lstm, parameters, &study, &mut rng);
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xA);
+    let mut gru = BiGru::new(mfcc.n_coeffs(), cfg.hidden, &mut rng);
+    let parameters = parameter_count(gru.params_mut());
+    let gru_row = study_row("BiGRU", gru, parameters, &study, &mut rng);
+    ArchitectureStudy {
+        rows: vec![lstm_row, gru_row],
+    }
 }
 
 impl ArchitectureStudy {

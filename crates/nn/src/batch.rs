@@ -1,6 +1,6 @@
 //! Packed minibatch layout for the fused-gate recurrent engines.
 //!
-//! The per-utterance engine runs the recurrent step `U·h` as a mat-vec,
+//! Run one sequence at a time, the recurrent step `U·h` is a mat-vec,
 //! which is memory-bound: the `4H×H` weight panel streams from cache
 //! once per timestep per sequence. Packing `B` sequences into one
 //! batch turns that step into a `4H×H × H×B` GEMM — the panel streams

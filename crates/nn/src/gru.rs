@@ -2,21 +2,21 @@
 //!
 //! The paper's reference [Shewalkar et al., JAISCR'19] compares RNN,
 //! LSTM and GRU for speech tasks; this module lets the workspace run the
-//! same architecture comparison for the phoneme detector (see the
-//! `detector_architectures` extension experiment). Gate layout is
-//! `[z, r, n]` (update, reset, candidate).
+//! same architecture comparison for the phoneme detector (the
+//! `architectures` experiment trains both cells through the same
+//! classifier). Gate layout is `[z, r, n]` (update, reset, candidate).
 //!
-//! The compute engine mirrors [`crate::lstm`]: fused `3H x D` / `3H x H`
-//! weight matrices, one time-batched [`Matrix::matmul_nt`] GEMM for all
-//! input projections `W·x_t` before the recurrence, flat row-major
-//! activation caches, and batched `dW += dZᵀ·X` gradient GEMMs. The GRU
-//! keeps *two* flat gradient buffers because the candidate gate's
-//! recurrent gradient is scaled by the reset gate, so the `U`-side gate
-//! matrix differs from the `W`-side one.
+//! The packed-batch engine mirrors [`crate::lstm`]: fused `3H x D` /
+//! `3H x H` weight matrices, cached input projections `W·X` for every
+//! packed row, one unfused `U·H` GEMM per step in the training forward
+//! and a fused one in inference, flat activation caches, and a fused
+//! backward. The GRU keeps *two* flat gradient buffers because the
+//! candidate gate's recurrent gradient is scaled by the reset gate, so
+//! the `U`-side gate matrix differs from the `W`-side one.
 
 use crate::act::{gru_gates_backward_fused, sigmoid, sigmoid_slice, tanh, tanh_slice};
 use crate::batch::{BatchWorkspace, DirCache, PackedBatch};
-use crate::matrix::{pack_rows, GemmScratch, Matrix};
+use crate::matrix::{GemmScratch, Matrix};
 use crate::param::Param;
 use rand::Rng;
 
@@ -31,22 +31,6 @@ pub struct Gru {
     pub b: Param,
     input_size: usize,
     hidden_size: usize,
-}
-
-/// Forward-pass activations for a whole sequence, stored as flat
-/// row-major buffers (`T` rows each).
-#[derive(Debug, Clone)]
-pub struct GruCache {
-    t: usize,
-    /// Packed inputs, `T x D` (processing order).
-    x: Vec<f32>,
-    /// Hidden state entering each step, `T x H`.
-    h_prev: Vec<f32>,
-    /// Activated gates `[z, r, n]` per step, `T x 3H`.
-    gates: Vec<f32>,
-    /// The candidate gate's recurrent pre-activation `(U·h)_n`, `T x H`
-    /// (needed to route gradients through the reset gate).
-    un_h: Vec<f32>,
 }
 
 impl Gru {
@@ -69,155 +53,6 @@ impl Gru {
     /// Hidden dimension.
     pub fn hidden_size(&self) -> usize {
         self.hidden_size
-    }
-
-    /// Runs the layer over a sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an input vector's length differs from the input size.
-    pub fn forward(&self, xs: &[Vec<f32>]) -> (Vec<Vec<f32>>, GruCache) {
-        let mut scratch = GemmScratch::new();
-        self.forward_with_scratch(xs, &mut scratch)
-    }
-
-    /// [`Gru::forward`] streaming through a reusable [`GemmScratch`].
-    pub fn forward_with_scratch(
-        &self,
-        xs: &[Vec<f32>],
-        scratch: &mut GemmScratch,
-    ) -> (Vec<Vec<f32>>, GruCache) {
-        self.forward_dir(xs, false, scratch)
-    }
-
-    /// Direction-aware forward pass (`reversed` consumes the sequence in
-    /// reverse time order without cloning it).
-    pub(crate) fn forward_dir(
-        &self,
-        xs: &[Vec<f32>],
-        reversed: bool,
-        scratch: &mut GemmScratch,
-    ) -> (Vec<Vec<f32>>, GruCache) {
-        let t_len = xs.len();
-        let hl = self.hidden_size;
-        let mut cache = GruCache {
-            t: t_len,
-            x: Vec::new(),
-            h_prev: vec![0.0; t_len * hl],
-            gates: vec![0.0; t_len * 3 * hl],
-            un_h: vec![0.0; t_len * hl],
-        };
-        pack_rows(xs, self.input_size, reversed, &mut cache.x);
-        self.w
-            .value
-            .matmul_nt_into(&cache.x, t_len, &mut scratch.proj);
-        scratch.z.clear();
-        scratch.z.resize(3 * hl, 0.0);
-        scratch.state.clear();
-        scratch.state.resize(hl, 0.0);
-        let h = &mut scratch.state[..];
-        let bias = self.b.value.data();
-        let mut outputs = Vec::with_capacity(t_len);
-        for t in 0..t_len {
-            cache.h_prev[t * hl..(t + 1) * hl].copy_from_slice(h);
-            // uh = U·h_{t-1}; the n-block is kept *separate* from the
-            // input projection because it is gated by r before entering
-            // tanh.
-            self.u.value.matvec_into(h, &mut scratch.z);
-            let uh = &scratch.z;
-            let wx = &scratch.proj[t * 3 * hl..(t + 1) * 3 * hl];
-            let gates = &mut cache.gates[t * 3 * hl..(t + 1) * 3 * hl];
-            let un_h = &mut cache.un_h[t * hl..(t + 1) * hl];
-            for k in 0..hl {
-                gates[k] = sigmoid(wx[k] + uh[k] + bias[k]);
-                gates[hl + k] = sigmoid(wx[hl + k] + uh[hl + k] + bias[hl + k]);
-                un_h[k] = uh[2 * hl + k];
-            }
-            for k in 0..hl {
-                gates[2 * hl + k] =
-                    tanh(wx[2 * hl + k] + gates[hl + k] * un_h[k] + bias[2 * hl + k]);
-            }
-            for k in 0..hl {
-                h[k] = (1.0 - gates[k]) * gates[2 * hl + k] + gates[k] * h[k];
-            }
-            outputs.push(h.to_vec());
-        }
-        (outputs, cache)
-    }
-
-    /// Backpropagates through time, accumulating parameter gradients and
-    /// returning input gradients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dhs.len()` differs from the cached sequence length.
-    pub fn backward(&mut self, cache: &GruCache, dhs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        let mut scratch = GemmScratch::new();
-        self.backward_with_scratch(cache, dhs, &mut scratch)
-    }
-
-    /// [`Gru::backward`] streaming through a reusable [`GemmScratch`].
-    pub fn backward_with_scratch(
-        &mut self,
-        cache: &GruCache,
-        dhs: &[Vec<f32>],
-        scratch: &mut GemmScratch,
-    ) -> Vec<Vec<f32>> {
-        assert_eq!(dhs.len(), cache.t, "gradient length mismatch");
-        let hl = self.hidden_size;
-        let t_len = cache.t;
-        let mut dxs = vec![vec![0.0f32; self.input_size]; t_len];
-        let GemmScratch {
-            dz, dz_u, dstate, ..
-        } = scratch;
-        dz.clear();
-        dz.resize(t_len * 3 * hl, 0.0);
-        dz_u.clear();
-        dz_u.resize(t_len * 3 * hl, 0.0);
-        dstate.clear();
-        dstate.resize(3 * hl, 0.0);
-        let (dh_next, rest) = dstate.split_at_mut(hl);
-        let (dh, dtmp) = rest.split_at_mut(hl);
-        for t in (0..t_len).rev() {
-            let gates = &cache.gates[t * 3 * hl..(t + 1) * 3 * hl];
-            let (gz, gr, gn) = (&gates[..hl], &gates[hl..2 * hl], &gates[2 * hl..]);
-            let h_prev = &cache.h_prev[t * hl..(t + 1) * hl];
-            let un_h = &cache.un_h[t * hl..(t + 1) * hl];
-            let dz_t = &mut dz[t * 3 * hl..(t + 1) * 3 * hl];
-            let du_t = &mut dz_u[t * 3 * hl..(t + 1) * 3 * hl];
-            for k in 0..hl {
-                dh[k] = dhs[t][k] + dh_next[k];
-                let d_z = dh[k] * (h_prev[k] - gn[k]);
-                let d_n = dh[k] * (1.0 - gz[k]);
-                let dz_pre = d_z * gz[k] * (1.0 - gz[k]);
-                let dn_pre = d_n * (1.0 - gn[k] * gn[k]);
-                let d_r = dn_pre * un_h[k];
-                let dr_pre = d_r * gr[k] * (1.0 - gr[k]);
-                dz_t[k] = dz_pre;
-                dz_t[hl + k] = dr_pre;
-                dz_t[2 * hl + k] = dn_pre;
-                // U-side rows: z and r see h_prev directly; the n rows
-                // see h_prev through the reset gate.
-                du_t[k] = dz_pre;
-                du_t[hl + k] = dr_pre;
-                du_t[2 * hl + k] = dn_pre * gr[k];
-            }
-            self.w.value.matvec_transposed_into(dz_t, &mut dxs[t]);
-            self.u.value.matvec_transposed_into(du_t, dtmp);
-            for k in 0..hl {
-                dh_next[k] = dh[k] * gz[k] + dtmp[k];
-            }
-        }
-        // Weight gradients as batched GEMMs over the whole sequence.
-        self.w.grad.add_tn_product(dz, &cache.x, t_len);
-        self.u.grad.add_tn_product(dz_u, &cache.h_prev, t_len);
-        let bg = self.b.grad.data_mut();
-        for row in dz.chunks_exact(3 * hl) {
-            for (slot, &d) in bg.iter_mut().zip(row) {
-                *slot += d;
-            }
-        }
-        dxs
     }
 
     /// Fills `dir.proj` with the pack's input projections, keyed by the
@@ -325,11 +160,11 @@ impl Gru {
     /// the recurrent `U·h` GEMM runs on the fused-FMA kernels of
     /// [`Matrix::matmul_nt_fused_to`] and the gate activations go
     /// through the slice kernels (bitwise identical per element to the
-    /// scalar calls of the sequential cell), so outputs match the
-    /// sequential engine within fused-multiply-add rounding instead of
-    /// bitwise while staying deterministic and bitwise batch-size
-    /// invariant. No per-step caches are recorded and no per-frame
-    /// vectors are allocated.
+    /// scalar calls of the training cell), so outputs match the training
+    /// forward within fused-multiply-add rounding instead of bitwise
+    /// while staying deterministic and bitwise batch-size invariant. No
+    /// per-step caches are recorded and no per-frame vectors are
+    /// allocated.
     pub(crate) fn infer_batch_dir_flat(
         &self,
         pack: &PackedBatch,
@@ -369,7 +204,7 @@ impl Gru {
                 let wx = &dir.proj[r * gr..(r + 1) * gr];
                 let g = &mut bz[b * gr..(b + 1) * gr];
                 let h = &mut bh[b * hl..(b + 1) * hl];
-                // Pre-activations keep the sequential cell's
+                // Pre-activations keep the training cell's
                 // `wx + uh + bias` association order; the slice kernels
                 // then activate them bitwise like the scalar calls.
                 for k in 0..2 * hl {
@@ -419,9 +254,9 @@ impl Gru {
     /// the recurrent `Uᵀ·dZᵤ` half on top with a single fused GEMM over
     /// the direction's version-keyed cached transpose. The final
     /// `dW += dZᵀ·X` / `dU += dZᵤᵀ·H_prev` accumulations stream through
-    /// the register-tiled [`Matrix::add_tn_product_fused`]. Gradients
-    /// match the sequential backward within fma rounding; the gate sweep
-    /// itself is bitwise exact.
+    /// the register-tiled [`Matrix::add_tn_product_fused`]. The gate
+    /// sweep is bitwise equal to the textbook per-gate formulas; the
+    /// GEMMs add fma rounding.
     pub(crate) fn backward_batch_dir_fused(
         &mut self,
         pack: &PackedBatch,
@@ -464,9 +299,9 @@ impl Gru {
                     let pos = if reversed { pack.lens()[b] - 1 - t } else { t };
                     let dh_seq = &dhs[pack.order()[b]][pos * hl..(pos + 1) * hl];
                     // Pre-sum the sequence gradient onto dh_next
-                    // (bitwise equal to the sequential `dh_seq + dh_next`;
-                    // IEEE addition commutes); the sweep then overwrites
-                    // the row with the direct `dh·z` half.
+                    // (`dh_seq + dh_next`; IEEE addition commutes); the
+                    // sweep then overwrites the row with the direct
+                    // `dh·z` half.
                     for (slot, &d) in bh[b * hl..(b + 1) * hl].iter_mut().zip(dh_seq) {
                         *slot += d;
                     }
@@ -520,13 +355,6 @@ pub struct BiGru {
     pub bwd: Gru,
 }
 
-/// Forward cache for [`BiGru`].
-#[derive(Debug, Clone)]
-pub struct BiGruCache {
-    fwd: GruCache,
-    bwd: GruCache,
-}
-
 impl BiGru {
     /// Creates a bidirectional GRU.
     pub fn new<R: Rng + ?Sized>(input_size: usize, hidden_size: usize, rng: &mut R) -> Self {
@@ -539,59 +367,6 @@ impl BiGru {
     /// Hidden dimension of the summed output.
     pub fn hidden_size(&self) -> usize {
         self.fwd.hidden_size()
-    }
-
-    /// Runs both directions and sums per-timestep states.
-    pub fn forward(&self, xs: &[Vec<f32>]) -> (Vec<Vec<f32>>, BiGruCache) {
-        let mut scratch = GemmScratch::new();
-        self.forward_with_scratch(xs, &mut scratch)
-    }
-
-    /// [`BiGru::forward`] streaming through a reusable [`GemmScratch`].
-    pub fn forward_with_scratch(
-        &self,
-        xs: &[Vec<f32>],
-        scratch: &mut GemmScratch,
-    ) -> (Vec<Vec<f32>>, BiGruCache) {
-        let (mut out, cf) = self.fwd.forward_dir(xs, false, scratch);
-        let (hb, cb) = self.bwd.forward_dir(xs, true, scratch);
-        let t_len = xs.len();
-        for (t, h) in out.iter_mut().enumerate() {
-            for (a, b) in h.iter_mut().zip(&hb[t_len - 1 - t]) {
-                *a += b;
-            }
-        }
-        (out, BiGruCache { fwd: cf, bwd: cb })
-    }
-
-    /// Backpropagates both directions.
-    pub fn backward(&mut self, cache: &BiGruCache, dhs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        let mut scratch = GemmScratch::new();
-        self.backward_with_scratch(cache, dhs, &mut scratch)
-    }
-
-    /// [`BiGru::backward`] streaming through a reusable [`GemmScratch`]
-    /// shared by both directions, mirroring
-    /// [`crate::lstm::BiLstm::backward_with_scratch`].
-    pub fn backward_with_scratch(
-        &mut self,
-        cache: &BiGruCache,
-        dhs: &[Vec<f32>],
-        scratch: &mut GemmScratch,
-    ) -> Vec<Vec<f32>> {
-        let t_len = dhs.len();
-        let dx_f = self.fwd.backward_with_scratch(&cache.fwd, dhs, scratch);
-        let rev_dhs: Vec<Vec<f32>> = dhs.iter().rev().cloned().collect();
-        let dx_b = self
-            .bwd
-            .backward_with_scratch(&cache.bwd, &rev_dhs, scratch);
-        let mut dxs = dx_f;
-        for t in 0..t_len {
-            for (a, b) in dxs[t].iter_mut().zip(&dx_b[t_len - 1 - t]) {
-                *a += b;
-            }
-        }
-        dxs
     }
 
     /// Batched forward over a minibatch of sequences (see
@@ -649,7 +424,7 @@ impl BiGru {
     /// Batched inference: summed hidden states per sequence in caller
     /// order, without recording backward-pass caches. A re-nesting
     /// wrapper around the crate-internal flat packed pass — outputs
-    /// match the sequential engine within fused-multiply-add rounding
+    /// match [`BiGru::forward_batch`] within fused-multiply-add rounding
     /// and are bitwise batch-size invariant.
     pub fn hidden_states_batch(
         &self,
@@ -674,9 +449,7 @@ impl BiGru {
     /// Batched BPTT through both directions; `dhs[i]` is caller
     /// sequence `i`'s flat output gradient (`len_i x H` row-major).
     /// Must follow a [`BiGru::forward_batch`] on the same workspace.
-    /// Accumulates parameter gradients only, on the fused engine;
-    /// gradients match [`BiGru::backward_with_scratch`] within
-    /// fused-multiply-add rounding.
+    /// Accumulates parameter gradients only, on the fused engine.
     pub fn backward_batch(
         &mut self,
         ws: &mut BatchWorkspace,
@@ -710,12 +483,28 @@ mod tests {
             .collect()
     }
 
+    /// One direction's training forward over `xs` as a batch of one.
+    fn dir_forward(gru: &Gru, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
+        let mut ws = BatchWorkspace::new();
+        ws.prepare(&[xs], gru.input_size());
+        let mut out = vec![vec![vec![0.0f32; gru.hidden_size()]; xs.len()]];
+        let BatchWorkspace { pack, fwd, .. } = &mut ws;
+        gru.forward_batch_dir(pack, fwd, false, &mut GemmScratch::new(), &mut out);
+        out.pop().unwrap()
+    }
+
+    fn bi_forward(bi: &BiGru, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
+        bi.forward_batch(&[xs], &mut BatchWorkspace::new(), &mut GemmScratch::new())
+            .pop()
+            .unwrap()
+    }
+
     #[test]
     fn forward_shapes_and_bounds() {
         let mut rng = StdRng::seed_from_u64(1);
         let gru = Gru::new(3, 5, &mut rng);
         let xs = toy_inputs(7, 3, 2);
-        let (hs, _) = gru.forward(&xs);
+        let hs = dir_forward(&gru, &xs);
         assert_eq!(hs.len(), 7);
         for h in &hs {
             assert_eq!(h.len(), 5);
@@ -728,26 +517,33 @@ mod tests {
     #[test]
     fn scratch_is_reusable_across_calls() {
         let mut rng = StdRng::seed_from_u64(31);
-        let gru = Gru::new(3, 5, &mut rng);
+        let bi = BiGru::new(3, 5, &mut rng);
         let xs = toy_inputs(7, 3, 32);
         let mut scratch = GemmScratch::new();
-        let (a, _) = gru.forward_with_scratch(&xs, &mut scratch);
-        let (b, _) = gru.forward_with_scratch(&xs, &mut scratch);
-        let (c, _) = gru.forward(&xs);
+        let a = bi.forward_batch(&[&xs], &mut BatchWorkspace::new(), &mut scratch);
+        let b = bi.forward_batch(&[&xs], &mut BatchWorkspace::new(), &mut scratch);
         assert_eq!(a, b);
-        assert_eq!(a, c);
+        assert_eq!(a[0], bi_forward(&bi, &xs));
     }
 
     #[test]
     fn gru_gradients_match_finite_differences() {
+        // One GRU direction through the packed engine (a batch of one).
         let (d, h, t_len) = (3usize, 4usize, 5usize);
         let mut rng = StdRng::seed_from_u64(42);
         let mut gru = Gru::new(d, h, &mut rng);
         let xs = toy_inputs(t_len, d, 43);
-        let loss = |g: &Gru| -> f32 { g.forward(&xs).0.iter().flatten().sum() };
-        let (_, cache) = gru.forward(&xs);
-        let dhs = vec![vec![1.0f32; h]; t_len];
-        let dxs = gru.backward(&cache, &dhs);
+        let loss = |g: &Gru| -> f32 { dir_forward(g, &xs).iter().flatten().sum() };
+        {
+            let mut ws = BatchWorkspace::new();
+            let mut scratch = GemmScratch::new();
+            ws.prepare(&[&xs], d);
+            let mut out = vec![vec![vec![0.0f32; h]; t_len]];
+            let BatchWorkspace { pack, fwd, .. } = &mut ws;
+            gru.forward_batch_dir(pack, fwd, false, &mut scratch, &mut out);
+            let dh = vec![1.0f32; t_len * h];
+            gru.backward_batch_dir_fused(pack, fwd, false, &[&dh], &mut scratch);
+        }
 
         let eps = 1e-3f32;
         for (pidx, k) in [(0usize, 0usize), (0, 7), (1, 3), (1, 11), (2, 2), (2, 9)] {
@@ -781,21 +577,6 @@ mod tests {
                 "param {pidx}[{k}]: analytic {analytic} vs numeric {numeric}"
             );
         }
-        // Input gradients.
-        for t in [0usize, 2, 4] {
-            for j in 0..d {
-                let mut xs2 = xs.clone();
-                xs2[t][j] += eps;
-                let up: f32 = gru.forward(&xs2).0.iter().flatten().sum();
-                xs2[t][j] -= 2.0 * eps;
-                let down: f32 = gru.forward(&xs2).0.iter().flatten().sum();
-                let numeric = (up - down) / (2.0 * eps);
-                assert!(
-                    (dxs[t][j] - numeric).abs() < 2e-2 * numeric.abs().max(1.0),
-                    "dx[{t}][{j}]"
-                );
-            }
-        }
     }
 
     #[test]
@@ -805,49 +586,31 @@ mod tests {
         let a = vec![vec![0.1, 0.2]; 6];
         let mut b = a.clone();
         b[5] = vec![0.9, -0.9];
-        let (ha, _) = bi.forward(&a);
-        let (hb, _) = bi.forward(&b);
+        let (ha, hb) = (bi_forward(&bi, &a), bi_forward(&bi, &b));
         let d0: f32 = ha[0].iter().zip(&hb[0]).map(|(x, y)| (x - y).abs()).sum();
         assert!(d0 > 1e-4);
     }
 
     #[test]
-    fn bigru_gradcheck_on_inputs() {
-        let (d, h, t_len) = (2usize, 3usize, 4usize);
-        let mut rng = StdRng::seed_from_u64(77);
-        let mut bi = BiGru::new(d, h, &mut rng);
-        let xs = toy_inputs(t_len, d, 78);
-        let (_, cache) = bi.forward(&xs);
-        let dhs = vec![vec![1.0f32; h]; t_len];
-        let dxs = bi.backward(&cache, &dhs);
-        let eps = 1e-3f32;
-        for t in 0..t_len {
-            for j in 0..d {
-                let mut xs2 = xs.clone();
-                xs2[t][j] += eps;
-                let up: f32 = bi.forward(&xs2).0.iter().flatten().sum();
-                xs2[t][j] -= 2.0 * eps;
-                let down: f32 = bi.forward(&xs2).0.iter().flatten().sum();
-                let numeric = (up - down) / (2.0 * eps);
-                assert!((dxs[t][j] - numeric).abs() < 2e-2 * numeric.abs().max(1.0));
-            }
+    fn empty_sequence_is_ok() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut bi = BiGru::new(3, 5, &mut rng);
+        let mut ws = BatchWorkspace::new();
+        let mut scratch = GemmScratch::new();
+        let empty: Vec<Vec<f32>> = Vec::new();
+        let out = bi.forward_batch(&[&empty], &mut ws, &mut scratch);
+        assert!(out[0].is_empty());
+        bi.backward_batch(&mut ws, &[&[]], &mut scratch);
+        for p in bi.params_mut() {
+            assert!(p.grad.data().iter().all(|&g| g == 0.0));
         }
     }
 
     #[test]
-    fn empty_sequence_is_ok() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut gru = Gru::new(3, 5, &mut rng);
-        let (hs, cache) = gru.forward(&[]);
-        assert!(hs.is_empty());
-        assert!(gru.backward(&cache, &[]).is_empty());
-    }
-
-    #[test]
     fn batched_forward_is_bitwise_identical_at_wide_hidden_sizes() {
-        use crate::batch::BatchWorkspace;
         // H = 34 keeps the recurrent GEMM on the wide path; mixed
-        // lengths exercise the shrinking active prefix.
+        // lengths exercise the shrinking active prefix. Each sequence
+        // must get the bits of its batch of one.
         let mut rng = StdRng::seed_from_u64(51);
         let bi = BiGru::new(3, 34, &mut rng);
         let seqs: Vec<Vec<Vec<f32>>> = [6usize, 1, 4, 4]
@@ -860,16 +623,14 @@ mod tests {
         let mut scratch = GemmScratch::new();
         let batched = bi.forward_batch(&refs, &mut ws, &mut scratch);
         for (i, seq) in seqs.iter().enumerate() {
-            let (sequential, _) = bi.forward_with_scratch(seq, &mut scratch);
-            assert_eq!(batched[i], sequential, "seq {i}");
+            assert_eq!(batched[i], bi_forward(&bi, seq), "seq {i}");
         }
     }
 
     #[test]
-    fn batched_inference_matches_sequential_within_rounding() {
-        use crate::batch::BatchWorkspace;
+    fn batched_inference_matches_training_forward_within_rounding() {
         // The inference path runs the fused recurrent GEMM, so it is
-        // only required to agree with the sequential engine within
+        // only required to agree with the training forward within
         // fused-multiply-add rounding; H = 34 keeps it on the wide
         // kernel path and mixed lengths exercise the scatter/accumulate
         // flat writes of both directions.
@@ -885,9 +646,9 @@ mod tests {
         let mut scratch = GemmScratch::new();
         let inferred = bi.hidden_states_batch(&refs, &mut ws, &mut scratch);
         for (i, seq) in seqs.iter().enumerate() {
-            let (sequential, _) = bi.forward_with_scratch(seq, &mut scratch);
-            assert_eq!(inferred[i].len(), sequential.len(), "seq {i}");
-            for (t, (a, b)) in inferred[i].iter().zip(&sequential).enumerate() {
+            let trained = bi_forward(&bi, seq);
+            assert_eq!(inferred[i].len(), trained.len(), "seq {i}");
+            for (t, (a, b)) in inferred[i].iter().zip(&trained).enumerate() {
                 for (x, y) in a.iter().zip(b) {
                     assert!((x - y).abs() < 1e-5, "seq {i} t {t}: {x} vs {y}");
                 }
@@ -897,7 +658,6 @@ mod tests {
 
     #[test]
     fn batched_inference_is_bitwise_batch_size_invariant() {
-        use crate::batch::BatchWorkspace;
         // A sequence's inferred states must not depend on what else is
         // in the batch.
         let mut rng = StdRng::seed_from_u64(57);
@@ -919,12 +679,12 @@ mod tests {
     }
 
     #[test]
-    fn batched_backward_matches_sequential_gradients() {
-        use crate::batch::BatchWorkspace;
-        // The fused batched engine must reproduce the sequential
-        // gradients within fma rounding. Cases: (input, hidden, model
-        // seed, input seed, lengths, output gradient at (seq, k)) — a
-        // small all-ones case, and a training-like shape with a
+    fn batched_backward_matches_sum_of_batches_of_one() {
+        // The gradients of one mixed-length pack must equal the summed
+        // gradients of each sequence as a batch of one, within the fma
+        // rounding of the reordered accumulation. Cases: (input, hidden,
+        // model seed, input seed, lengths, output gradient at (seq, k))
+        // — a small all-ones case, and a training-like shape with a
         // length-1 sequence and non-constant gradients.
         type DhAt = fn(usize, usize) -> f32;
         type Case = (usize, usize, u64, u64, &'static [usize], DhAt);
@@ -948,11 +708,11 @@ mod tests {
                 .collect();
             let mut scratch = GemmScratch::new();
 
-            let mut seq_model = bi.clone();
+            let mut solo_model = bi.clone();
             for (seq, dh) in seqs.iter().zip(&flat) {
-                let (_, cache) = seq_model.forward_with_scratch(seq, &mut scratch);
-                let dhs: Vec<Vec<f32>> = dh.chunks(h).map(<[f32]>::to_vec).collect();
-                seq_model.backward(&cache, &dhs);
+                let mut ws = BatchWorkspace::new();
+                solo_model.forward_batch(&[seq], &mut ws, &mut scratch);
+                solo_model.backward_batch(&mut ws, &[dh], &mut scratch);
             }
 
             let mut bat_model = bi.clone();
@@ -964,12 +724,12 @@ mod tests {
             for (name, (ps, pb)) in ["fwd.w", "fwd.u", "fwd.b", "bwd.w", "bwd.u", "bwd.b"]
                 .iter()
                 .zip([
-                    (&seq_model.fwd.w, &bat_model.fwd.w),
-                    (&seq_model.fwd.u, &bat_model.fwd.u),
-                    (&seq_model.fwd.b, &bat_model.fwd.b),
-                    (&seq_model.bwd.w, &bat_model.bwd.w),
-                    (&seq_model.bwd.u, &bat_model.bwd.u),
-                    (&seq_model.bwd.b, &bat_model.bwd.b),
+                    (&solo_model.fwd.w, &bat_model.fwd.w),
+                    (&solo_model.fwd.u, &bat_model.fwd.u),
+                    (&solo_model.fwd.b, &bat_model.fwd.b),
+                    (&solo_model.bwd.w, &bat_model.bwd.w),
+                    (&solo_model.bwd.u, &bat_model.bwd.u),
+                    (&solo_model.bwd.b, &bat_model.bwd.b),
                 ])
             {
                 for (a, b) in ps.grad.data().iter().zip(pb.grad.data()) {
@@ -984,7 +744,6 @@ mod tests {
 
     #[test]
     fn batched_paths_handle_empty_batches_and_sequences() {
-        use crate::batch::BatchWorkspace;
         let mut rng = StdRng::seed_from_u64(62);
         let mut bi = BiGru::new(3, 8, &mut rng);
         let mut ws = BatchWorkspace::new();

@@ -6,9 +6,11 @@
 //! ADAM optimizer (Sec. V-B). This crate implements exactly those pieces
 //! from scratch:
 //!
-//! * [`matrix::Matrix`] — a dense row-major `f32` matrix with blocked
-//!   GEMM kernels ([`matrix::Matrix::matmul_nt`], batched gradient
-//!   products) shared by every layer,
+//! * [`matrix::Matrix`] — a dense row-major `f32` matrix with two
+//!   blocked GEMM kernel families, unfused
+//!   ([`matrix::Matrix::matmul_nt_to`]) and fused-FMA
+//!   ([`matrix::Matrix::matmul_nt_fused_to`], batched gradient
+//!   products), shared by every layer,
 //! * [`matrix::GemmScratch`] — reusable working buffers so the hot
 //!   inference/training paths allocate nothing per timestep,
 //! * [`batch::BatchWorkspace`] — the packed minibatch layout shared by
@@ -24,15 +26,20 @@
 //!   `h_t = h→_t + h←_t`),
 //! * [`dense::Dense`] — an affine output layer,
 //! * [`loss`] — softmax cross-entropy,
+//! * [`gru::BiGru`] — a bidirectional GRU for the paper's LSTM-versus-GRU
+//!   design check,
 //! * [`model::BrnnClassifier`] — the assembled per-frame binary
-//!   classifier with a training loop.
+//!   classifier with its one training loop, generic over the
+//!   [`model::RecurrentCell`] it wraps (BiLSTM by default).
 //!
 //! All classifier inference runs on one engine: the packed BiLSTM pass
 //! with fused-FMA recurrent GEMMs, then one flat head GEMM
 //! ([`model::BrnnClassifier::predict_batch`]). Scoring one recording is a
 //! batch of one; the kernels are bitwise batch-size invariant, so a
-//! recording gets the same labels alone or inside any pack. Only the
-//! training forward pass stays on the unfused kernels.
+//! recording gets the same labels alone or inside any pack. Training
+//! has one engine too: `train_step` runs the packed forward on the
+//! unfused kernels and the packed backward on the fused ones, for both
+//! cell types.
 //!
 //! Gradients are verified against finite differences in the test suite.
 //!

@@ -24,33 +24,6 @@ pub fn softmax_cross_entropy(logits: &[f32], target: usize) -> (f32, Vec<f32>) {
     (loss, dlogits)
 }
 
-/// Mean softmax cross-entropy over a sequence of frames.
-///
-/// Returns `(mean_loss, per_frame_dlogits)` with gradients already scaled
-/// by `1 / n_frames`.
-///
-/// # Panics
-///
-/// Panics if the lengths differ or any target is out of range.
-pub fn sequence_cross_entropy(logits: &[Vec<f32>], targets: &[usize]) -> (f32, Vec<Vec<f32>>) {
-    assert_eq!(logits.len(), targets.len(), "sequence length mismatch");
-    if logits.is_empty() {
-        return (0.0, Vec::new());
-    }
-    let n = logits.len() as f32;
-    let mut total = 0.0f32;
-    let mut grads = Vec::with_capacity(logits.len());
-    for (frame, &t) in logits.iter().zip(targets) {
-        let (l, mut dl) = softmax_cross_entropy(frame, t);
-        total += l;
-        for d in &mut dl {
-            *d /= n;
-        }
-        grads.push(dl);
-    }
-    (total / n, grads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,20 +71,5 @@ mod tests {
                 (softmax_cross_entropy(&up, 1).0 - softmax_cross_entropy(&down, 1).0) / (2.0 * eps);
             assert!((dl[k] - numeric).abs() < 1e-3, "logit {k}");
         }
-    }
-
-    #[test]
-    fn sequence_loss_averages() {
-        let logits = vec![vec![5.0, -5.0], vec![-5.0, 5.0]];
-        let (loss, grads) = sequence_cross_entropy(&logits, &[0, 1]);
-        assert!(loss < 1e-3);
-        assert_eq!(grads.len(), 2);
-    }
-
-    #[test]
-    fn empty_sequence_loss_is_zero() {
-        let (loss, grads) = sequence_cross_entropy(&[], &[]);
-        assert_eq!(loss, 0.0);
-        assert!(grads.is_empty());
     }
 }

@@ -5,38 +5,36 @@
 //! *sums* the forward and backward hidden states, matching the paper's
 //! `h_t = h→_t + h←_t` (Sec. V-B, Eq. 4).
 //!
-//! # Fused-gate compute engine
+//! # Packed-batch engine
 //!
 //! The four per-gate weight matrices live concatenated in single fused
 //! `4H x I` (input) and `4H x H` (recurrent) row-major matrices, so one
-//! blocked product serves all gates. The per-sequence training engine
-//! ([`Lstm::forward`], [`Lstm::backward`]) does:
+//! product serves all gates. Every pass runs over a packed minibatch
+//! (see [`crate::batch`]); a single sequence is a batch of one.
 //!
-//! 1. **Time-batched input projections** — `W·x_t` for *all* timesteps
-//!    in one [`Matrix::matmul_nt`] GEMM before the recurrence starts;
-//!    the sequential loop then only adds the `U·h_{t-1}` half per step
-//!    ([`Matrix::matvec_add_into`], no temporaries).
-//! 2. **Flat activation caches** — the backward pass reads gate
-//!    activations and pre-states from contiguous `T x 4H` / `T x H`
-//!    buffers instead of one heap allocation per step.
-//! 3. **Batched weight gradients** — BPTT accumulates all per-step gate
-//!    gradients into one `T x 4H` buffer and applies `dW += dZᵀ·X` /
-//!    `dU += dZᵀ·H_prev` as single [`Matrix::add_tn_product`] GEMMs.
+//! 1. **Input projections** — `W·x + b` for every packed row in one
+//!    unfused [`Matrix::matmul_nt_to`] GEMM, cached in the workspace
+//!    until the optimizer steps `W` or `b`.
+//! 2. **Training forward** ([`BiLstm::forward_batch`]) — per step, one
+//!    unfused `Z += H·Uᵀ` GEMM over the active rows, then the gate
+//!    sweep; gate activations and pre-step states land in flat caches
+//!    for the backward pass.
+//! 3. **Backward** ([`BiLstm::backward_batch`]) — a fused gate-gradient
+//!    sweep per row, one fused `Uᵀ·dZ` GEMM per step over a cached
+//!    transpose, and register-tiled `dW += dZᵀ·X` / `dU += dZᵀ·H_prev`
+//!    accumulations. No input gradients: the classifier's inputs are
+//!    data.
+//! 4. **Inference** ([`BiLstm::hidden_states_batch`]) — the same
+//!    recurrence with its GEMMs on the fused-FMA kernels, recording no
+//!    backward-pass state.
 //!
-//! The training entry points have `*_with_scratch` variants that stream
-//! through a caller-provided [`GemmScratch`]; the plain variants
-//! allocate a fresh scratch per call. The packed minibatch engines
-//! ([`BiLstm::forward_batch`], [`BiLstm::backward_batch`]) run the same
-//! recurrences over many sequences at once.
-//!
-//! Inference has one engine: the packed pass behind
-//! [`BiLstm::hidden_states_batch`], which records no backward-pass state
-//! and runs its recurrent GEMMs on the fused-FMA kernels. A single
-//! sequence is a batch of one.
+//! Inference therefore matches the training forward within fma
+//! rounding rather than bitwise. Both forwards are bitwise batch-size
+//! invariant: a sequence gets the same bits alone or inside any pack.
 
 use crate::act::{gates_fused, lstm_gates_backward_fused, tanh_slice};
 use crate::batch::{BatchWorkspace, DirCache, PackedBatch};
-use crate::matrix::{pack_rows, GemmScratch, Matrix};
+use crate::matrix::{GemmScratch, Matrix};
 use crate::param::Param;
 use rand::Rng;
 
@@ -51,24 +49,6 @@ pub struct Lstm {
     pub b: Param,
     input_size: usize,
     hidden_size: usize,
-}
-
-/// Forward-pass activations for a whole sequence, stored as flat
-/// row-major buffers (`T` rows each) — what [`Lstm::backward`] replays.
-#[derive(Debug, Clone)]
-pub struct LstmCache {
-    t: usize,
-    /// Packed inputs, `T x D` (in processing order; reversed for the
-    /// backward direction of a [`BiLstm`]).
-    x: Vec<f32>,
-    /// Hidden state entering each step, `T x H`.
-    h_prev: Vec<f32>,
-    /// Cell state entering each step, `T x H`.
-    c_prev: Vec<f32>,
-    /// Activated gates `[i, f, g, o]` per step, `T x 4H`.
-    gates: Vec<f32>,
-    /// `tanh(c_t)` per step, `T x H`.
-    tanh_c: Vec<f32>,
 }
 
 /// Applies one LSTM cell update. `z` holds the fused pre-activations,
@@ -178,165 +158,12 @@ impl Lstm {
         self.hidden_size
     }
 
-    /// Runs the layer over a sequence, returning hidden states for every
-    /// timestep and the cache needed by [`Lstm::backward`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input vector's length differs from the configured
-    /// input size.
-    pub fn forward(&self, xs: &[Vec<f32>]) -> (Vec<Vec<f32>>, LstmCache) {
-        let mut scratch = GemmScratch::new();
-        self.forward_with_scratch(xs, &mut scratch)
-    }
-
-    /// [`Lstm::forward`] streaming through a reusable [`GemmScratch`].
-    pub fn forward_with_scratch(
-        &self,
-        xs: &[Vec<f32>],
-        scratch: &mut GemmScratch,
-    ) -> (Vec<Vec<f32>>, LstmCache) {
-        self.forward_dir(xs, false, scratch)
-    }
-
-    /// Direction-aware forward pass: with `reversed` the sequence is
-    /// consumed (and cached) in reverse time order without cloning it.
-    pub(crate) fn forward_dir(
-        &self,
-        xs: &[Vec<f32>],
-        reversed: bool,
-        scratch: &mut GemmScratch,
-    ) -> (Vec<Vec<f32>>, LstmCache) {
-        let t_len = xs.len();
-        let hl = self.hidden_size;
-        let mut cache = LstmCache {
-            t: t_len,
-            x: Vec::new(),
-            h_prev: vec![0.0; t_len * hl],
-            c_prev: vec![0.0; t_len * hl],
-            gates: vec![0.0; t_len * 4 * hl],
-            tanh_c: vec![0.0; t_len * hl],
-        };
-        pack_rows(xs, self.input_size, reversed, &mut cache.x);
-        // One GEMM for every timestep's input projection; the loop below
-        // only does the recurrent half.
-        self.w
-            .value
-            .matmul_nt_into(&cache.x, t_len, &mut scratch.proj);
-        scratch.z.clear();
-        scratch.z.resize(4 * hl, 0.0);
-        scratch.state.clear();
-        scratch.state.resize(2 * hl, 0.0);
-        let (h, c) = scratch.state.split_at_mut(hl);
-        let bias = self.b.value.data();
-        let mut outputs = Vec::with_capacity(t_len);
-        for t in 0..t_len {
-            cache.h_prev[t * hl..(t + 1) * hl].copy_from_slice(h);
-            cache.c_prev[t * hl..(t + 1) * hl].copy_from_slice(c);
-            for ((z, &p), &bv) in scratch
-                .z
-                .iter_mut()
-                .zip(&scratch.proj[t * 4 * hl..(t + 1) * 4 * hl])
-                .zip(bias)
-            {
-                *z = p + bv;
-            }
-            self.u.value.matvec_add_into(h, &mut scratch.z);
-            lstm_cell(
-                &scratch.z,
-                &mut cache.gates[t * 4 * hl..(t + 1) * 4 * hl],
-                c,
-                h,
-                &mut cache.tanh_c[t * hl..(t + 1) * hl],
-            );
-            outputs.push(h.to_vec());
-        }
-        (outputs, cache)
-    }
-
-    /// Backpropagates through time. `dhs` holds the loss gradient with
-    /// respect to each output hidden state. Parameter gradients are
-    /// *accumulated* into `self.{w,u,b}.grad`; the gradient with respect
-    /// to each input vector is returned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dhs.len()` differs from the cached sequence length.
-    pub fn backward(&mut self, cache: &LstmCache, dhs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        let mut scratch = GemmScratch::new();
-        self.backward_with_scratch(cache, dhs, &mut scratch)
-    }
-
-    /// [`Lstm::backward`] streaming through a reusable [`GemmScratch`].
-    pub fn backward_with_scratch(
-        &mut self,
-        cache: &LstmCache,
-        dhs: &[Vec<f32>],
-        scratch: &mut GemmScratch,
-    ) -> Vec<Vec<f32>> {
-        assert_eq!(dhs.len(), cache.t, "gradient length mismatch");
-        let hl = self.hidden_size;
-        let t_len = cache.t;
-        let mut dxs = vec![vec![0.0f32; self.input_size]; t_len];
-        let GemmScratch { dz, dstate, .. } = scratch;
-        dz.clear();
-        dz.resize(t_len * 4 * hl, 0.0);
-        dstate.clear();
-        dstate.resize(4 * hl, 0.0);
-        let (dh_next, rest) = dstate.split_at_mut(hl);
-        let (dc_next, rest) = rest.split_at_mut(hl);
-        let (dh, dc) = rest.split_at_mut(hl);
-        for t in (0..t_len).rev() {
-            let gates = &cache.gates[t * 4 * hl..(t + 1) * 4 * hl];
-            let (gi, gf, gg, go) = (
-                &gates[..hl],
-                &gates[hl..2 * hl],
-                &gates[2 * hl..3 * hl],
-                &gates[3 * hl..],
-            );
-            let tanh_c = &cache.tanh_c[t * hl..(t + 1) * hl];
-            let c_prev = &cache.c_prev[t * hl..(t + 1) * hl];
-            let dz_t = &mut dz[t * 4 * hl..(t + 1) * 4 * hl];
-            for k in 0..hl {
-                // Total gradient flowing into h_t, then into c_t via
-                // h = o * tanh(c).
-                dh[k] = dhs[t][k] + dh_next[k];
-                dc[k] = dc_next[k] + dh[k] * go[k] * (1.0 - tanh_c[k] * tanh_c[k]);
-                let d_o = dh[k] * tanh_c[k];
-                let d_i = dc[k] * gg[k];
-                let d_f = dc[k] * c_prev[k];
-                let d_g = dc[k] * gi[k];
-                dz_t[k] = d_i * gi[k] * (1.0 - gi[k]);
-                dz_t[hl + k] = d_f * gf[k] * (1.0 - gf[k]);
-                dz_t[2 * hl + k] = d_g * (1.0 - gg[k] * gg[k]);
-                dz_t[3 * hl + k] = d_o * go[k] * (1.0 - go[k]);
-            }
-            self.w.value.matvec_transposed_into(dz_t, &mut dxs[t]);
-            self.u.value.matvec_transposed_into(dz_t, dh_next);
-            for k in 0..hl {
-                dc_next[k] = dc[k] * gf[k];
-            }
-        }
-        // Weight gradients as two batched GEMMs over the whole sequence
-        // instead of one rank-1 update per timestep.
-        self.w.grad.add_tn_product(dz, &cache.x, t_len);
-        self.u.grad.add_tn_product(dz, &cache.h_prev, t_len);
-        let bg = self.b.grad.data_mut();
-        for row in dz.chunks_exact(4 * hl) {
-            for (slot, &d) in bg.iter_mut().zip(row) {
-                *slot += d;
-            }
-        }
-        dxs
-    }
-
     /// Fills (or reuses) the epoch-persistent projection cache for one
     /// direction: `dir.proj` row `r` becomes `W·x_r + b`, keyed by the
     /// `(W, b)` parameter versions. The bias is folded in here once so
     /// every step of every forward pass starts from a plain row copy
-    /// instead of an elementwise add; because the fold computes exactly
-    /// the `p + b` sums the per-step loops used to, gate pre-activations
-    /// are bitwise unchanged.
+    /// instead of an elementwise add; the cell computes
+    /// `(W·x + b) + U·h` in that association order either way.
     fn fill_proj(&self, pack: &PackedBatch, dir: &mut DirCache, reversed: bool) {
         let gr = 4 * self.hidden_size;
         let key = (self.w.version(), self.b.version());
@@ -366,16 +193,15 @@ impl Lstm {
     /// projections for the *whole batch* come from the epoch-persistent
     /// cache of [`Lstm::fill_proj`]. Hidden states are *added* into
     /// `out[seq][t]` (index-reversed when `reversed`); per-row
-    /// activations go through the same [`lstm_cell`] as the sequential
-    /// path and are cached in `dir` for [`Lstm::backward_batch_dir_fused`].
+    /// activations go through [`lstm_cell`] and are cached in `dir` for
+    /// [`Lstm::backward_batch_dir_fused`].
     ///
-    /// Every row of every step on the wide GEMM path (>= 32 columns) is
-    /// bitwise identical to the per-sequence engine: the projection
-    /// rows share the per-row fold of [`Matrix::matmul_nt`] and the
-    /// recurrent rows share the dot kernel plus single add of
-    /// [`Matrix::matvec_add_into`]. (The inference engine,
-    /// [`Lstm::infer_batch_dir_flat`], trades this bitwise match for
-    /// fused-FMA throughput.)
+    /// Both GEMMs run on the unfused kernels, whose rows do not depend
+    /// on the rest of the batch, so every sequence's states are bitwise
+    /// the same alone or packed. Moving them onto the fused kernels
+    /// would change the bits of every trained model; the inference
+    /// engine, [`Lstm::infer_batch_dir_flat`], makes that trade for
+    /// throughput.
     pub(crate) fn forward_batch_dir(
         &self,
         pack: &PackedBatch,
@@ -450,7 +276,7 @@ impl Lstm {
     /// recorded, no per-frame vectors are allocated, and the recurrent
     /// GEMM takes [`Matrix::matmul_nt_fused_to`] — halving its
     /// floating-point instruction count at the price of matching the
-    /// sequential engine within fused-multiply-add rounding (~1e-6 on
+    /// training forward within fused-multiply-add rounding (~1e-6 on
     /// bounded hidden states) instead of bitwise. Results stay
     /// deterministic and bitwise batch-size invariant.
     pub(crate) fn infer_batch_dir_flat(
@@ -530,15 +356,15 @@ impl Lstm {
     /// Batched BPTT over a packed minibatch. `dhs[i]` is caller
     /// sequence `i`'s flat output gradient, `len_i x H` row-major in
     /// natural time order. Parameter gradients are accumulated into
-    /// `self.{w,u,b}.grad`; unlike [`Lstm::backward_with_scratch`] no
-    /// input gradients are returned (the classifier's inputs are data,
-    /// so the input-side `dX = dZ·W` GEMM is skipped entirely).
+    /// `self.{w,u,b}.grad`; no input gradients are computed (the
+    /// classifier's inputs are data, so the input-side `dX = dZ·W` GEMM
+    /// is skipped entirely).
     ///
     /// The reverse traversal runs three fused stages:
     ///
     /// 1. one 4H-wide [`lstm_gates_backward_fused`] gate-gradient sweep
-    ///    per active row (bitwise identical to the per-gate formulas of
-    ///    the sequential backward on every instruction set);
+    ///    per active row (bitwise identical to the textbook per-gate
+    ///    formulas on every instruction set);
     /// 2. the per-step `dh_next = Uᵀ·dZ` transpose-multiply as a
     ///    register-tiled [`Matrix::matmul_nt_fused_to`] GEMM over a
     ///    `Uᵀ` view served by the direction's version-keyed
@@ -550,9 +376,9 @@ impl Lstm {
     ///    once per packed row.
     ///
     /// Numerics: stages (2) and (3) contract multiplies and adds into
-    /// fused multiply-adds but preserve each element's summation order,
-    /// so gradients match the sequential backward within fma rounding
-    /// (and remain deterministic and bitwise lane-invariant).
+    /// fused multiply-adds but keep each element's summation order
+    /// fixed, so gradients are deterministic and bitwise lane-invariant;
+    /// the test suite checks them against finite differences.
     pub(crate) fn backward_batch_dir_fused(
         &mut self,
         pack: &PackedBatch,
@@ -597,9 +423,8 @@ impl Lstm {
                     let pos = if reversed { pack.lens()[b] - 1 - t } else { t };
                     let dh_seq = &dhs[pack.order()[b]][pos * hl..(pos + 1) * hl];
                     // Pre-sum the sequence gradient onto dh_next
-                    // (bitwise equal to the sequential `dh_seq + dh_next`;
-                    // IEEE addition commutes), then run the whole-row
-                    // gate sweep off the summed value.
+                    // (`dh_seq + dh_next`; IEEE addition commutes), then
+                    // run the whole-row gate sweep off the summed value.
                     for (slot, &d) in bh[b * hl..(b + 1) * hl].iter_mut().zip(dh_seq) {
                         *slot += d;
                     }
@@ -652,13 +477,6 @@ pub struct BiLstm {
     pub bwd: Lstm,
 }
 
-/// Forward cache for [`BiLstm`].
-#[derive(Debug, Clone)]
-pub struct BiLstmCache {
-    fwd: LstmCache,
-    bwd: LstmCache,
-}
-
 impl BiLstm {
     /// Creates a bidirectional LSTM (both directions sized
     /// `input_size -> hidden_size`).
@@ -672,65 +490,6 @@ impl BiLstm {
     /// Hidden dimension of the summed output.
     pub fn hidden_size(&self) -> usize {
         self.fwd.hidden_size()
-    }
-
-    /// Runs both directions and sums their hidden states per timestep.
-    pub fn forward(&self, xs: &[Vec<f32>]) -> (Vec<Vec<f32>>, BiLstmCache) {
-        let mut scratch = GemmScratch::new();
-        self.forward_with_scratch(xs, &mut scratch)
-    }
-
-    /// [`BiLstm::forward`] streaming through a reusable [`GemmScratch`]
-    /// (both directions share it sequentially).
-    pub fn forward_with_scratch(
-        &self,
-        xs: &[Vec<f32>],
-        scratch: &mut GemmScratch,
-    ) -> (Vec<Vec<f32>>, BiLstmCache) {
-        let (mut out, cache_f) = self.fwd.forward_dir(xs, false, scratch);
-        let (hb, cache_b) = self.bwd.forward_dir(xs, true, scratch);
-        let t_len = xs.len();
-        for (t, h) in out.iter_mut().enumerate() {
-            for (a, b) in h.iter_mut().zip(&hb[t_len - 1 - t]) {
-                *a += b;
-            }
-        }
-        (
-            out,
-            BiLstmCache {
-                fwd: cache_f,
-                bwd: cache_b,
-            },
-        )
-    }
-
-    /// Backpropagates through both directions, accumulating parameter
-    /// gradients and returning input gradients.
-    pub fn backward(&mut self, cache: &BiLstmCache, dhs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        let mut scratch = GemmScratch::new();
-        self.backward_with_scratch(cache, dhs, &mut scratch)
-    }
-
-    /// [`BiLstm::backward`] streaming through a reusable [`GemmScratch`].
-    pub fn backward_with_scratch(
-        &mut self,
-        cache: &BiLstmCache,
-        dhs: &[Vec<f32>],
-        scratch: &mut GemmScratch,
-    ) -> Vec<Vec<f32>> {
-        let t_len = dhs.len();
-        let dx_f = self.fwd.backward_with_scratch(&cache.fwd, dhs, scratch);
-        let rev_dhs: Vec<Vec<f32>> = dhs.iter().rev().cloned().collect();
-        let dx_b = self
-            .bwd
-            .backward_with_scratch(&cache.bwd, &rev_dhs, scratch);
-        let mut dxs = dx_f;
-        for t in 0..t_len {
-            for (a, b) in dxs[t].iter_mut().zip(&dx_b[t_len - 1 - t]) {
-                *a += b;
-            }
-        }
-        dxs
     }
 
     /// Batched training forward over a minibatch of sequences: packs
@@ -768,8 +527,8 @@ impl BiLstm {
     /// classifier head, which runs one flat GEMM straight over the
     /// buffer. The recurrent GEMMs run on the fused-FMA kernel of
     /// [`crate::matrix::Matrix::matmul_nt_fused_to`], so outputs match
-    /// the per-sequence engine within rounding rather than bitwise
-    /// (the training path, [`BiLstm::forward_batch`], stays bitwise).
+    /// the training path, [`BiLstm::forward_batch`], within rounding
+    /// rather than bitwise.
     pub(crate) fn hidden_states_batch_flat(
         &self,
         seqs: &[&[Vec<f32>]],
@@ -796,8 +555,8 @@ impl BiLstm {
     /// order, without recording backward-pass caches. A re-nesting
     /// wrapper around the crate-internal flat packed pass, whose
     /// recurrent GEMMs run on the fused-FMA kernel family: outputs match
-    /// the sequential engine within fused-multiply-add rounding and are
-    /// bitwise batch-size invariant.
+    /// [`BiLstm::forward_batch`] within fused-multiply-add rounding and
+    /// are bitwise batch-size invariant.
     pub fn hidden_states_batch(
         &self,
         seqs: &[&[Vec<f32>]],
@@ -822,8 +581,7 @@ impl BiLstm {
     /// sequence `i`'s flat output gradient (`len_i x H` row-major).
     /// Must follow a [`BiLstm::forward_batch`] on the same workspace.
     /// Accumulates parameter gradients only (no input gradients), on
-    /// the fused engine; gradients match [`BiLstm::backward_with_scratch`]
-    /// within fused-multiply-add rounding.
+    /// the fused engine.
     pub fn backward_batch(
         &mut self,
         ws: &mut BatchWorkspace,
@@ -857,12 +615,40 @@ mod tests {
             .collect()
     }
 
+    /// One direction's training forward over `xs` as a batch of one.
+    fn dir_forward(lstm: &Lstm, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
+        let mut ws = BatchWorkspace::new();
+        ws.prepare(&[xs], lstm.input_size());
+        let mut out = vec![vec![vec![0.0f32; lstm.hidden_size()]; xs.len()]];
+        let BatchWorkspace { pack, fwd, .. } = &mut ws;
+        lstm.forward_batch_dir(pack, fwd, false, &mut GemmScratch::new(), &mut out);
+        out.pop().unwrap()
+    }
+
+    /// Accumulates one direction's parameter gradients for output
+    /// gradient `dh` (`len x H`, flat) through a batch of one.
+    fn dir_backward(lstm: &mut Lstm, xs: &[Vec<f32>], dh: &[f32]) {
+        let mut ws = BatchWorkspace::new();
+        let mut scratch = GemmScratch::new();
+        ws.prepare(&[xs], lstm.input_size());
+        let mut out = vec![vec![vec![0.0f32; lstm.hidden_size()]; xs.len()]];
+        let BatchWorkspace { pack, fwd, .. } = &mut ws;
+        lstm.forward_batch_dir(pack, fwd, false, &mut scratch, &mut out);
+        lstm.backward_batch_dir_fused(pack, fwd, false, &[dh], &mut scratch);
+    }
+
+    fn bi_forward(bi: &BiLstm, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
+        bi.forward_batch(&[xs], &mut BatchWorkspace::new(), &mut GemmScratch::new())
+            .pop()
+            .unwrap()
+    }
+
     #[test]
     fn forward_output_shapes() {
         let mut rng = StdRng::seed_from_u64(1);
         let lstm = Lstm::new(3, 5, &mut rng);
         let xs = toy_inputs(7, 3, 2);
-        let (hs, _) = lstm.forward(&xs);
+        let hs = dir_forward(&lstm, &xs);
         assert_eq!(hs.len(), 7);
         assert!(hs.iter().all(|h| h.len() == 5));
     }
@@ -873,8 +659,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let lstm = Lstm::new(4, 8, &mut rng);
         let xs = toy_inputs(20, 4, 4);
-        let (hs, _) = lstm.forward(&xs);
-        for h in &hs {
+        for h in &dir_forward(&lstm, &xs) {
             for &v in h {
                 assert!(v.abs() < 1.0);
             }
@@ -884,26 +669,32 @@ mod tests {
     #[test]
     fn empty_sequence_is_ok() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut lstm = Lstm::new(3, 5, &mut rng);
-        let (hs, cache) = lstm.forward(&[]);
-        assert!(hs.is_empty());
-        let dxs = lstm.backward(&cache, &[]);
-        assert!(dxs.is_empty());
+        let mut bi = BiLstm::new(3, 5, &mut rng);
+        let mut ws = BatchWorkspace::new();
+        let mut scratch = GemmScratch::new();
+        let empty: Vec<Vec<f32>> = Vec::new();
+        let out = bi.forward_batch(&[&empty], &mut ws, &mut scratch);
+        assert!(out[0].is_empty());
+        bi.backward_batch(&mut ws, &[&[]], &mut scratch);
+        for p in bi.params_mut() {
+            assert!(p.grad.data().iter().all(|&g| g == 0.0));
+        }
     }
 
     #[test]
     fn scratch_is_reusable_across_shapes() {
         // One scratch serves layers of different sizes back to back.
         let mut rng = StdRng::seed_from_u64(17);
-        let small = Lstm::new(2, 3, &mut rng);
-        let large = Lstm::new(5, 8, &mut rng);
+        let small = BiLstm::new(2, 3, &mut rng);
+        let large = BiLstm::new(5, 8, &mut rng);
+        let (xs_small, xs_large) = (toy_inputs(4, 2, 18), toy_inputs(9, 5, 19));
         let mut scratch = GemmScratch::new();
-        let (a1, _) = small.forward_with_scratch(&toy_inputs(4, 2, 18), &mut scratch);
-        let (b1, _) = large.forward_with_scratch(&toy_inputs(9, 5, 19), &mut scratch);
-        let (a2, _) = small.forward(&toy_inputs(4, 2, 18));
-        let (b2, _) = large.forward(&toy_inputs(9, 5, 19));
-        assert_eq!(a1, a2);
-        assert_eq!(b1, b2);
+        let mut ws = BatchWorkspace::new();
+        let a1 = small.forward_batch(&[&xs_small], &mut ws, &mut scratch);
+        let mut ws = BatchWorkspace::new();
+        let b1 = large.forward_batch(&[&xs_large], &mut ws, &mut scratch);
+        assert_eq!(a1[0], bi_forward(&small, &xs_small));
+        assert_eq!(b1[0], bi_forward(&large, &xs_large));
     }
 
     #[test]
@@ -923,10 +714,11 @@ mod tests {
         assert_eq!(rebuilt.u.value, reference.u.value);
         assert_eq!(rebuilt.b.value, reference.b.value);
         let xs = toy_inputs(5, 3, 24);
-        assert_eq!(rebuilt.forward(&xs).0, reference.forward(&xs).0);
+        assert_eq!(dir_forward(&rebuilt, &xs), dir_forward(&reference, &xs));
     }
 
-    /// Finite-difference gradient check for the unidirectional LSTM.
+    /// Finite-difference gradient check for one LSTM direction through
+    /// the packed engine (a batch of one).
     #[test]
     fn lstm_gradients_match_finite_differences() {
         let (d, h, t_len) = (3usize, 4usize, 5usize);
@@ -934,13 +726,8 @@ mod tests {
         let mut lstm = Lstm::new(d, h, &mut rng);
         let xs = toy_inputs(t_len, d, 43);
         // Loss = sum of all hidden activations (gradient of 1 everywhere).
-        let loss = |l: &Lstm| -> f32 {
-            let (hs, _) = l.forward(&xs);
-            hs.iter().flatten().sum()
-        };
-        let (_, cache) = lstm.forward(&xs);
-        let dhs = vec![vec![1.0f32; h]; t_len];
-        let dxs = lstm.backward(&cache, &dhs);
+        let loss = |l: &Lstm| -> f32 { dir_forward(l, &xs).iter().flatten().sum() };
+        dir_backward(&mut lstm, &xs, &vec![1.0f32; t_len * h]);
 
         let eps = 1e-3f32;
         // Check a sample of weight entries in each parameter.
@@ -983,22 +770,6 @@ mod tests {
                 );
             }
         }
-        // Check input gradients.
-        for t in [0usize, 2, 4] {
-            for j in 0..d {
-                let mut xs2 = xs.clone();
-                xs2[t][j] += eps;
-                let up: f32 = lstm.forward(&xs2).0.iter().flatten().sum();
-                xs2[t][j] -= 2.0 * eps;
-                let down: f32 = lstm.forward(&xs2).0.iter().flatten().sum();
-                let numeric = (up - down) / (2.0 * eps);
-                assert!(
-                    (dxs[t][j] - numeric).abs() < 2e-2 * numeric.abs().max(1.0),
-                    "dx[{t}][{j}]: analytic {} vs numeric {numeric}",
-                    dxs[t][j]
-                );
-            }
-        }
     }
 
     #[test]
@@ -1006,10 +777,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let bi = BiLstm::new(3, 4, &mut rng);
         let xs = toy_inputs(6, 3, 10);
-        let (out, _) = bi.forward(&xs);
-        let (hf, _) = bi.fwd.forward(&xs);
+        let out = bi_forward(&bi, &xs);
+        let hf = dir_forward(&bi.fwd, &xs);
         let rev: Vec<Vec<f32>> = xs.iter().rev().cloned().collect();
-        let (hb, _) = bi.bwd.forward(&rev);
+        let hb = dir_forward(&bi.bwd, &rev);
         for t in 0..6 {
             for k in 0..4 {
                 assert!((out[t][k] - (hf[t][k] + hb[5 - t][k])).abs() < 1e-6);
@@ -1027,24 +798,23 @@ mod tests {
         let a = vec![vec![0.1, 0.2]; 6];
         let mut b = a.clone();
         b[5] = vec![0.9, -0.9];
-        let (ha, _) = bi.forward(&a);
-        let (hb, _) = bi.forward(&b);
+        let (ha, hb) = (bi_forward(&bi, &a), bi_forward(&bi, &b));
         let d0: f32 = ha[0].iter().zip(&hb[0]).map(|(x, y)| (x - y).abs()).sum();
         assert!(d0 > 1e-4, "bidirectional output at t=0 ignored the future");
-        let (fa, _) = bi.fwd.forward(&a);
-        let (fb, _) = bi.fwd.forward(&b);
+        let (fa, fb) = (dir_forward(&bi.fwd, &a), dir_forward(&bi.fwd, &b));
         let df: f32 = fa[0].iter().zip(&fb[0]).map(|(x, y)| (x - y).abs()).sum();
         assert!(df < 1e-7, "forward LSTM at t=0 cannot depend on the future");
     }
 
     #[test]
-    fn batched_forward_matches_sequential_at_wide_hidden_sizes() {
+    fn batched_forward_matches_batches_of_one_at_wide_hidden_sizes() {
         // H = 33 stays on the wide GEMM path (>= 32 recurrent columns)
         // while exercising the dot kernel's tail passes; mixed lengths
-        // exercise the shrinking active prefix. The train path shares
-        // the sequential engine's kernels and must match bitwise; the
-        // inference path runs the fused recurrent GEMM and is only
-        // required to agree within fused-multiply-add rounding.
+        // exercise the shrinking active prefix. The train path's rows do
+        // not depend on the rest of the pack, so each sequence must get
+        // the bits of its batch of one; the inference path runs the
+        // fused recurrent GEMM and is only required to agree with the
+        // train path within fused-multiply-add rounding.
         let mut rng = StdRng::seed_from_u64(31);
         let bi = BiLstm::new(3, 33, &mut rng);
         let seqs: Vec<Vec<Vec<f32>>> = [5usize, 2, 7, 1]
@@ -1058,9 +828,9 @@ mod tests {
         let batched = bi.forward_batch(&refs, &mut ws, &mut scratch);
         let inferred = bi.hidden_states_batch(&refs, &mut ws, &mut scratch);
         for (i, seq) in seqs.iter().enumerate() {
-            let (sequential, _) = bi.forward_with_scratch(seq, &mut scratch);
-            assert_eq!(batched[i], sequential, "seq {i} (train path)");
-            for (t, (a, b)) in inferred[i].iter().zip(&sequential).enumerate() {
+            let alone = bi_forward(&bi, seq);
+            assert_eq!(batched[i], alone, "seq {i} (train path)");
+            for (t, (a, b)) in inferred[i].iter().zip(&alone).enumerate() {
                 for (x, y) in a.iter().zip(b) {
                     assert!((x - y).abs() < 1e-5, "seq {i} t {t}: {x} vs {y}");
                 }
@@ -1069,12 +839,15 @@ mod tests {
     }
 
     #[test]
-    fn batched_backward_matches_sequential_gradients() {
-        // The fused batched engine must reproduce the sequential
-        // gradients within fma rounding. Cases: (input, hidden, model
-        // seed, input seed, lengths, output gradient at (seq, k)) — a
-        // small all-ones case, and a training-like shape with a
-        // length-1 sequence and structured non-constant gradients.
+    fn batched_backward_matches_sum_of_batches_of_one() {
+        // Packing must route every row's gradient to the right sequence
+        // and step: the gradients of one mixed-length pack equal the
+        // summed gradients of each sequence as a batch of one, within
+        // the fma rounding of the reordered accumulation. Cases:
+        // (input, hidden, model seed, input seed, lengths, output
+        // gradient at (seq, k)) — a small all-ones case, and a
+        // training-like shape with a length-1 sequence and structured
+        // non-constant gradients.
         type DhAt = fn(usize, usize) -> f32;
         type Case = (usize, usize, u64, u64, &'static [usize], DhAt);
         let cases: [Case; 2] = [
@@ -1099,13 +872,11 @@ mod tests {
                 .collect();
             let mut scratch = GemmScratch::new();
 
-            // Sequential reference: accumulate gradients over all
-            // sequences.
-            let mut seq_model = bi.clone();
+            let mut solo_model = bi.clone();
             for (seq, dh) in seqs.iter().zip(&flat) {
-                let (_, cache) = seq_model.forward_with_scratch(seq, &mut scratch);
-                let dhs: Vec<Vec<f32>> = dh.chunks(h).map(<[f32]>::to_vec).collect();
-                seq_model.backward_with_scratch(&cache, &dhs, &mut scratch);
+                let mut ws = BatchWorkspace::new();
+                solo_model.forward_batch(&[seq], &mut ws, &mut scratch);
+                solo_model.backward_batch(&mut ws, &[dh], &mut scratch);
             }
 
             let mut bat_model = bi.clone();
@@ -1115,12 +886,12 @@ mod tests {
             bat_model.backward_batch(&mut ws, &dhs, &mut scratch);
 
             for (pi, (ps, pb)) in [
-                (&seq_model.fwd.w, &bat_model.fwd.w),
-                (&seq_model.fwd.u, &bat_model.fwd.u),
-                (&seq_model.fwd.b, &bat_model.fwd.b),
-                (&seq_model.bwd.w, &bat_model.bwd.w),
-                (&seq_model.bwd.u, &bat_model.bwd.u),
-                (&seq_model.bwd.b, &bat_model.bwd.b),
+                (&solo_model.fwd.w, &bat_model.fwd.w),
+                (&solo_model.fwd.u, &bat_model.fwd.u),
+                (&solo_model.fwd.b, &bat_model.fwd.b),
+                (&solo_model.bwd.w, &bat_model.bwd.w),
+                (&solo_model.bwd.u, &bat_model.bwd.u),
+                (&solo_model.bwd.b, &bat_model.bwd.b),
             ]
             .into_iter()
             .enumerate()
@@ -1181,31 +952,5 @@ mod tests {
         let out = bi.forward_batch(&refs, &mut ws, &mut scratch);
         assert!(out[0].is_empty());
         assert_eq!(out[1].len(), 2);
-    }
-
-    #[test]
-    fn bilstm_gradcheck_on_inputs() {
-        let (d, h, t_len) = (2usize, 3usize, 4usize);
-        let mut rng = StdRng::seed_from_u64(77);
-        let mut bi = BiLstm::new(d, h, &mut rng);
-        let xs = toy_inputs(t_len, d, 78);
-        let (_, cache) = bi.forward(&xs);
-        let dhs = vec![vec![1.0f32; h]; t_len];
-        let dxs = bi.backward(&cache, &dhs);
-        let eps = 1e-3f32;
-        for t in 0..t_len {
-            for j in 0..d {
-                let mut xs2 = xs.clone();
-                xs2[t][j] += eps;
-                let up: f32 = bi.forward(&xs2).0.iter().flatten().sum();
-                xs2[t][j] -= 2.0 * eps;
-                let down: f32 = bi.forward(&xs2).0.iter().flatten().sum();
-                let numeric = (up - down) / (2.0 * eps);
-                assert!(
-                    (dxs[t][j] - numeric).abs() < 2e-2 * numeric.abs().max(1.0),
-                    "dx[{t}][{j}]"
-                );
-            }
-        }
     }
 }

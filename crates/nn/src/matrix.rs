@@ -1,53 +1,39 @@
-//! Dense row-major matrix with the operations the recurrent layers need.
+//! Dense row-major matrix and the GEMM kernels the recurrent layers run on.
 //!
-//! The hot paths of the BRNN phoneme detector are expressed as three
-//! kernels here:
+//! Two kernel families live here. Each has scalar, AVX2, AVX-512 and
+//! NEON bodies that follow one pinned operation sequence, so a family's
+//! results are bitwise identical on every instruction set:
 //!
-//! * [`Matrix::matmul_nt`] — a time-batched `C = X · selfᵀ` product that
-//!   computes the input projections `W·x_t` of *all* timesteps of an
-//!   utterance in one cache-blocked GEMM before the sequential
-//!   recurrence begins,
-//! * [`Matrix::matvec_add_into`] — the per-step recurrent half `z += U·h`
-//!   accumulated into a caller-provided buffer (no allocation),
-//! * [`Matrix::add_tn_product`] — the batched weight-gradient update
-//!   `dW += dZᵀ · X` that replaces one rank-1 `add_outer` per timestep in
-//!   backpropagation through time.
+//! * **Unfused** ([`Matrix::matmul_nt_to`]): every output element is a
+//!   32-lane multiply-then-add dot product folded through a fixed
+//!   reduction tree, or, below 32 columns, a column-streaming plain
+//!   fold. The packed training forward runs its recurrent step
+//!   `Z += H·Uᵀ` on it, and the input projections `W·X` and the dense
+//!   head run on it in training and inference alike.
+//! * **Fused** ([`Matrix::matmul_nt_fused_to`],
+//!   [`Matrix::add_tn_product_fused`]): sixteen-lane fused multiply-add
+//!   dots for the inference recurrence and the backward `Uᵀ·dZ`
+//!   products, and register-tiled `dW += dZᵀ·X` gradient accumulation.
 //!
-//! All kernels share one unrolled dot product so the training and
-//! inference paths are bitwise identical. [`GemmScratch`] owns the
-//! buffers the recurrent engines stream through, so a caller that scores
-//! or trains many sequences reuses one set of allocations.
+//! The families differ by fma rounding (~1e-7 relative), so inference
+//! hidden states match the training forward within tolerance rather
+//! than bitwise. Both are deterministic and batch-size invariant: a row
+//! gets the same bits alone or inside any batch. [`GemmScratch`] owns
+//! the buffers the packed engines stream through, so a caller that
+//! scores or trains many batches reuses one set of allocations.
 
 use rand::Rng;
 
-/// Thirty-two-lane dot product — the shared inner kernel of every
-/// matrix product in this module. Lane `k` sums elements `32i + k`, the
-/// lanes are folded with a fixed reduction tree, and the tail shorter
-/// than 32 is handled by an eight-lane pass plus a sequential
-/// remainder. The *lane assignment* (not the vector width of the
-/// machine it runs on) defines the summation order, so the scalar and
-/// SIMD implementations below are bitwise identical and every caller —
-/// forward, backward, inference — stays bitwise consistent with the
-/// others. Thirty-two lanes means four independent 8-wide accumulator
-/// chains, enough instruction-level parallelism to hide the
-/// floating-point add latency that a single chain would serialize on.
-#[inline]
-fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: guarded by the runtime AVX2 check above.
-        return unsafe { dot_avx2(a, b) };
-    }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        // SAFETY: guarded by the runtime NEON check above.
-        return unsafe { dot_neon(a, b) };
-    }
-    dot_scalar(a, b)
-}
-
-/// Portable implementation of [`dot`]'s lane semantics.
+/// Thirty-two-lane dot product — the inner kernel of every wide
+/// unfused matrix product in this module. Lane `k` sums elements
+/// `32i + k`, the lanes are folded with a fixed reduction tree, and the
+/// tail shorter than 32 is handled by an eight-lane pass plus a
+/// sequential remainder. The *lane assignment* (not the vector width of
+/// the machine it runs on) defines the summation order, so this
+/// portable body and the SIMD ones below are bitwise identical.
+/// Thirty-two lanes means four independent 8-wide accumulator chains,
+/// enough instruction-level parallelism to hide the floating-point add
+/// latency that a single chain would serialize on.
 #[inline]
 fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     let mut acc = [0.0f32; 32];
@@ -66,8 +52,8 @@ fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     s + dot_tail(ca.remainder(), cb.remainder())
 }
 
-/// Eight-lane pass over the sub-32 tail, shared by both [`dot`]
-/// implementations so their results agree bitwise.
+/// Eight-lane pass over the sub-32 tail, shared by every
+/// [`dot_scalar`] implementation so their results agree bitwise.
 #[inline]
 fn dot_tail(a: &[f32], b: &[f32]) -> f32 {
     let mut acc = [0.0f32; 8];
@@ -85,7 +71,7 @@ fn dot_tail(a: &[f32], b: &[f32]) -> f32 {
     s
 }
 
-/// AVX2 implementation of [`dot`]'s lane semantics: lane `32i + 8j + k`
+/// AVX2 implementation of [`dot_scalar`]'s lane semantics: lane `32i + 8j + k`
 /// lives in lane `k` of accumulator register `j`, the registers are
 /// folded pairwise (matching `dot_scalar`'s tree), and multiplies and
 /// adds stay separate instructions (no FMA contraction), so the result
@@ -121,7 +107,7 @@ unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
     s + dot_tail(ca.remainder(), cb.remainder())
 }
 
-/// NEON implementation of [`dot`]'s lane semantics: scalar lane
+/// NEON implementation of [`dot_scalar`]'s lane semantics: scalar lane
 /// `32i + 4j + k` lives in lane `k` of four-wide accumulator register
 /// `j` (`j < 8`), so the scalar reduction `m[k] = (acc[k] + acc[8+k]) +
 /// (acc[16+k] + acc[24+k])` maps to the register folds `(r0 + r2) +
@@ -155,51 +141,6 @@ unsafe fn dot_neon(a: &[f32], b: &[f32]) -> f32 {
     s + dot_tail(ca.remainder(), cb.remainder())
 }
 
-/// Row loop of a matrix–vector product (`add` selects `out[r] += …`
-/// versus `out[r] = …`), dispatched once per call so the SIMD dot
-/// kernel inlines into the loop instead of being re-entered per row.
-#[inline]
-fn matvec_rows(data: &[f32], cols: usize, x: &[f32], out: &mut [f32], add: bool) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: guarded by the runtime AVX2 check above.
-        unsafe { matvec_rows_avx2(data, cols, x, out, add) };
-        return;
-    }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        // SAFETY: guarded by the runtime NEON check above.
-        unsafe { matvec_rows_neon(data, cols, x, out, add) };
-        return;
-    }
-    for (slot, row) in out.iter_mut().zip(data.chunks_exact(cols)) {
-        let d = dot_scalar(row, x);
-        *slot = if add { *slot + d } else { d };
-    }
-}
-
-/// AVX2 instantiation of [`matvec_rows`]'s loop.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn matvec_rows_avx2(data: &[f32], cols: usize, x: &[f32], out: &mut [f32], add: bool) {
-    for (slot, row) in out.iter_mut().zip(data.chunks_exact(cols)) {
-        // SAFETY: the caller established AVX2 support.
-        let d = unsafe { dot_avx2(row, x) };
-        *slot = if add { *slot + d } else { d };
-    }
-}
-
-/// NEON instantiation of [`matvec_rows`]'s loop.
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn matvec_rows_neon(data: &[f32], cols: usize, x: &[f32], out: &mut [f32], add: bool) {
-    for (slot, row) in out.iter_mut().zip(data.chunks_exact(cols)) {
-        // SAFETY: the caller established NEON support.
-        let d = unsafe { dot_neon(row, x) };
-        *slot = if add { *slot + d } else { d };
-    }
-}
-
 /// Column counts below this use the column-streaming layout in
 /// [`matmul_nt_narrow`]: the shared dot kernel's 32-lane body never
 /// engages on such short rows, leaving its reduction tree and tail
@@ -209,8 +150,9 @@ const NARROW_COLS: usize = 32;
 /// Blocked loop of the time-batched `C = X · Wᵀ` product (`add`
 /// selects accumulation onto the existing contents of `out`): each
 /// ~L1-sized panel of weight rows is reused across every timestep
-/// before moving to the next panel. Dispatched once per call, like
-/// [`matvec_rows`].
+/// before moving to the next panel. Dispatched once per call so the
+/// SIMD dot kernel inlines into the loop instead of being re-entered
+/// per row.
 #[inline]
 fn matmul_nt_rows(data: &[f32], rows: usize, cols: usize, x: &[f32], out: &mut [f32], add: bool) {
     if cols < NARROW_COLS {
@@ -256,11 +198,10 @@ fn matmul_nt_rows(data: &[f32], rows: usize, cols: usize, x: &[f32], out: &mut [
 /// transposed once so each input column is contiguous, then every
 /// timestep accumulates `out_t += x[t][c] · w_col_c` column by column —
 /// SIMD lanes span *output rows* and the (short) sum over the input
-/// dimension runs sequentially. The summation order therefore differs
-/// from the dot kernel's lane order, which is why [`Matrix::matmul_nt`]
-/// is documented as matching [`Matrix::matvec`] only up to rounding;
-/// training and inference both project inputs through this same path,
-/// so they still agree bitwise with each other.
+/// dimension runs sequentially. The summation order is therefore the
+/// plain left-to-right fold over columns rather than the dot kernel's
+/// lane order; training and inference both project inputs through this
+/// same path, so they agree bitwise with each other.
 fn matmul_nt_narrow(data: &[f32], rows: usize, cols: usize, x: &[f32], out: &mut [f32], add: bool) {
     let mut wt = vec![0.0f32; cols * rows];
     for (r, row) in data.chunks_exact(cols).enumerate() {
@@ -382,7 +323,7 @@ unsafe fn matmul_nt_rows_avx2(
 }
 
 /// Eight consecutive weight rows against one input vector, with
-/// [`dot`]'s lane semantics per row. Rows are processed in pairs so the
+/// [`dot_scalar`]'s lane semantics per row. Rows are processed in pairs so the
 /// input chunk registers are loaded once per pair, each row's four
 /// accumulators are folded into one register `m_j` exactly as in
 /// [`dot_avx2`], and the eight `m` registers are transposed so lane `k`
@@ -392,9 +333,9 @@ unsafe fn matmul_nt_rows_avx2(
 /// every output element is bitwise identical to a per-row `dot_avx2`
 /// call, while the horizontal reduction costs ~4 shuffle/add ops per
 /// row instead of a 32-byte store feeding eight dependent scalar adds.
-/// This is where the batched engine's GEMM advantage over per-sequence
-/// mat-vecs comes from: the reduction overhead amortizes over the row
-/// group only when enough independent dot products are in flight.
+/// This is where a GEMM's advantage over per-row mat-vecs comes from:
+/// the reduction overhead amortizes over the row group only when
+/// enough independent dot products are in flight.
 ///
 /// `rows8` must hold at least `8 * cols` values and `out` exactly 8.
 #[cfg(target_arch = "x86_64")]
@@ -612,11 +553,11 @@ unsafe fn matmul_nt_rows_avx512(
 /// with scalar fused multiply-adds. Fusing halves the floating-point
 /// instruction count, which is exactly the resource a batched GEMM is
 /// bound by once its loads amortize over the batch; the price is that
-/// results differ from the unfused [`dot`] semantics by normal rounding
-/// (~1e-7 relative), so the batched engine matches the per-sequence
-/// engine within tolerance instead of bitwise.
+/// results differ from the unfused [`dot_scalar`] semantics by normal
+/// rounding (~1e-7 relative), so inference matches the training forward
+/// within tolerance instead of bitwise.
 ///
-/// As with [`dot`], the *lane assignment* defines the summation order:
+/// As with [`dot_scalar`], the *lane assignment* defines the summation order:
 /// this portable implementation (`f32::mul_add` is a correctly rounded
 /// IEEE fma, identical to the hardware instruction) and the AVX2-FMA /
 /// AVX-512 kernels below are bitwise identical to each other, and the
@@ -928,7 +869,7 @@ unsafe fn dot8_fused_fma(rows8: &[f32], cols: usize, x: &[f32], out: &mut [f32],
 /// `acc0 + acc2` (folded lanes 0..4) and `acc1 + acc3` (folded lanes
 /// 4..8), and the pairwise tree then runs over those eight lanes in the
 /// shared order, so every result is bitwise identical to the portable
-/// kernel — exactly the relationship [`dot_neon`] has with [`dot`].
+/// kernel — exactly the relationship [`dot_neon`] has with [`dot_scalar`].
 #[cfg(target_arch = "aarch64")]
 #[inline]
 #[target_feature(enable = "neon")]
@@ -1163,8 +1104,8 @@ unsafe fn matmul_nt_rows_neon(
 /// assign whole output elements to vector lanes and therefore agree
 /// bitwise. The tiles keep a 4-row block of the accumulator in
 /// registers across the entire time loop, so the gradient matrix is
-/// read and written once instead of once per timestep — the naive
-/// [`Matrix::add_tn_product`] streams the whole gradient matrix through
+/// read and written once instead of once per timestep — a naive
+/// per-row rank-1 update streams the whole gradient matrix through
 /// cache `n` times, which is the dominant cost of batched BPTT's weight
 /// update.
 fn add_tn_rows(w: &mut [f32], rows: usize, cols: usize, a: &[f32], b: &[f32], n: usize) {
@@ -1616,8 +1557,10 @@ unsafe fn add_tn_rows_neon(
 /// use thrubarrier_nn::Matrix;
 ///
 /// let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-/// let v = m.matvec(&[1.0, 1.0]);
-/// assert_eq!(v, vec![3.0, 7.0]);
+/// // Two input rows, one output row each: `out[t] = m · x_t`.
+/// let mut out = Vec::new();
+/// m.matmul_nt_into(&[1.0, 1.0, 0.0, 1.0], 2, &mut out);
+/// assert_eq!(out, vec![3.0, 7.0, 2.0, 4.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -1712,74 +1655,8 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix–vector product `self * x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.cols()`.
-    pub fn matvec(&self, x: &[f32]) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.rows];
-        self.matvec_into(x, &mut out);
-        out
-    }
-
-    /// Matrix–vector product written into a caller-provided buffer —
-    /// the allocation-free form recurrent loops stream through.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `x.len() == self.cols()` and
-    /// `out.len() == self.rows()`.
-    pub fn matvec_into(&self, x: &[f32], out: &mut [f32]) {
-        assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
-        assert_eq!(out.len(), self.rows, "matvec output length mismatch");
-        if self.cols == 0 {
-            out.iter_mut().for_each(|v| *v = 0.0);
-            return;
-        }
-        matvec_rows(&self.data, self.cols, x, out, false);
-    }
-
-    /// Accumulating matrix–vector product `out += self * x` — the
-    /// recurrent half `z += U·h` of a fused gate pre-activation, added
-    /// onto the time-batched input projection without a temporary.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `x.len() == self.cols()` and
-    /// `out.len() == self.rows()`.
-    pub fn matvec_add_into(&self, x: &[f32], out: &mut [f32]) {
-        assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
-        assert_eq!(out.len(), self.rows, "matvec output length mismatch");
-        if self.cols == 0 {
-            return;
-        }
-        matvec_rows(&self.data, self.cols, x, out, true);
-    }
-
-    /// Time-batched product `C = X · selfᵀ`: `x` holds `n` row-major
-    /// rows of `self.cols()` values (one input vector per timestep) and
-    /// row `i` of the result is `self · x_i`. Computing every timestep's
-    /// input projection in one pass keeps the weight matrix hot in cache
-    /// across the whole utterance instead of re-streaming it per step.
-    ///
-    /// Row `i` equals [`Matrix::matvec`] of `x_i` up to rounding: for
-    /// fewer than 32 columns a column-streaming layout with a different
-    /// (but still fixed and deterministic) summation order is used.
-    /// Wider matrices go through the shared dot kernel and match
-    /// `matvec` bitwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != n * self.cols()`.
-    pub fn matmul_nt(&self, x: &[f32], n: usize) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.matmul_nt_into(x, n, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul_nt`] into a reusable buffer (`out` is resized to
-    /// `n * self.rows()`).
+    /// [`Matrix::matmul_nt_to`] overwriting a reusable buffer (`out` is
+    /// resized to `n * self.rows()`).
     ///
     /// # Panics
     ///
@@ -1790,15 +1667,19 @@ impl Matrix {
         self.matmul_nt_to(x, n, out, false);
     }
 
-    /// [`Matrix::matmul_nt`] into an exact-size slice, with `add`
-    /// selecting accumulation (`out += X · selfᵀ`) versus overwrite.
+    /// Row-batched product `C = X · selfᵀ` on the unfused kernels: `x`
+    /// holds `n` row-major rows of `self.cols()` values and row `i` of
+    /// `out` receives `self · x_i`, overwritten or, with `add`,
+    /// accumulated (`out += X · selfᵀ`). Each ~L1-sized panel of weight
+    /// rows is reused across all `n` input rows before moving on.
     ///
-    /// The accumulating form is the batched generalization of
-    /// [`Matrix::matvec_add_into`]: with 32 or more columns every output
-    /// element goes through the shared dot kernel followed by a single
-    /// `+` onto the existing value, so a batch of rows matches the
-    /// per-row accumulating products bitwise. This is the per-timestep
-    /// recurrent step `Z += H · Uᵀ` of the packed-batch engine.
+    /// With 32 or more columns every output element is the 32-lane dot
+    /// kernel followed, when accumulating, by a single `+` onto the
+    /// existing value; below 32 columns it is the plain left-to-right
+    /// fold over columns, starting from zero or from the existing
+    /// value. Either way a row's result does not depend on `n` or on the
+    /// other rows. This is the packed training forward's recurrent step
+    /// `Z += H · Uᵀ`, the input projections `W·X` and the dense head.
     ///
     /// # Panics
     ///
@@ -1825,17 +1706,15 @@ impl Matrix {
     /// Each dot product follows `dot_fused_scalar`: sixteen
     /// accumulator lanes updated with single-rounding fused
     /// multiply-adds, halving the floating-point instruction count of
-    /// the unfused `dot` semantics. On hardware without FMA execution
-    /// units that halving is irrelevant, but wherever FMA exists it is
-    /// the difference between a batched GEMM that merely matches the
-    /// per-sequence engine's arithmetic throughput and one that beats
-    /// it. The cost is a deterministic but *different* rounding: the
-    /// portable scalar path (`f32::mul_add` — a correctly rounded IEEE
-    /// fma), AVX2+FMA and AVX-512 kernels all agree bitwise with each
-    /// other, and the result stays independent of batch size and row
-    /// position, but outputs differ from [`Matrix::matmul_nt_to`] by
-    /// ~1e-7 relative error. Gradient paths and the per-sequence
-    /// training forward therefore stay on the unfused kernels, and
+    /// the unfused `dot_scalar` semantics — the resource a batched GEMM
+    /// is bound by once its loads amortize over the batch. The cost is a
+    /// deterministic but *different* rounding: the portable scalar path
+    /// (`f32::mul_add` — a correctly rounded IEEE fma), AVX2+FMA,
+    /// AVX-512 and NEON kernels all agree bitwise with each other, and
+    /// the result stays independent of batch size and row position, but
+    /// outputs differ from [`Matrix::matmul_nt_to`] by ~1e-7 relative
+    /// error. The packed training forward stays on the unfused kernels
+    /// (moving it would change the bits of every trained model), so
     /// inference outputs match that forward within tolerance rather than
     /// bitwise.
     ///
@@ -1855,75 +1734,15 @@ impl Matrix {
         matmul_nt_fused_rows(&self.data, self.rows, self.cols, x, out, add);
     }
 
-    /// Transposed matrix–vector product `selfᵀ * x` — used in
-    /// backpropagation without materializing the transpose.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.rows()`.
-    pub fn matvec_transposed(&self, x: &[f32]) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.cols];
-        self.matvec_transposed_into(x, &mut out);
-        out
-    }
-
-    /// [`Matrix::matvec_transposed`] written into a caller-provided
-    /// buffer (overwritten, not accumulated).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `x.len() == self.rows()` and
-    /// `out.len() == self.cols()`.
-    pub fn matvec_transposed_into(&self, x: &[f32], out: &mut [f32]) {
-        assert_eq!(x.len(), self.rows, "matvec_transposed dimension mismatch");
-        assert_eq!(
-            out.len(),
-            self.cols,
-            "matvec_transposed output length mismatch"
-        );
-        out.iter_mut().for_each(|v| *v = 0.0);
-        for (&xr, row) in x.iter().zip(self.data.chunks_exact(self.cols.max(1))) {
-            for (o, &w) in out.iter_mut().zip(row) {
-                *o += w * xr;
-            }
-        }
-    }
-
     /// Batched gradient accumulation `self += Aᵀ · B`, where `a` holds
     /// `n` row-major rows of `self.rows()` values and `b` holds `n`
-    /// row-major rows of `self.cols()` values. Equivalent to one
-    /// [`Matrix::add_outer`] per row pair, but expressed as a single
-    /// GEMM over the whole sequence — this is how BPTT turns its
-    /// per-timestep rank-1 weight updates into one batched product.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `a.len() == n * self.rows()` and
-    /// `b.len() == n * self.cols()`.
-    pub fn add_tn_product(&mut self, a: &[f32], b: &[f32], n: usize) {
-        assert_eq!(a.len(), n * self.rows, "add_tn_product row mismatch");
-        assert_eq!(b.len(), n * self.cols, "add_tn_product col mismatch");
-        if self.cols == 0 || self.rows == 0 {
-            return;
-        }
-        for (ai, bi) in a.chunks_exact(self.rows).zip(b.chunks_exact(self.cols)) {
-            for (&ar, drow) in ai.iter().zip(self.data.chunks_exact_mut(self.cols)) {
-                for (slot, &bc) in drow.iter_mut().zip(bi) {
-                    *slot += ar * bc;
-                }
-            }
-        }
-    }
-
-    /// Fused register-tiled variant of [`Matrix::add_tn_product`]: the
-    /// same batched gradient accumulation `self += Aᵀ · B`, computed by
+    /// row-major rows of `self.cols()` values — one rank-1 update per
+    /// row pair, computed as a single register-tiled GEMM by
     /// `add_tn_rows`. Each output element is one sequential
-    /// fused-multiply-add fold over the `n` packed rows followed by a
-    /// single `+=`, so the result differs from the unfused path only by
-    /// fma rounding plus one final add per element, and is
-    /// bitwise-identical across the scalar/AVX2/AVX-512/NEON tiles
-    /// (every lane owns a whole element — no cross-lane reduction
-    /// exists to reassociate).
+    /// fused-multiply-add fold over the `n` rows in row order followed
+    /// by a single `+=`, bitwise identical across the
+    /// scalar/AVX2/AVX-512/NEON tiles (every lane owns a whole element —
+    /// no cross-lane reduction exists to reassociate).
     ///
     /// # Panics
     ///
@@ -1971,65 +1790,33 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Accumulates the outer product `x ⊗ y` into the matrix — used for
-    /// weight gradients (`dW += dgate ⊗ input`).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `x.len() == rows` and `y.len() == cols`.
-    pub fn add_outer(&mut self, x: &[f32], y: &[f32]) {
-        assert_eq!(x.len(), self.rows, "outer product row mismatch");
-        assert_eq!(y.len(), self.cols, "outer product col mismatch");
-        for (r, &xr) in x.iter().enumerate() {
-            let base = r * self.cols;
-            for (c, &yc) in y.iter().enumerate() {
-                self.data[base + c] += xr * yc;
-            }
-        }
-    }
-
     /// Sets all elements to zero.
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|v| *v = 0.0);
     }
-
-    /// Sum of squares of all elements (for gradient-norm diagnostics),
-    /// computed with the shared `dot` kernel's lane semantics.
-    pub fn frobenius_sq(&self) -> f32 {
-        dot(&self.data, &self.data)
-    }
 }
 
-/// Reusable buffers for the fused-gate recurrent engines.
+/// Reusable buffers for the packed recurrent engines.
 ///
-/// One scratch serves any mix of LSTM/GRU directions and sequence
-/// lengths: every user resizes the buffers it needs, so capacity grows
-/// to the high-water mark and is then reused allocation-free. Callers
-/// that score or train many sequences should create one scratch and
-/// thread it through the batched entry points and the `*_with_scratch`
-/// training passes; the convenience wrappers create a fresh scratch per
-/// call.
+/// One scratch serves any mix of LSTM/GRU directions and batch shapes:
+/// every user resizes the buffers it needs, so capacity grows to the
+/// high-water mark and is then reused allocation-free. Callers that
+/// score or train many batches should create one scratch and thread it
+/// through the batched entry points.
 #[derive(Debug, Clone, Default)]
 pub struct GemmScratch {
-    /// Time-batched input projections `W·x_t`, `T x gate_rows`.
-    pub(crate) proj: Vec<f32>,
-    /// Current step's gate pre-activations, `gate_rows`.
-    pub(crate) z: Vec<f32>,
-    /// Recurrent state pair (`h` then `c`), `2 * hidden`.
-    pub(crate) state: Vec<f32>,
-    /// Backward-pass gate gradients, `T x gate_rows`.
+    /// Backward-pass gate gradients, `total_rows x gate_rows`.
     pub(crate) dz: Vec<f32>,
-    /// Secondary backward-pass rows (GRU `U`-side gradients), `T x gate_rows`.
+    /// Secondary backward-pass rows (GRU `U`-side gradients),
+    /// `total_rows x gate_rows`.
     pub(crate) dz_u: Vec<f32>,
-    /// Backward-pass state gradients, `4 * hidden`.
-    pub(crate) dstate: Vec<f32>,
     /// Batched hidden rows / hidden gradients, `B x hidden`.
     pub(crate) bh: Vec<f32>,
     /// Batched cell rows / cell gradients, `B x hidden`.
     pub(crate) bc: Vec<f32>,
     /// Batched gate pre-activations, `B x gate_rows`.
     pub(crate) bz: Vec<f32>,
-    /// Batched temporaries (state pairs, GRU `U·h` rows), sized ad hoc.
+    /// Batched GRU `U·h` rows, `B x gate_rows`.
     pub(crate) bt: Vec<f32>,
 }
 
@@ -2089,32 +1876,6 @@ impl TransposedCache {
     }
 }
 
-/// Packs a sequence of equal-length vectors into a flat row-major
-/// buffer, optionally in reverse time order (the backward direction of
-/// a bidirectional layer consumes the sequence reversed without the
-/// caller cloning it).
-///
-/// # Panics
-///
-/// Panics if any vector's length differs from `width`.
-pub(crate) fn pack_rows(xs: &[Vec<f32>], width: usize, reversed: bool, out: &mut Vec<f32>) {
-    out.clear();
-    out.reserve(xs.len() * width);
-    let push = |out: &mut Vec<f32>, x: &Vec<f32>| {
-        assert_eq!(x.len(), width, "input dimension mismatch");
-        out.extend_from_slice(x);
-    };
-    if reversed {
-        for x in xs.iter().rev() {
-            push(out, x);
-        }
-    } else {
-        for x in xs {
-            push(out, x);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2122,16 +1883,69 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn dispatched_dot_is_bitwise_identical_to_scalar_lanes() {
-        // On a machine with AVX2 this pits the SIMD path against the
-        // portable one; lengths straddle the 32-lane body, the 8-lane
-        // tail pass and the sequential remainder.
-        for len in [0, 1, 7, 8, 14, 31, 32, 33, 64, 97, 256] {
-            let a: Vec<f32> = (0..len).map(|i| (i as f32 * 0.73).sin() * 3.0).collect();
-            let b: Vec<f32> = (0..len).map(|i| (i as f32 * 1.19).cos() * 2.0).collect();
-            let lanes = dot_scalar(&a, &b);
-            let dispatched = dot(&a, &b);
-            assert_eq!(dispatched.to_bits(), lanes.to_bits(), "len {len}");
+    fn dispatched_matmul_nt_is_bitwise_identical_to_scalar_folds() {
+        // Pins the unfused kernels on whatever instruction set the
+        // dispatcher picks (AVX-512, AVX2, NEON or portable), and the
+        // AVX2 row loop directly on hosts where AVX-512 wins the
+        // dispatch. From 32 columns every element must be the portable
+        // 32-lane `dot_scalar` of its row (plus one add when
+        // accumulating); below 32 it must be the plain left-to-right
+        // fold over columns of the portable narrow loop. Columns
+        // straddle the 8-lane tail, the 32-lane body and the
+        // narrow/wide switch; 70 rows straddle the eight-row groups and
+        // the 64-row panel; `n` covers single rows, pairs and odd batch
+        // sizes.
+        let mut rng = StdRng::seed_from_u64(7);
+        for cols in [1, 7, 31, 32, 33, 64, 100] {
+            for rows in [5, 70] {
+                let m = Matrix::xavier(rows, cols, &mut rng);
+                for n in [1, 2, 8, 9] {
+                    let x: Vec<f32> = (0..n * cols).map(|i| (i as f32 * 0.37).sin()).collect();
+                    for add in [false, true] {
+                        let base: Vec<f32> =
+                            (0..n * rows).map(|i| (i as f32 * 0.11).cos()).collect();
+                        let mut out = base.clone();
+                        m.matmul_nt_to(&x, n, &mut out, add);
+                        let mut bodies = vec![("dispatched", out)];
+                        #[cfg(target_arch = "x86_64")]
+                        if cols >= NARROW_COLS && std::arch::is_x86_feature_detected!("avx2") {
+                            let mut avx2 = base.clone();
+                            // SAFETY: guarded by the runtime AVX2 check.
+                            unsafe {
+                                matmul_nt_rows_avx2(m.data(), rows, cols, &x, &mut avx2, add)
+                            };
+                            bodies.push(("avx2", avx2));
+                        }
+                        for (body, out) in &bodies {
+                            for t in 0..n {
+                                let xt = &x[t * cols..(t + 1) * cols];
+                                for r in 0..rows {
+                                    let init = if add { base[t * rows + r] } else { 0.0 };
+                                    let want = if cols >= NARROW_COLS {
+                                        let d = dot_scalar(m.row(r), xt);
+                                        if add {
+                                            init + d
+                                        } else {
+                                            d
+                                        }
+                                    } else {
+                                        let mut s = init;
+                                        for (&w, &xc) in m.row(r).iter().zip(xt) {
+                                            s += w * xc;
+                                        }
+                                        s
+                                    };
+                                    assert_eq!(
+                                    out[t * rows + r].to_bits(),
+                                    want.to_bits(),
+                                    "{body}: rows {rows} cols {cols} n {n} add {add} t {t} r {r}"
+                                );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -2205,27 +2019,11 @@ mod tests {
     }
 
     #[test]
-    fn matvec_matches_hand_computation() {
+    fn matmul_nt_matches_hand_computation() {
         let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[0.0, -1.0, 1.0]]);
-        assert_eq!(m.matvec(&[1.0, 1.0, 1.0]), vec![6.0, 0.0]);
-    }
-
-    #[test]
-    fn matvec_transposed_matches_explicit_transpose() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let x = [1.0, 0.5, -1.0];
-        let got = m.matvec_transposed(&x);
-        // Explicit: columns of m dotted with x.
-        assert_eq!(got, vec![1.0 + 1.5 - 5.0, 2.0 + 2.0 - 6.0]);
-    }
-
-    #[test]
-    fn add_outer_accumulates() {
-        let mut m = Matrix::zeros(2, 3);
-        m.add_outer(&[1.0, 2.0], &[1.0, 0.0, -1.0]);
-        m.add_outer(&[1.0, 0.0], &[1.0, 1.0, 1.0]);
-        assert_eq!(m.row(0), &[2.0, 1.0, 0.0]);
-        assert_eq!(m.row(1), &[2.0, 0.0, -2.0]);
+        let mut out = Vec::new();
+        m.matmul_nt_into(&[1.0, 1.0, 1.0, 2.0, 0.0, -1.0], 2, &mut out);
+        assert_eq!(out, vec![6.0, 0.0, -1.0, -1.0]);
     }
 
     #[test]
@@ -2235,13 +2033,13 @@ mod tests {
         let s = (6.0f32 / 30.0).sqrt();
         assert!(m.data().iter().all(|&v| v.abs() <= s + 1e-6));
         // Not all zero.
-        assert!(m.frobenius_sq() > 0.0);
+        assert!(m.data().iter().any(|&v| v != 0.0));
     }
 
     #[test]
-    #[should_panic(expected = "matvec dimension mismatch")]
-    fn matvec_rejects_wrong_length() {
-        Matrix::zeros(2, 3).matvec(&[1.0, 2.0]);
+    #[should_panic(expected = "matmul_nt dimension mismatch")]
+    fn matmul_nt_rejects_wrong_length() {
+        Matrix::zeros(2, 3).matmul_nt_into(&[1.0, 2.0], 1, &mut Vec::new());
     }
 
     #[test]
@@ -2255,93 +2053,6 @@ mod tests {
         let mut m = Matrix::from_rows(&[&[1.0], &[2.0]]);
         m.fill_zero();
         assert_eq!(m.data(), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn wide_matmul_nt_matches_per_step_matvec_bitwise() {
-        let mut rng = StdRng::seed_from_u64(7);
-        // Odd sizes exercise the dot-product remainder and row-block
-        // boundaries (rows > ROW_BLOCK); 45 columns engage the 32-lane
-        // body plus the tail passes.
-        let m = Matrix::xavier(70, 45, &mut rng);
-        let n = 9;
-        let x: Vec<f32> = (0..n * 45).map(|i| (i as f32 * 0.37).sin()).collect();
-        let batched = m.matmul_nt(&x, n);
-        assert_eq!(batched.len(), n * 70);
-        for t in 0..n {
-            let single = m.matvec(&x[t * 45..(t + 1) * 45]);
-            assert_eq!(&batched[t * 70..(t + 1) * 70], single.as_slice());
-        }
-    }
-
-    #[test]
-    fn narrow_matmul_nt_matches_matvec_up_to_rounding() {
-        let mut rng = StdRng::seed_from_u64(8);
-        // 13 columns take the column-streaming path, whose summation
-        // order differs from the dot kernel's.
-        let m = Matrix::xavier(70, 13, &mut rng);
-        let n = 9;
-        let x: Vec<f32> = (0..n * 13).map(|i| (i as f32 * 0.37).sin()).collect();
-        let batched = m.matmul_nt(&x, n);
-        for t in 0..n {
-            let single = m.matvec(&x[t * 13..(t + 1) * 13]);
-            for (a, b) in batched[t * 70..(t + 1) * 70].iter().zip(&single) {
-                assert!((a - b).abs() <= 1e-6 * b.abs().max(1.0), "{a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn narrow_matmul_nt_accumulates_in_column_order() {
-        // Pin the narrow path's documented semantics: out[t][r] is the
-        // plain left-to-right fold over columns, whichever instruction
-        // set computes it.
-        let mut rng = StdRng::seed_from_u64(9);
-        let m = Matrix::xavier(19, 5, &mut rng);
-        let n = 3;
-        let x: Vec<f32> = (0..n * 5).map(|i| (i as f32 * 0.53).cos()).collect();
-        let batched = m.matmul_nt(&x, n);
-        for t in 0..n {
-            for r in 0..19 {
-                let mut s = 0.0f32;
-                for c in 0..5 {
-                    s += m.get(r, c) * x[t * 5 + c];
-                }
-                assert_eq!(batched[t * 19 + r].to_bits(), s.to_bits(), "t {t} r {r}");
-            }
-        }
-    }
-
-    #[test]
-    fn matvec_add_into_accumulates() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let mut out = vec![10.0, 20.0];
-        m.matvec_add_into(&[1.0, 1.0], &mut out);
-        assert_eq!(out, vec![13.0, 27.0]);
-    }
-
-    #[test]
-    fn matvec_transposed_into_overwrites() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let mut out = vec![99.0, 99.0];
-        m.matvec_transposed_into(&[1.0, 0.5, -1.0], &mut out);
-        assert_eq!(out, m.matvec_transposed(&[1.0, 0.5, -1.0]).as_slice());
-    }
-
-    #[test]
-    fn add_tn_product_matches_per_row_outer() {
-        let mut batched = Matrix::zeros(5, 3);
-        let mut looped = Matrix::zeros(5, 3);
-        let n = 4;
-        let a: Vec<f32> = (0..n * 5).map(|i| (i as f32 * 0.21).cos()).collect();
-        let b: Vec<f32> = (0..n * 3).map(|i| (i as f32 * 0.43).sin()).collect();
-        batched.add_tn_product(&a, &b, n);
-        for t in 0..n {
-            looped.add_outer(&a[t * 5..(t + 1) * 5], &b[t * 3..(t + 1) * 3]);
-        }
-        for (x, y) in batched.data().iter().zip(looped.data()) {
-            assert!((x - y).abs() < 1e-6);
-        }
     }
 
     #[test]
@@ -2363,44 +2074,17 @@ mod tests {
     }
 
     #[test]
-    fn pack_rows_supports_reversal() {
-        let xs = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
-        let mut flat = Vec::new();
-        pack_rows(&xs, 2, false, &mut flat);
-        assert_eq!(flat, vec![1.0, 2.0, 3.0, 4.0]);
-        pack_rows(&xs, 2, true, &mut flat);
-        assert_eq!(flat, vec![3.0, 4.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    fn matmul_nt_to_accumulate_matches_matvec_add_into_bitwise() {
-        // The batched recurrent step must be a drop-in for the
-        // per-sequence accumulating mat-vec: with >= 32 columns both
-        // sides go dot-kernel + single add, so rows agree bitwise.
-        let mut rng = StdRng::seed_from_u64(11);
-        let m = Matrix::xavier(70, 45, &mut rng);
-        let n = 5;
-        let x: Vec<f32> = (0..n * 45).map(|i| (i as f32 * 0.29).sin()).collect();
-        let mut batched: Vec<f32> = (0..n * 70).map(|i| (i as f32 * 0.11).cos()).collect();
-        let mut looped = batched.clone();
-        m.matmul_nt_to(&x, n, &mut batched, true);
-        for t in 0..n {
-            m.matvec_add_into(&x[t * 45..(t + 1) * 45], &mut looped[t * 70..(t + 1) * 70]);
-        }
-        for (a, b) in batched.iter().zip(&looped) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn matmul_nt_to_overwrite_matches_matmul_nt() {
+    fn matmul_nt_to_overwrite_matches_matmul_nt_into() {
+        // Overwriting must ignore whatever the buffer held before.
         let mut rng = StdRng::seed_from_u64(12);
         let m = Matrix::xavier(17, 33, &mut rng);
         let n = 4;
         let x: Vec<f32> = (0..n * 33).map(|i| (i as f32 * 0.41).sin()).collect();
         let mut out = vec![f32::NAN; n * 17];
         m.matmul_nt_to(&x, n, &mut out, false);
-        assert_eq!(out, m.matmul_nt(&x, n));
+        let mut fresh = Vec::new();
+        m.matmul_nt_into(&x, n, &mut fresh);
+        assert_eq!(out, fresh);
     }
 
     #[test]
@@ -2483,21 +2167,6 @@ mod tests {
                     "rows {rows} cols {cols} n {n} {i}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn fused_add_tn_product_matches_unfused_up_to_rounding() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let (rows, cols, n) = (70, 45, 7);
-        let mut fused = Matrix::xavier(rows, cols, &mut rng);
-        let mut plain = fused.clone();
-        let a: Vec<f32> = (0..n * rows).map(|i| (i as f32 * 0.17).sin()).collect();
-        let b: Vec<f32> = (0..n * cols).map(|i| (i as f32 * 0.37).cos()).collect();
-        fused.add_tn_product_fused(&a, &b, n);
-        plain.add_tn_product(&a, &b, n);
-        for (i, (x, y)) in fused.data().iter().zip(plain.data()).enumerate() {
-            assert!((x - y).abs() < 1e-5 * y.abs().max(1.0), "{i}: {x} vs {y}");
         }
     }
 

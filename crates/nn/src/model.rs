@@ -4,13 +4,19 @@
 //! phoneme detector (Sec. V-B): a bidirectional LSTM (64 units per
 //! direction in the paper), a dense layer with one neuron per class, and
 //! softmax cross-entropy trained with ADAM.
+//!
+//! The classifier is generic over its recurrent layer so the paper's
+//! LSTM-versus-GRU design check trains both cells through the same
+//! loop; `BrnnClassifier` without a parameter is the paper's BiLSTM
+//! detector, and only that one is serialized.
 
 use crate::batch::{fingerprint_of, BatchWorkspace};
 use crate::dense::Dense;
+use crate::gru::BiGru;
 use crate::loss;
-use crate::lstm::BiLstm;
-use crate::matrix::{GemmScratch, TransposedCache};
-use crate::param::AdamConfig;
+use crate::lstm::{BiLstm, Lstm};
+use crate::matrix::{GemmScratch, Matrix, TransposedCache};
+use crate::param::{AdamConfig, Param};
 use rand::Rng;
 use std::collections::HashMap;
 
@@ -26,11 +32,91 @@ pub struct TrainConfig {
     pub adam: AdamConfig,
 }
 
-/// Per-frame sequence classifier: BiLSTM followed by a dense softmax
-/// layer.
+/// A bidirectional recurrent layer [`BrnnClassifier`] can train and
+/// run: [`BiLstm`] (the paper's detector) or [`BiGru`]. Sealed — the
+/// packed-engine entry points it stands for are internal to this crate.
+pub trait RecurrentCell: sealed::Engine {}
+
+impl RecurrentCell for BiLstm {}
+impl RecurrentCell for BiGru {}
+
+mod sealed {
+    use super::*;
+
+    /// The packed-engine surface the classifier drives.
+    pub trait Engine: Clone + std::fmt::Debug {
+        fn input_size(&self) -> usize;
+        fn hidden_size(&self) -> usize;
+        fn params_mut(&mut self) -> Vec<&mut Param>;
+        fn forward_batch(
+            &self,
+            seqs: &[&[Vec<f32>]],
+            ws: &mut BatchWorkspace,
+            scratch: &mut GemmScratch,
+        ) -> Vec<Vec<Vec<f32>>>;
+        fn backward_batch(
+            &mut self,
+            ws: &mut BatchWorkspace,
+            dhs: &[&[f32]],
+            scratch: &mut GemmScratch,
+        );
+        fn hidden_states_batch_flat(
+            &self,
+            seqs: &[&[Vec<f32>]],
+            ws: &mut BatchWorkspace,
+            scratch: &mut GemmScratch,
+        );
+    }
+
+    macro_rules! engine {
+        ($cell:ty) => {
+            impl Engine for $cell {
+                fn input_size(&self) -> usize {
+                    self.fwd.input_size()
+                }
+                fn hidden_size(&self) -> usize {
+                    <$cell>::hidden_size(self)
+                }
+                fn params_mut(&mut self) -> Vec<&mut Param> {
+                    <$cell>::params_mut(self)
+                }
+                fn forward_batch(
+                    &self,
+                    seqs: &[&[Vec<f32>]],
+                    ws: &mut BatchWorkspace,
+                    scratch: &mut GemmScratch,
+                ) -> Vec<Vec<Vec<f32>>> {
+                    <$cell>::forward_batch(self, seqs, ws, scratch)
+                }
+                fn backward_batch(
+                    &mut self,
+                    ws: &mut BatchWorkspace,
+                    dhs: &[&[f32]],
+                    scratch: &mut GemmScratch,
+                ) {
+                    <$cell>::backward_batch(self, ws, dhs, scratch)
+                }
+                fn hidden_states_batch_flat(
+                    &self,
+                    seqs: &[&[Vec<f32>]],
+                    ws: &mut BatchWorkspace,
+                    scratch: &mut GemmScratch,
+                ) {
+                    <$cell>::hidden_states_batch_flat(self, seqs, ws, scratch)
+                }
+            }
+        };
+    }
+
+    engine!(BiLstm);
+    engine!(BiGru);
+}
+
+/// Per-frame sequence classifier: a bidirectional recurrent layer
+/// (BiLSTM unless stated otherwise) followed by a dense softmax layer.
 #[derive(Debug, Clone)]
-pub struct BrnnClassifier {
-    rnn: BiLstm,
+pub struct BrnnClassifier<C = BiLstm> {
+    rnn: C,
     head: Dense,
     step: u64,
     /// Packed-batch workspaces keyed by corpus fingerprint: a training
@@ -45,8 +131,8 @@ pub struct BrnnClassifier {
     head_wt: TransposedCache,
 }
 
-impl BrnnClassifier {
-    /// Creates a classifier with `input_size` features per frame,
+impl BrnnClassifier<BiLstm> {
+    /// Creates the paper's detector: `input_size` features per frame,
     /// `hidden_size` LSTM units per direction and `n_classes` outputs.
     pub fn new<R: Rng + ?Sized>(
         input_size: usize,
@@ -54,9 +140,59 @@ impl BrnnClassifier {
         n_classes: usize,
         rng: &mut R,
     ) -> Self {
+        let rnn = BiLstm::new(input_size, hidden_size, rng);
+        BrnnClassifier::with_cell(rnn, n_classes, rng)
+    }
+
+    /// The eight parameter matrices in serialization order:
+    /// forward LSTM (W, U, b), backward LSTM (W, U, b), head (W, b).
+    pub(crate) fn parameter_matrices(&self) -> Vec<&Matrix> {
+        vec![
+            &self.rnn.fwd.w.value,
+            &self.rnn.fwd.u.value,
+            &self.rnn.fwd.b.value,
+            &self.rnn.bwd.w.value,
+            &self.rnn.bwd.u.value,
+            &self.rnn.bwd.b.value,
+            &self.head.w.value,
+            &self.head.b.value,
+        ]
+    }
+
+    /// Rebuilds a classifier from matrices in serialization order.
+    pub(crate) fn from_parameter_matrices(mats: Vec<Matrix>) -> Result<Self, String> {
+        let [fw, fu, fb, bw, bu, bb, hw, hb]: [Matrix; 8] = mats
+            .try_into()
+            .map_err(|_| "expected exactly 8 matrices".to_string())?;
+        let fwd = Lstm::from_weights(fw, fu, fb)?;
+        let bwd = Lstm::from_weights(bw, bu, bb)?;
+        if fwd.hidden_size() != bwd.hidden_size() || fwd.input_size() != bwd.input_size() {
+            return Err("forward/backward direction shapes disagree".into());
+        }
+        let head = Dense::from_weights(hw, hb)?;
+        if head.input_size() != fwd.hidden_size() {
+            return Err("head input does not match hidden size".into());
+        }
+        if head.output_size() == 0 {
+            return Err("head has no classes".into());
+        }
+        Ok(BrnnClassifier::from_parts(BiLstm { fwd, bwd }, head))
+    }
+}
+
+impl<C: RecurrentCell> BrnnClassifier<C> {
+    /// Creates a classifier over an already-initialised recurrent layer
+    /// `rnn`, with a fresh Xavier-initialised head of `n_classes`
+    /// outputs drawn from `rng`.
+    pub fn with_cell<R: Rng + ?Sized>(rnn: C, n_classes: usize, rng: &mut R) -> Self {
+        let head = Dense::new(rnn.hidden_size(), n_classes, rng);
+        BrnnClassifier::from_parts(rnn, head)
+    }
+
+    fn from_parts(rnn: C, head: Dense) -> Self {
         BrnnClassifier {
-            rnn: BiLstm::new(input_size, hidden_size, rng),
-            head: Dense::new(hidden_size, n_classes, rng),
+            rnn,
+            head,
             step: 0,
             train_ws: HashMap::new(),
             scratch: GemmScratch::new(),
@@ -136,7 +272,7 @@ impl BrnnClassifier {
         }
         let scale = 1.0 / batch.len() as f32;
         let seqs: Vec<&[Vec<f32>]> = batch.iter().map(|(xs, _)| *xs).collect();
-        let fp = fingerprint_of(&seqs, self.rnn.fwd.input_size());
+        let fp = fingerprint_of(&seqs, self.rnn.input_size());
         if self.train_ws.len() >= MAX_TRAIN_WORKSPACES && !self.train_ws.contains_key(&fp) {
             self.train_ws.clear();
         }
@@ -162,10 +298,9 @@ impl BrnnClassifier {
             }
             let mut logits = Vec::new();
             head.forward_flat(&hs_flat, n_frames, &mut logits);
-            // Per-frame loss with the same numerics as the sequential
-            // path: each frame's gradient is divided by its sequence
-            // length, then scaled by 1/B; per-sequence means are summed
-            // in batch order.
+            // Per-frame loss: each frame's gradient is divided by its
+            // sequence length, then scaled by 1/B; per-sequence mean
+            // losses are summed in batch order.
             let mut total = 0.0f32;
             let mut dl_flat = vec![0.0f32; n_frames * nc];
             let mut row = 0usize;
@@ -199,57 +334,6 @@ impl BrnnClassifier {
             }
             total
         };
-        self.step += 1;
-        let step = self.step;
-        for p in self.rnn.params_mut() {
-            p.adam_step(&cfg.adam, step);
-        }
-        for p in self.head.params_mut() {
-            p.adam_step(&cfg.adam, step);
-        }
-        total * scale
-    }
-
-    /// The pre-minibatch reference implementation of
-    /// [`BrnnClassifier::train_step`]: one sequence at a time through
-    /// the per-utterance engine. Kept as the parity baseline for the
-    /// batched path (tests assert both reach the same loss) and as the
-    /// `pre` side of the training benchmark.
-    pub fn train_step_sequential(
-        &mut self,
-        batch: &[(&[Vec<f32>], &[usize])],
-        cfg: &TrainConfig,
-    ) -> f32 {
-        if batch.is_empty() {
-            return 0.0;
-        }
-        for p in self.rnn.params_mut() {
-            p.zero_grad();
-        }
-        for p in self.head.params_mut() {
-            p.zero_grad();
-        }
-        let mut total = 0.0f32;
-        let scale = 1.0 / batch.len() as f32;
-        let mut scratch = GemmScratch::new();
-        for (xs, ys) in batch {
-            assert_eq!(xs.len(), ys.len(), "sequence/label length mismatch");
-            if xs.is_empty() {
-                continue;
-            }
-            let (hs, rnn_cache) = self.rnn.forward_with_scratch(xs, &mut scratch);
-            let (logits, head_cache) = self.head.forward(&hs);
-            let (l, mut dlogits) = loss::sequence_cross_entropy(&logits, ys);
-            total += l;
-            for frame in &mut dlogits {
-                for d in frame {
-                    *d *= scale;
-                }
-            }
-            let dhs = self.head.backward(&head_cache, &dlogits);
-            self.rnn
-                .backward_with_scratch(&rnn_cache, &dhs, &mut scratch);
-        }
         self.step += 1;
         let step = self.step;
         for p in self.rnn.params_mut() {
@@ -295,8 +379,8 @@ impl BrnnClassifier {
         out
     }
 
-    /// The inference engine: packs `seqs` into `ws`, runs the BiLSTM
-    /// into the flat packed hidden-state buffer and the head as one flat
+    /// The inference engine: packs `seqs` into `ws`, runs the recurrent
+    /// layer into the flat packed hidden-state buffer and the head as one flat
     /// GEMM over it. `logits` receives `total_rows x n_classes` values in
     /// packed-row order (see [`crate::batch`]).
     fn logits_flat(
@@ -310,47 +394,6 @@ impl BrnnClassifier {
         self.rnn.hidden_states_batch_flat(seqs, ws, scratch);
         self.head
             .forward_flat(&ws.flat, ws.pack.total_rows(), logits);
-    }
-
-    /// The eight parameter matrices in serialization order:
-    /// forward LSTM (W, U, b), backward LSTM (W, U, b), head (W, b).
-    pub(crate) fn parameter_matrices(&self) -> Vec<&crate::matrix::Matrix> {
-        vec![
-            &self.rnn.fwd.w.value,
-            &self.rnn.fwd.u.value,
-            &self.rnn.fwd.b.value,
-            &self.rnn.bwd.w.value,
-            &self.rnn.bwd.u.value,
-            &self.rnn.bwd.b.value,
-            &self.head.w.value,
-            &self.head.b.value,
-        ]
-    }
-
-    /// Rebuilds a classifier from matrices in serialization order.
-    pub(crate) fn from_parameter_matrices(
-        mats: Vec<crate::matrix::Matrix>,
-    ) -> Result<Self, String> {
-        let [fw, fu, fb, bw, bu, bb, hw, hb]: [crate::matrix::Matrix; 8] = mats
-            .try_into()
-            .map_err(|_| "expected exactly 8 matrices".to_string())?;
-        let fwd = crate::lstm::Lstm::from_weights(fw, fu, fb)?;
-        let bwd = crate::lstm::Lstm::from_weights(bw, bu, bb)?;
-        if fwd.hidden_size() != bwd.hidden_size() || fwd.input_size() != bwd.input_size() {
-            return Err("forward/backward direction shapes disagree".into());
-        }
-        let head = crate::dense::Dense::from_weights(hw, hb)?;
-        if head.input_size() != fwd.hidden_size() {
-            return Err("head input does not match hidden size".into());
-        }
-        Ok(BrnnClassifier {
-            rnn: crate::lstm::BiLstm { fwd, bwd },
-            head,
-            step: 0,
-            train_ws: HashMap::new(),
-            scratch: GemmScratch::new(),
-            head_wt: TransposedCache::new(),
-        })
     }
 
     /// Frame-level accuracy over a labelled set of sequences, each
@@ -495,15 +538,16 @@ mod tests {
     }
 
     #[test]
-    fn batched_train_step_matches_sequential_loss_trajectory() {
-        // Same seed, same data: the batched engine must follow the
-        // sequential reference. The first step's loss is computed
-        // before any backward pass runs, so it is bitwise identical at
-        // a wide hidden size; later losses see parameters updated
-        // through the fused gradients, whose only divergence from the
-        // sequential backward is fma rounding in the gate GEMMs and the
-        // tiled accumulations — documented tolerance 1e-4 relative per
-        // step.
+    fn train_step_loss_matches_per_sequence_reference() {
+        // The loss `train_step` reports is computed before its backward
+        // pass runs, so it must equal, bit for bit, the loss rebuilt from
+        // each sequence's training forward as a batch of one (rows of the
+        // unfused GEMMs do not depend on the rest of the pack), the head
+        // and per-frame softmax cross-entropy. Later steps see weights
+        // updated through the fused gradients: the same batch presented
+        // in reverse order reorders their accumulations, and the two
+        // loss trajectories must agree within the documented fma-rounding
+        // tolerance of 1e-4 relative per step.
         let mut rng = StdRng::seed_from_u64(301);
         let base = BrnnClassifier::new(3, 32, 2, &mut rng);
         let data = framewise_dataset(6, 7, 302);
@@ -511,23 +555,42 @@ mod tests {
             .iter()
             .map(|(x, y)| (x.as_slice(), y.as_slice()))
             .collect();
+        let reversed: Vec<(&[Vec<f32>], &[usize])> = batch.iter().rev().copied().collect();
         let cfg = TrainConfig::default();
-        let mut seq_model = base.clone();
-        let mut bat_model = base.clone();
-        let first_seq = seq_model.train_step_sequential(&batch, &cfg);
-        let first_bat = bat_model.train_step(&batch, &cfg);
-        assert_eq!(first_seq.to_bits(), first_bat.to_bits());
+
+        let mut reference = 0.0f32;
+        for (xs, ys) in &batch {
+            let mut ws = BatchWorkspace::new();
+            let hs = base
+                .rnn
+                .forward_batch(&[xs], &mut ws, &mut GemmScratch::new());
+            let mut logits = Vec::new();
+            base.head
+                .forward_flat(&hs[0].concat(), xs.len(), &mut logits);
+            let mut seq_total = 0.0f32;
+            for (frame, &y) in logits.chunks_exact(2).zip(ys.iter()) {
+                seq_total += loss::softmax_cross_entropy(frame, y).0;
+            }
+            reference += seq_total / xs.len() as f32;
+        }
+        reference *= 1.0 / batch.len() as f32;
+
+        let mut fwd_model = base.clone();
+        let mut rev_model = base.clone();
+        let first = fwd_model.train_step(&batch, &cfg);
+        assert_eq!(first.to_bits(), reference.to_bits());
+        rev_model.train_step(&reversed, &cfg);
         for step in 0..8 {
-            let ls = seq_model.train_step_sequential(&batch, &cfg);
-            let lb = bat_model.train_step(&batch, &cfg);
+            let lf = fwd_model.train_step(&batch, &cfg);
+            let lr = rev_model.train_step(&reversed, &cfg);
             assert!(
-                (ls - lb).abs() < 1e-4 * ls.abs().max(1.0),
-                "step {step}: sequential {ls} vs batched {lb}"
+                (lf - lr).abs() < 1e-4 * lf.abs().max(1.0),
+                "step {step}: batch order {lf} vs reversed {lr}"
             );
         }
         // Both runs must actually be learning, not just agreeing.
-        let late = bat_model.train_step(&batch, &cfg);
-        assert!(late < first_bat, "loss {first_bat} -> {late}");
+        let late = fwd_model.train_step(&batch, &cfg);
+        assert!(late < first, "loss {first} -> {late}");
     }
 
     #[test]

@@ -103,8 +103,10 @@ impl BrnnClassifier {
     ///
     /// # Errors
     ///
-    /// Returns a format error for wrong magic/version or mismatched
-    /// shapes, and propagates reader errors.
+    /// Returns a format error for wrong magic/version, mismatched
+    /// shapes, a head with no classes or any non-finite parameter (a
+    /// model that loads can always predict), and propagates reader
+    /// errors.
     pub fn load<R: Read>(mut r: R) -> Result<Self, SerializeError> {
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
@@ -126,6 +128,14 @@ impl BrnnClassifier {
         let mats: Vec<Matrix> = (0..count)
             .map(|_| read_matrix(&mut r))
             .collect::<Result<_, _>>()?;
+        if let Some(i) = mats
+            .iter()
+            .position(|m| m.data().iter().any(|v| !v.is_finite()))
+        {
+            return Err(SerializeError::Format(format!(
+                "parameter matrix {i} holds a non-finite value"
+            )));
+        }
         BrnnClassifier::from_parameter_matrices(mats).map_err(SerializeError::Format)
     }
 }
@@ -195,6 +205,61 @@ mod tests {
     #[test]
     fn rejects_garbage() {
         assert!(BrnnClassifier::load(&b"not a model"[..]).is_err());
+    }
+
+    /// A V1 stream holding `mats`, written the way `save` writes them.
+    fn v1_bytes(mats: &[Matrix]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC);
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(mats.len() as u32).to_le_bytes());
+        for m in mats {
+            write_matrix(&mut bytes, m).unwrap();
+        }
+        bytes
+    }
+
+    /// A fresh model's parameters with entry 0 of matrix `index` set to
+    /// `value`, as a V1 stream.
+    fn poisoned(index: usize, value: f32) -> Vec<u8> {
+        let mut rng = StdRng::seed_from_u64(4);
+        let model = BrnnClassifier::new(3, 4, 2, &mut rng);
+        let mut mats: Vec<Matrix> = model.parameter_matrices().into_iter().cloned().collect();
+        mats[index].data_mut()[0] = value;
+        v1_bytes(&mats)
+    }
+
+    fn assert_format_error(bytes: &[u8]) {
+        match BrnnClassifier::load(bytes) {
+            Err(SerializeError::Format(_)) => {}
+            Err(e) => panic!("expected a format error, got {e}"),
+            Ok(_) => panic!("expected a format error, the model loaded"),
+        }
+    }
+
+    #[test]
+    fn rejects_nan_head_weight() {
+        assert_format_error(&poisoned(6, f32::NAN));
+    }
+
+    #[test]
+    fn rejects_nan_lstm_weight() {
+        assert_format_error(&poisoned(0, f32::NAN));
+    }
+
+    #[test]
+    fn rejects_infinite_head_bias() {
+        assert_format_error(&poisoned(7, f32::INFINITY));
+    }
+
+    #[test]
+    fn rejects_head_without_classes() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let model = BrnnClassifier::new(3, 4, 2, &mut rng);
+        let mut mats: Vec<Matrix> = model.parameter_matrices().into_iter().cloned().collect();
+        mats[6] = Matrix::zeros(0, 4);
+        mats[7] = Matrix::zeros(0, 1);
+        assert_format_error(&v1_bytes(&mats));
     }
 
     #[test]
