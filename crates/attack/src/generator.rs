@@ -195,9 +195,7 @@ impl AttackGenerator {
             },
         );
         let noise_std = thrubarrier_dsp::stats::rms(&rec) * 0.02;
-        for v in &mut rec {
-            *v += noise_std * thrubarrier_dsp::gen::standard_normal(rng);
-        }
+        thrubarrier_dsp::gen::add_gaussian_noise(&mut rec, noise_std, rng);
         rec
     }
 

@@ -151,6 +151,18 @@ fn run_stages(iters: usize) -> SweepResult {
         }),
     );
 
+    // One 3 s render's mic self-noise pass: a clamped add of 48,000
+    // Gaussian draws through the block Box–Muller kernel. The buffer
+    // is not reset between runs; its values do not change the work.
+    let mut noise_rng = StdRng::seed_from_u64(3);
+    let mut rendered = gen::sine(440.0, 0.3, 16_000, 3.0);
+    out.insert(
+        "gaussian_noise_48k",
+        median_ns(iters, || {
+            gen::add_gaussian_noise_clamped(black_box(&mut rendered), 0.01, &mut noise_rng);
+        }),
+    );
+
     let mut rng = StdRng::seed_from_u64(1);
     let reference = gen::gaussian_noise(&mut rng, 0.1, 16_000);
     let mut delayed = vec![0.0f32; 1_600];

@@ -33,11 +33,23 @@ impl CorrelationDetector {
     /// Returns `0.0` (maximally suspicious) when either map is empty or
     /// they disagree in bin count — an attack cannot be ruled out
     /// without comparable evidence.
+    ///
+    /// A non-finite correlation (feature maps that overflowed) also
+    /// returns `0.0`; [`CorrelationDetector::checked_score`] tells it
+    /// apart.
     pub fn score(&self, a: &Spectrogram, b: &Spectrogram) -> f32 {
+        self.checked_score(a, b).unwrap_or(0.0)
+    }
+
+    /// [`CorrelationDetector::score`], or `None` when the correlation is
+    /// infinite or NaN: the maps hold values so large that the moments
+    /// overflow, and no score describes them.
+    pub fn checked_score(&self, a: &Spectrogram, b: &Spectrogram) -> Option<f32> {
         let _span = thrubarrier_obs::span!("defense.correlate");
         match correlate::spectrogram_correlation(a, b) {
-            Ok(r) => r.max(0.0),
-            Err(_) => 0.0,
+            Ok(r) if !r.is_finite() => None,
+            Ok(r) => Some(r.max(0.0)),
+            Err(_) => Some(0.0),
         }
     }
 

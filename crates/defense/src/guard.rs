@@ -107,12 +107,8 @@ mod tests {
         let src = gen::chirp(200.0, 3_000.0, 0.1, 16_000, 1.5);
         let mut a = src.clone();
         let mut b = src;
-        for v in &mut a {
-            *v += 0.001 * gen::standard_normal(&mut rng);
-        }
-        for v in &mut b {
-            *v += 0.001 * gen::standard_normal(&mut rng);
-        }
+        gen::add_gaussian_noise(&mut a, 0.001, &mut rng);
+        gen::add_gaussian_noise(&mut b, 0.001, &mut rng);
         (AudioBuffer::new(a, 16_000), AudioBuffer::new(b, 16_000))
     }
 

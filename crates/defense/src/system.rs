@@ -53,8 +53,9 @@ pub enum Reason {
     /// Cross-correlation synchronization (Eq. 5) could not align the
     /// recordings.
     SyncFailed,
-    /// A recording holds a NaN or infinite sample, or scoring produced a
-    /// non-finite score.
+    /// A recording holds a NaN or infinite sample, or a level or score
+    /// computed from finite samples overflowed (replay RMS, 2-D
+    /// correlation).
     NonFinite,
     /// The sensitive-phoneme selection is shorter than
     /// [`DefenseSystem::min_selected_s`] (full method only).
@@ -283,14 +284,14 @@ impl DefenseSystem {
                 DefenseMethod::AudioBaseline => {
                     let a = VibrationFeatureExtractor::extract_audio_baseline(va_recording);
                     let b = VibrationFeatureExtractor::extract_audio_baseline(&aligned_wearable);
-                    Ok(self.detector.score(&a, &b))
+                    self.detector.checked_score(&a, &b).ok_or(Reason::NonFinite)
                 }
-                DefenseMethod::VibrationBaseline => Ok(self.vibration_score(
+                DefenseMethod::VibrationBaseline => self.vibration_score(
                     va_recording.samples(),
                     aligned_wearable.samples(),
                     fs,
                     &mut **rng,
-                )),
+                ),
                 DefenseMethod::Full => {
                     let own_mask;
                     let mask = match mask {
@@ -314,7 +315,7 @@ impl DefenseSystem {
                         // commands always contain it.
                         Err(Reason::InsufficientEvidence { selected_s })
                     } else {
-                        Ok(self.vibration_score(&va_sel, &w_sel, fs, &mut **rng))
+                        self.vibration_score(&va_sel, &w_sel, fs, &mut **rng)
                     }
                 }
             };
@@ -360,24 +361,31 @@ impl DefenseSystem {
     /// Converts both signals to the vibration domain on the wearable and
     /// correlates their features. Each signal is replayed at the fixed
     /// standard volume ([`DefenseSystem::REPLAY_RMS`]).
+    ///
+    /// Rejects as [`Reason::NonFinite`] a signal whose RMS overflows
+    /// (finite samples near `f32::MAX`: no replay gain exists) and a
+    /// non-finite correlation.
     fn vibration_score<R: Rng + ?Sized>(
         &self,
         va_audio: &[f32],
         wearable_audio: &[f32],
         sample_rate: u32,
         rng: &mut R,
-    ) -> f32 {
-        let normalize = |sig: &[f32]| -> Vec<f32> {
+    ) -> Result<f32, Reason> {
+        let normalize = |sig: &[f32]| -> Result<Vec<f32>, Reason> {
             let rms = thrubarrier_dsp::stats::rms(sig);
+            if !rms.is_finite() {
+                return Err(Reason::NonFinite);
+            }
             if rms <= 0.0 || !self.normalize_replay {
-                return sig.to_vec();
+                return Ok(sig.to_vec());
             }
             let g = Self::REPLAY_RMS / rms;
-            sig.iter().map(|&x| x * g).collect()
+            Ok(sig.iter().map(|&x| x * g).collect())
         };
         let _span = thrubarrier_obs::span!("defense.vibration_score");
-        let va_replay = normalize(va_audio);
-        let w_replay = normalize(wearable_audio);
+        let va_replay = normalize(va_audio)?;
+        let w_replay = normalize(wearable_audio)?;
         // Pair conversion through one engine borrow: both recordings
         // share warm FFT plans, curve tables and scratch.
         let (vib_va, vib_w) = thrubarrier_vibration::with_engine(|e| {
@@ -385,7 +393,9 @@ impl DefenseSystem {
         });
         let fa = self.features.extract(&vib_va);
         let fb = self.features.extract(&vib_w);
-        self.detector.score(&fa, &fb)
+        self.detector
+            .checked_score(&fa, &fb)
+            .ok_or(Reason::NonFinite)
     }
 
     /// Whether a score indicates an attack at the configured threshold.
@@ -407,12 +417,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut a = source.to_vec();
         let mut b = source.to_vec();
-        for v in &mut a {
-            *v += noise * thrubarrier_dsp::gen::standard_normal(&mut rng);
-        }
-        for v in &mut b {
-            *v += noise * thrubarrier_dsp::gen::standard_normal(&mut rng);
-        }
+        gen::add_gaussian_noise(&mut a, noise, &mut rng);
+        gen::add_gaussian_noise(&mut b, noise, &mut rng);
         (AudioBuffer::new(a, 16_000), AudioBuffer::new(b, 16_000))
     }
 

@@ -1,6 +1,7 @@
 //! One input per rejection reason: `DefenseSystem::verify` names the
 //! reason, `score_with_method` reads it as `0.0`, and the matching
-//! `defense.reject.<reason>` counter advances.
+//! `defense.reject.<reason>` counter advances. Finite recordings loud
+//! enough to overflow f32 sums are rejected with a reason too.
 //!
 //! The counters live in the global obs registry, so this file holds a
 //! single test: no other test in its binary can bump them concurrently.
@@ -101,4 +102,60 @@ fn every_reason_is_typed_scored_zero_and_counted() {
         Some(Err(Reason::InsufficientEvidence { selected_s: 0.0 }))
     );
     assert_eq!(decision.selected_s, Some(0.0));
+
+    // Finite samples whose sums overflow f32: at these gains the sync
+    // correlation window turns infinite or NaN, and at 1e20 (with sync
+    // switched off) so do the replay RMS and the 2-D correlation. Every
+    // method must name a reason rather than score a bare 0.0.
+    let mut noise_rng = StdRng::seed_from_u64(4);
+    let mut va = gen::chirp(150.0, 3_000.0, 0.1, fs, 1.5);
+    let mut late = va[1_600..].to_vec();
+    gen::add_gaussian_noise(&mut va, 0.01, &mut noise_rng);
+    gen::add_gaussian_noise(&mut late, 0.01, &mut noise_rng);
+    let mut unsynced = DefenseSystem::paper_default();
+    unsynced.synchronize = false;
+    let cases = [
+        (1e18f32, &default, [Reason::SyncFailed; 3]),
+        (1e20, &default, [Reason::SyncFailed; 3]),
+        (
+            1e20,
+            &unsynced,
+            [
+                Reason::NonFinite,
+                Reason::NonFinite,
+                // The energy selector finds no frame in the overflowed
+                // recording.
+                Reason::InsufficientEvidence { selected_s: 0.0 },
+            ],
+        ),
+    ];
+    for (gain, system, reasons) in cases {
+        let scaled = |s: &[f32]| AudioBuffer::new(s.iter().map(|x| x * gain).collect(), fs);
+        let (va, late) = (scaled(&va), scaled(&late));
+        assert!(va
+            .samples()
+            .iter()
+            .chain(late.samples())
+            .all(|x| x.is_finite()));
+        let mut rngs = [1, 2, 3].map(StdRng::seed_from_u64);
+        let [a, b, c] = &mut rngs;
+        let decision = system.verify(
+            &va,
+            &late,
+            None,
+            &mut [
+                (DefenseMethod::AudioBaseline, a),
+                (DefenseMethod::VibrationBaseline, b),
+                (DefenseMethod::Full, c),
+            ],
+        );
+        for (method, reason) in DefenseMethod::all().into_iter().zip(reasons) {
+            assert_eq!(
+                decision.outcome(method),
+                Some(Err(reason)),
+                "gain {gain:e}, sync {}, {method:?}",
+                system.synchronize
+            );
+        }
+    }
 }

@@ -85,7 +85,10 @@ fn lag_dot(a: &[f32], b: &[f32], lag: isize) -> f32 {
 ///
 /// # Errors
 ///
-/// Returns [`DspError::EmptyInput`] if either input is empty.
+/// Returns [`DspError::EmptyInput`] if either input is empty, and
+/// [`DspError::NonFinite`] if the correlation window holds an infinite
+/// or NaN value (inputs so large that the sums overflow): its maximum
+/// would name an arbitrary lag.
 ///
 /// # Example
 ///
@@ -115,7 +118,7 @@ pub fn estimate_delay(
 ///
 /// # Errors
 ///
-/// Returns [`DspError::EmptyInput`] if either input is empty.
+/// As [`estimate_delay`].
 pub fn estimate_delay_with(
     reference: &[f32],
     delayed: &[f32],
@@ -141,20 +144,21 @@ pub fn estimate_delay_with(
         ),
         s => s,
     };
-    let lag = match search {
+    let window = match search {
         LagSearch::TimeDomain => {
             thrubarrier_obs::counter!("dsp.estimate_delay.path.time").incr();
-            let window = bounded_window_time(delayed, reference, lag_lo, lag_hi);
-            lag_lo + stats::argmax(&window).expect("window is non-empty") as isize
+            bounded_window_time(delayed, reference, lag_lo, lag_hi)
         }
         LagSearch::Fft => {
             thrubarrier_obs::counter!("dsp.estimate_delay.path.fft").incr();
-            let window = bounded_window_fft(delayed, reference, lag_lo, lag_hi);
-            lag_lo + stats::argmax(&window).expect("window is non-empty") as isize
+            bounded_window_fft(delayed, reference, lag_lo, lag_hi)
         }
         LagSearch::Auto => unreachable!("Auto resolved above"),
     };
-    Ok(lag)
+    if !window.iter().all(|c| c.is_finite()) {
+        return Err(DspError::NonFinite("estimate_delay correlation window"));
+    }
+    Ok(lag_lo + stats::argmax(&window).expect("window is non-empty") as isize)
 }
 
 /// Measured size heuristic for [`LagSearch::Auto`].

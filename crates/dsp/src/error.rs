@@ -33,6 +33,10 @@ pub enum DspError {
     /// A mel/MFCC configuration was invalid (e.g. more coefficients than
     /// filters).
     InvalidMelConfig(String),
+    /// A computation overflowed to an infinite or NaN intermediate, so
+    /// its result is meaningless (e.g. a correlation of inputs scaled
+    /// near `f32::MAX`).
+    NonFinite(&'static str),
 }
 
 impl fmt::Display for DspError {
@@ -52,6 +56,7 @@ impl fmt::Display for DspError {
                 write!(f, "dimension mismatch: {left} vs {right}")
             }
             DspError::InvalidMelConfig(msg) => write!(f, "invalid mel config: {msg}"),
+            DspError::NonFinite(what) => write!(f, "non-finite intermediate: {what}"),
         }
     }
 }
@@ -71,6 +76,7 @@ mod tests {
             DspError::EmptyInput("signal"),
             DspError::DimensionMismatch { left: 2, right: 3 },
             DspError::InvalidMelConfig("filters".into()),
+            DspError::NonFinite("window"),
         ];
         for v in variants {
             let s = v.to_string();

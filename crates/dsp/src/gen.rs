@@ -2,6 +2,8 @@
 
 use rand::Rng;
 
+mod normal;
+
 /// Generates a sine tone.
 ///
 /// * `freq` — frequency in Hz
@@ -40,38 +42,91 @@ pub fn chirp(f0: f32, f1: f32, amplitude: f32, sample_rate: u32, duration: f32) 
 }
 
 /// Generates zero-mean Gaussian white noise with the given standard
-/// deviation, using the Box–Muller transform over the supplied RNG.
+/// deviation: `std` times `n` consecutive [`standard_normal`] draws,
+/// evaluated by the block kernel.
 pub fn gaussian_noise<R: Rng + ?Sized>(rng: &mut R, std: f32, n: usize) -> Vec<f32> {
-    (0..n).map(|_| std * standard_normal(rng)).collect()
+    let mut out = vec![0.0; n];
+    for_each_normal_block(rng, &mut out, |out, z| {
+        for (o, &z) in out.iter_mut().zip(z) {
+            *o = std * z;
+        }
+    });
+    out
 }
 
-/// Draws one sample from the standard normal distribution via Box–Muller.
+/// Draws one sample from the standard normal distribution via
+/// Box–Muller: `sqrt(−2·ln u1) · cos(τ·u2)` in f32, with
+/// `u1 = 1 − rng.gen::<f32>()` (so `ln` never sees 0) drawn before
+/// `u2 = rng.gen::<f32>()`.
+///
+/// `ln` and `cos` are the kernel's libm-free replica of glibc's `logf`
+/// and `cosf` (see DESIGN.md, "Noise kernel"), so a seeded stream is the
+/// same on every libm and every CPU. The block generators below produce
+/// exactly the values, and leave exactly the RNG state, of a loop of
+/// these calls.
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f32 {
-    // Avoid log(0) by sampling u1 from (0, 1].
     let u1: f32 = 1.0 - rng.gen::<f32>();
     let u2: f32 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
+    (-2.0 * normal::ln(u1)).sqrt() * normal::cos_tau(u2)
 }
 
 /// Adds zero-mean Gaussian noise of standard deviation `std` to
-/// `signal` in place: one sweep, one [`standard_normal`] draw per
-/// sample, no temporary noise buffer. The draw sequence is identical
-/// to the open-coded `*v += std * standard_normal(rng)` loops this
-/// replaces, so seeded streams are unaffected by the refactor.
+/// `signal` in place: `*v += std * standard_normal(rng)` per sample,
+/// in order, with the draws evaluated by the block kernel.
 pub fn add_gaussian_noise<R: Rng + ?Sized>(signal: &mut [f32], std: f32, rng: &mut R) {
-    for v in signal.iter_mut() {
-        *v += std * standard_normal(rng);
-    }
+    for_each_normal_block(rng, signal, |signal, z| {
+        for (v, &z) in signal.iter_mut().zip(z) {
+            *v += std * z;
+        }
+    });
 }
 
 /// [`add_gaussian_noise`] fused with a full-scale clamp to `[-1, 1]`:
 /// one sweep instead of a noise pass followed by a clamp pass. Each
 /// sample's draw lands before its clamp and samples are independent,
 /// so the result — and the RNG stream — are identical to the two-pass
-/// form this replaces.
+/// form.
 pub fn add_gaussian_noise_clamped<R: Rng + ?Sized>(signal: &mut [f32], std: f32, rng: &mut R) {
-    for v in signal.iter_mut() {
-        *v = (*v + std * standard_normal(rng)).clamp(-1.0, 1.0);
+    for_each_normal_block(rng, signal, |signal, z| {
+        for (v, &z) in signal.iter_mut().zip(z) {
+            *v = (*v + std * z).clamp(-1.0, 1.0);
+        }
+    });
+}
+
+/// Samples per kernel block.
+const BLOCK: usize = 128;
+
+/// Runs `apply(chunk, z)` over consecutive chunks of `out` of up to
+/// [`BLOCK`] samples, `z` holding one standard normal per chunk sample.
+///
+/// Each block draws its uniforms in [`standard_normal`]'s order (`u1`
+/// then `u2`, sample by sample) and then transforms them together, so
+/// the draws, and the RNG state afterwards, equal a loop of
+/// [`standard_normal`] calls.
+fn for_each_normal_block<R: Rng + ?Sized>(
+    rng: &mut R,
+    out: &mut [f32],
+    mut apply: impl FnMut(&mut [f32], &[f32]),
+) {
+    let kernel = normal::Kernel::detect();
+    let mut u1 = [0.0f32; BLOCK];
+    let mut u2 = [0.0f32; BLOCK];
+    let mut z = [0.0f32; BLOCK];
+    let mut c = [0.0f32; BLOCK];
+    for chunk in out.chunks_mut(BLOCK) {
+        let n = chunk.len();
+        let (u1, u2, z, c) = (&mut u1[..n], &mut u2[..n], &mut z[..n], &mut c[..n]);
+        for (a, b) in u1.iter_mut().zip(u2.iter_mut()) {
+            *a = 1.0 - rng.gen::<f32>();
+            *b = rng.gen();
+        }
+        kernel.ln(u1, z);
+        kernel.cos_tau(u2, c);
+        for (z, &c) in z.iter_mut().zip(c.iter()) {
+            *z = (-2.0 * *z).sqrt() * c;
+        }
+        apply(chunk, z);
     }
 }
 
@@ -135,6 +190,30 @@ mod tests {
         let a = gaussian_noise(&mut StdRng::seed_from_u64(3), 1.0, 16);
         let b = gaussian_noise(&mut StdRng::seed_from_u64(3), 1.0, 16);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn single_draws_interleaved_with_blocks_keep_the_stream_aligned() {
+        use rand::RngCore;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut reference = StdRng::seed_from_u64(11);
+        for len in [0, 1, 3, 4, 5, 127, 128, 129, 300] {
+            let single = standard_normal(&mut rng);
+            assert_eq!(single.to_bits(), standard_normal(&mut reference).to_bits());
+            let block = gaussian_noise(&mut rng, 0.5, len);
+            let want: Vec<f32> = (0..len)
+                .map(|_| 0.5 * standard_normal(&mut reference))
+                .collect();
+            assert_eq!(bits(&block), bits(&want), "len {len}");
+            let mut added = vec![0.25; len];
+            add_gaussian_noise(&mut added, 2.0, &mut rng);
+            let want: Vec<f32> = (0..len)
+                .map(|_| 0.25 + 2.0 * standard_normal(&mut reference))
+                .collect();
+            assert_eq!(bits(&added), bits(&want), "len {len}");
+        }
+        assert_eq!(rng.next_u64(), reference.next_u64());
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Property-based tests for the DSP substrate.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 use thrubarrier_dsp::{
-    complex::Complex, correlate, fft, resample, stats, stft::Stft, window::WindowKind,
+    complex::Complex, correlate, fft, gen, resample, stats, stft::Stft, window::WindowKind,
 };
 
 fn signal_strategy(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -379,5 +381,50 @@ proptest! {
                 "sample {}: {} vs {}", i, f, r
             );
         }
+    }
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    /// The block noise generators equal a per-sample `standard_normal`
+    /// loop bit for bit at every length up to 600 (several kernel
+    /// blocks and every tail), and leave the RNG where that loop does.
+    #[test]
+    fn block_noise_equals_per_sample_draws(
+        seed in 0u64..u64::MAX,
+        std in -2.0f32..2.0,
+        signal in prop::collection::vec(-1.5f32..1.5, 0usize..601),
+    ) {
+        let n = signal.len();
+        let mut reference = StdRng::seed_from_u64(seed);
+        let draws: Vec<f32> = (0..n).map(|_| gen::standard_normal(&mut reference)).collect();
+        let next = reference.next_u64();
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let noise = gen::gaussian_noise(&mut rng, std, n);
+        let want: Vec<f32> = draws.iter().map(|z| std * z).collect();
+        prop_assert_eq!(bits(&noise), bits(&want));
+        prop_assert_eq!(rng.next_u64(), next);
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut added = signal.clone();
+        gen::add_gaussian_noise(&mut added, std, &mut rng);
+        let want: Vec<f32> = signal.iter().zip(&draws).map(|(v, z)| v + std * z).collect();
+        prop_assert_eq!(bits(&added), bits(&want));
+        prop_assert_eq!(rng.next_u64(), next);
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut clamped = signal.clone();
+        gen::add_gaussian_noise_clamped(&mut clamped, std, &mut rng);
+        let want: Vec<f32> = signal
+            .iter()
+            .zip(&draws)
+            .map(|(v, z)| (v + std * z).clamp(-1.0, 1.0))
+            .collect();
+        prop_assert_eq!(bits(&clamped), bits(&want));
+        prop_assert_eq!(rng.next_u64(), next);
     }
 }

@@ -223,9 +223,7 @@ impl Accelerometer {
         //    asymmetry behind both of the paper's selection criteria.
         let low_rms = Self::low_band_rms(excitation, audio_rate, Self::LOW_BAND_SPLIT_HZ);
         let noise_std = self.noise_std_for(low_rms);
-        for v in &mut sampled {
-            *v += noise_std * thrubarrier_dsp::gen::standard_normal(rng);
-        }
+        thrubarrier_dsp::gen::add_gaussian_noise(&mut sampled, noise_std, rng);
         AudioBuffer::new(sampled, self.sample_rate)
     }
 

@@ -141,9 +141,7 @@ impl ConversionEngine {
             resample::decimate_aliased(&self.coupled, factor).expect("factor >= 1 by construction")
         };
         let noise_std = acc.noise_std_for(low_rms);
-        for v in &mut sampled {
-            *v += noise_std * gen::standard_normal(rng);
-        }
+        gen::add_gaussian_noise(&mut sampled, noise_std, rng);
 
         let mut vib = AudioBuffer::new(sampled, acc.sample_rate);
         if let Some(motion) = &wearable.body_motion {
