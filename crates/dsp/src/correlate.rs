@@ -6,8 +6,8 @@
 //!   **bounded-lag** correlator: only the `±max_lag` window of the
 //!   correlation is ever materialized, by size-selected choice between a
 //!   windowed time-domain scan and frequency-domain circular correlation
-//!   on the planned real transform. Both are exact; the full direct-form
-//!   [`cross_correlate_time`] is the oracle the tests compare them with.
+//!   on the planned real transform. Both are exact; the tests compare
+//!   them with a test-local full direct-form correlation.
 //! * The attack detector (paper Eq. 6) scores the similarity of two
 //!   normalized vibration spectrograms with a 2-D correlation
 //!   coefficient; [`spectrogram_correlation`] implements it directly on
@@ -46,22 +46,6 @@ pub enum LagSearch {
 /// costs three transforms regardless of how narrow the window is, and
 /// won from ~64k MACs up — e.g. already 1.8x at N=512, W=257).
 const LAG_TIME_MAX_MACS: usize = 1 << 15;
-
-/// Direct `O(N·M)` full linear cross-correlation of `a` and `b`. Exact
-/// (no transform rounding): this is the oracle the tests pin the
-/// bounded-lag searches against. The output has length
-/// `a.len() + b.len() - 1`; index `k` corresponds to lag `k - (b.len() - 1)`
-/// of `a` relative to `b`. Empty inputs yield an empty output.
-pub fn cross_correlate_time(a: &[f32], b: &[f32]) -> Vec<f32> {
-    if a.is_empty() || b.is_empty() {
-        return Vec::new();
-    }
-    let m = b.len() as isize;
-    let out_len = a.len() + b.len() - 1;
-    (0..out_len as isize)
-        .map(|k| lag_dot(a, b, k - (m - 1)))
-        .collect()
-}
 
 /// One correlation value: `c[lag] = Σ_i a[i] · b[i − lag]` over the
 /// overlapping support (zero when the supports are disjoint).
@@ -303,6 +287,23 @@ mod tests {
     use crate::gen;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Direct `O(N·M)` full linear cross-correlation of `a` and `b`,
+    /// exact (no transform rounding): the oracle the bounded-lag
+    /// searches are pinned against. The output has length
+    /// `a.len() + b.len() - 1`; index `k` corresponds to lag
+    /// `k - (b.len() - 1)` of `a` relative to `b`. Empty inputs yield an
+    /// empty output.
+    fn cross_correlate_time(a: &[f32], b: &[f32]) -> Vec<f32> {
+        if a.is_empty() || b.is_empty() {
+            return Vec::new();
+        }
+        let m = b.len() as isize;
+        let out_len = a.len() + b.len() - 1;
+        (0..out_len as isize)
+            .map(|k| lag_dot(a, b, k - (m - 1)))
+            .collect()
+    }
 
     const ALL_LAG_SEARCHES: [LagSearch; 3] =
         [LagSearch::Auto, LagSearch::TimeDomain, LagSearch::Fft];

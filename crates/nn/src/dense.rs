@@ -57,8 +57,8 @@ impl Dense {
         self.w.value.cols()
     }
 
-    /// Applies the layer to `n` flat row-major frames in one unfused
-    /// GEMM ([`Matrix::matmul_nt_into`]) plus one bias add per element.
+    /// Applies the layer to `n` flat row-major frames in one GEMM
+    /// ([`Matrix::matmul_nt_into`]) plus one bias add per element.
     /// Each output row depends only on its own frame, so a frame gets
     /// the same logits in any batch.
     pub(crate) fn forward_flat(&self, x: &[f32], n: usize, out: &mut Vec<f32>) {
@@ -74,7 +74,7 @@ impl Dense {
     /// Flat-batch backward: `x` holds the `n` cached input rows,
     /// `dys` the `n` output-gradient rows. The weight gradient
     /// accumulates as one `dW += dYᵀ·X` through the register-tiled
-    /// [`Matrix::add_tn_product_fused`] (within fma rounding of a
+    /// [`Matrix::add_tn_product`] (within fma rounding of a
     /// per-frame rank-1 update) plus a bias column sum; input
     /// gradients land in `dx` (resized to `n x input_size`) as one
     /// `dX = Wᵀ·dY` GEMM over a cached transpose keyed by the weight's
@@ -91,7 +91,7 @@ impl Dense {
         dx: &mut Vec<f32>,
         wt: &mut TransposedCache,
     ) {
-        self.w.grad.add_tn_product_fused(dys, x, n);
+        self.w.grad.add_tn_product(dys, x, n);
         let bg = self.b.grad.data_mut();
         for row in dys.chunks_exact(self.w.value.rows().max(1)) {
             for (slot, &d) in bg.iter_mut().zip(row) {
@@ -101,7 +101,7 @@ impl Dense {
         dx.clear();
         dx.resize(n * self.input_size(), 0.0);
         wt.get(&self.w.value, self.w.version())
-            .matmul_nt_fused_to(dys, n, dx, false);
+            .matmul_nt_to(dys, n, dx, false);
     }
 
     /// The layer's trainable parameters.

@@ -8,11 +8,12 @@
 //!
 //! The packed-batch engine mirrors [`crate::lstm`]: fused `3H x D` /
 //! `3H x H` weight matrices, cached input projections `W·X` for every
-//! packed row, one unfused `U·H` GEMM per step in the training forward
-//! and a fused one in inference, flat activation caches, and a fused
-//! backward. The GRU keeps *two* flat gradient buffers because the
-//! candidate gate's recurrent gradient is scaled by the reset gate, so
-//! the `U`-side gate matrix differs from the `W`-side one.
+//! packed row, one `U·H` GEMM per step (the same kernels in training
+//! and inference, so the two agree bitwise), flat activation caches,
+//! and a fused backward. The GRU keeps *two* flat gradient buffers
+//! because the candidate gate's recurrent gradient is scaled by the
+//! reset gate, so the `U`-side gate matrix differs from the `W`-side
+//! one.
 
 use crate::act::{gru_gates_backward_fused, sigmoid, sigmoid_slice, tanh, tanh_slice};
 use crate::batch::{BatchWorkspace, DirCache, PackedBatch};
@@ -157,14 +158,12 @@ impl Gru {
     /// Batched *inference* forward pass writing straight into the flat
     /// packed output buffer `flat` (`total_rows x H`, packed-row
     /// order), mirroring [`crate::lstm::Lstm::infer_batch_dir_flat`]:
-    /// the recurrent `U·h` GEMM runs on the fused-FMA kernels of
-    /// [`Matrix::matmul_nt_fused_to`] and the gate activations go
-    /// through the slice kernels (bitwise identical per element to the
-    /// scalar calls of the training cell), so outputs match the training
-    /// forward within fused-multiply-add rounding instead of bitwise
-    /// while staying deterministic and bitwise batch-size invariant. No
-    /// per-step caches are recorded and no per-frame vectors are
-    /// allocated.
+    /// the recurrent `U·h` GEMM is the training forward's
+    /// [`Matrix::matmul_nt_to`] and the gate activations go through the
+    /// slice kernels (bitwise identical per element to the scalar calls
+    /// of the training cell), so outputs equal the training forward
+    /// bitwise and stay bitwise batch-size invariant. No per-step caches
+    /// are recorded and no per-frame vectors are allocated.
     pub(crate) fn infer_batch_dir_flat(
         &self,
         pack: &PackedBatch,
@@ -197,7 +196,7 @@ impl Gru {
             let off = pack.offset(t);
             self.u
                 .value
-                .matmul_nt_fused_to(&bh[..nb * hl], nb, &mut bt[..nb * gr], false);
+                .matmul_nt_to(&bh[..nb * hl], nb, &mut bt[..nb * gr], false);
             for b in 0..nb {
                 let r = off + b;
                 let uh = &bt[b * gr..(b + 1) * gr];
@@ -254,9 +253,9 @@ impl Gru {
     /// the recurrent `Uᵀ·dZᵤ` half on top with a single fused GEMM over
     /// the direction's version-keyed cached transpose. The final
     /// `dW += dZᵀ·X` / `dU += dZᵤᵀ·H_prev` accumulations stream through
-    /// the register-tiled [`Matrix::add_tn_product_fused`]. The gate
+    /// the register-tiled [`Matrix::add_tn_product`]. The gate
     /// sweep is bitwise equal to the textbook per-gate formulas; the
-    /// GEMMs add fma rounding.
+    /// GEMMs run on fused multiply-adds.
     pub(crate) fn backward_batch_dir_fused(
         &mut self,
         pack: &PackedBatch,
@@ -319,7 +318,7 @@ impl Gru {
                 // rows in one fused GEMM over the cached transpose,
                 // *added* onto the direct half already in place (rows
                 // past `nb` keep their zero boundary values).
-                ut.matmul_nt_fused_to(
+                ut.matmul_nt_to(
                     &dz_u[off * gr..(off + nb) * gr],
                     nb,
                     &mut bh[..nb * hl],
@@ -327,10 +326,8 @@ impl Gru {
                 );
             }
         }
-        self.w
-            .grad
-            .add_tn_product_fused(dz, pack.x(reversed), total);
-        self.u.grad.add_tn_product_fused(dz_u, h_prev, total);
+        self.w.grad.add_tn_product(dz, pack.x(reversed), total);
+        self.u.grad.add_tn_product(dz_u, h_prev, total);
         let bg = self.b.grad.data_mut();
         for row in dz.chunks_exact(gr) {
             for (slot, &d) in bg.iter_mut().zip(row) {
@@ -397,8 +394,7 @@ impl BiGru {
     /// (`ws.flat`, `total_rows x hidden`, packed-row order): the
     /// forward direction writes, the reversed direction accumulates —
     /// the GRU mirror of
-    /// [`crate::lstm::BiLstm::hidden_states_batch_flat`], with the
-    /// recurrent GEMMs on the fused-FMA kernel family.
+    /// [`crate::lstm::BiLstm::hidden_states_batch_flat`].
     pub(crate) fn hidden_states_batch_flat(
         &self,
         seqs: &[&[Vec<f32>]],
@@ -424,8 +420,8 @@ impl BiGru {
     /// Batched inference: summed hidden states per sequence in caller
     /// order, without recording backward-pass caches. A re-nesting
     /// wrapper around the crate-internal flat packed pass — outputs
-    /// match [`BiGru::forward_batch`] within fused-multiply-add rounding
-    /// and are bitwise batch-size invariant.
+    /// equal [`BiGru::forward_batch`] bitwise and are bitwise batch-size
+    /// invariant.
     pub fn hidden_states_batch(
         &self,
         seqs: &[&[Vec<f32>]],
@@ -628,12 +624,11 @@ mod tests {
     }
 
     #[test]
-    fn batched_inference_matches_training_forward_within_rounding() {
-        // The inference path runs the fused recurrent GEMM, so it is
-        // only required to agree with the training forward within
-        // fused-multiply-add rounding; H = 34 keeps it on the wide
-        // kernel path and mixed lengths exercise the scatter/accumulate
-        // flat writes of both directions.
+    fn batched_inference_matches_training_forward_bitwise() {
+        // The inference path runs the training forward's kernels, so it
+        // must reproduce its bits; H = 34 keeps the recurrent GEMM on
+        // the wide kernel path and mixed lengths exercise the
+        // scatter/accumulate flat writes of both directions.
         let mut rng = StdRng::seed_from_u64(55);
         let bi = BiGru::new(3, 34, &mut rng);
         let seqs: Vec<Vec<Vec<f32>>> = [6usize, 1, 4, 4]
@@ -650,7 +645,7 @@ mod tests {
             assert_eq!(inferred[i].len(), trained.len(), "seq {i}");
             for (t, (a, b)) in inferred[i].iter().zip(&trained).enumerate() {
                 for (x, y) in a.iter().zip(b) {
-                    assert!((x - y).abs() < 1e-5, "seq {i} t {t}: {x} vs {y}");
+                    assert_eq!(x.to_bits(), y.to_bits(), "seq {i} t {t}: {x} vs {y}");
                 }
             }
         }

@@ -6,11 +6,10 @@
 //! ADAM optimizer (Sec. V-B). This crate implements exactly those pieces
 //! from scratch:
 //!
-//! * [`matrix::Matrix`] — a dense row-major `f32` matrix with two
-//!   blocked GEMM kernel families, unfused
-//!   ([`matrix::Matrix::matmul_nt_to`]) and fused-FMA
-//!   ([`matrix::Matrix::matmul_nt_fused_to`], batched gradient
-//!   products), shared by every layer,
+//! * [`matrix::Matrix`] — a dense row-major `f32` matrix with one
+//!   blocked fused-FMA GEMM kernel family
+//!   ([`matrix::Matrix::matmul_nt_to`] and the batched gradient
+//!   product [`matrix::Matrix::add_tn_product`]) shared by every layer,
 //! * [`matrix::GemmScratch`] — reusable working buffers so the hot
 //!   inference/training paths allocate nothing per timestep,
 //! * [`batch::BatchWorkspace`] — the packed minibatch layout shared by
@@ -32,14 +31,14 @@
 //!   classifier with its one training loop, generic over the
 //!   [`model::RecurrentCell`] it wraps (BiLSTM by default).
 //!
-//! All classifier inference runs on one engine: the packed BiLSTM pass
-//! with fused-FMA recurrent GEMMs, then one flat head GEMM
-//! ([`model::BrnnClassifier::predict_batch`]). Scoring one recording is a
-//! batch of one; the kernels are bitwise batch-size invariant, so a
-//! recording gets the same labels alone or inside any pack. Training
-//! has one engine too: `train_step` runs the packed forward on the
-//! unfused kernels and the packed backward on the fused ones, for both
-//! cell types.
+//! All classifier inference runs on one engine: the packed BiLSTM pass,
+//! then one flat head GEMM ([`model::BrnnClassifier::predict_batch`]).
+//! Scoring one recording is a batch of one; the kernels are bitwise
+//! batch-size invariant, so a recording gets the same labels alone or
+//! inside any pack. Training has one engine too: `train_step` runs the
+//! packed forward and the packed backward, for both cell types. Every
+//! product in both engines runs on the same kernels, so inference
+//! reproduces the training forward's hidden states bitwise.
 //!
 //! Gradients are verified against finite differences in the test suite.
 //!

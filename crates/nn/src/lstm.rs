@@ -13,24 +13,24 @@
 //! (see [`crate::batch`]); a single sequence is a batch of one.
 //!
 //! 1. **Input projections** — `W·x + b` for every packed row in one
-//!    unfused [`Matrix::matmul_nt_to`] GEMM, cached in the workspace
-//!    until the optimizer steps `W` or `b`.
+//!    [`Matrix::matmul_nt_to`] GEMM, cached in the workspace until the
+//!    optimizer steps `W` or `b`.
 //! 2. **Training forward** ([`BiLstm::forward_batch`]) — per step, one
-//!    unfused `Z += H·Uᵀ` GEMM over the active rows, then the gate
-//!    sweep; gate activations and pre-step states land in flat caches
-//!    for the backward pass.
+//!    `Z += H·Uᵀ` GEMM over the active rows, then the gate sweep; gate
+//!    activations and pre-step states land in flat caches for the
+//!    backward pass.
 //! 3. **Backward** ([`BiLstm::backward_batch`]) — a fused gate-gradient
 //!    sweep per row, one fused `Uᵀ·dZ` GEMM per step over a cached
 //!    transpose, and register-tiled `dW += dZᵀ·X` / `dU += dZᵀ·H_prev`
 //!    accumulations. No input gradients: the classifier's inputs are
 //!    data.
 //! 4. **Inference** ([`BiLstm::hidden_states_batch`]) — the same
-//!    recurrence with its GEMMs on the fused-FMA kernels, recording no
-//!    backward-pass state.
+//!    recurrence, recording no backward-pass state.
 //!
-//! Inference therefore matches the training forward within fma
-//! rounding rather than bitwise. Both forwards are bitwise batch-size
-//! invariant: a sequence gets the same bits alone or inside any pack.
+//! Every GEMM runs on the one fused-FMA kernel family of
+//! [`crate::matrix`], so inference equals the training forward bitwise.
+//! Both forwards are bitwise batch-size invariant: a sequence gets the
+//! same bits alone or inside any pack.
 
 use crate::act::{gates_fused, lstm_gates_backward_fused, tanh_slice};
 use crate::batch::{BatchWorkspace, DirCache, PackedBatch};
@@ -196,12 +196,10 @@ impl Lstm {
     /// activations go through [`lstm_cell`] and are cached in `dir` for
     /// [`Lstm::backward_batch_dir_fused`].
     ///
-    /// Both GEMMs run on the unfused kernels, whose rows do not depend
-    /// on the rest of the batch, so every sequence's states are bitwise
-    /// the same alone or packed. Moving them onto the fused kernels
-    /// would change the bits of every trained model; the inference
-    /// engine, [`Lstm::infer_batch_dir_flat`], makes that trade for
-    /// throughput.
+    /// A GEMM row does not depend on the rest of the batch, so every
+    /// sequence's states are bitwise the same alone or packed, and the
+    /// inference engine, [`Lstm::infer_batch_dir_flat`], runs the same
+    /// kernels and reproduces them bitwise.
     pub(crate) fn forward_batch_dir(
         &self,
         pack: &PackedBatch,
@@ -273,12 +271,10 @@ impl Lstm {
     /// The forward direction stores its step block with one contiguous
     /// copy; the reversed direction runs with `accumulate` and adds
     /// each row at its natural time position. No per-step caches are
-    /// recorded, no per-frame vectors are allocated, and the recurrent
-    /// GEMM takes [`Matrix::matmul_nt_fused_to`] — halving its
-    /// floating-point instruction count at the price of matching the
-    /// training forward within fused-multiply-add rounding (~1e-6 on
-    /// bounded hidden states) instead of bitwise. Results stay
-    /// deterministic and bitwise batch-size invariant.
+    /// recorded and no per-frame vectors are allocated. The GEMMs and
+    /// the cell arithmetic are those of [`Lstm::forward_batch_dir`], so
+    /// hidden states equal the training forward's bitwise and stay
+    /// bitwise batch-size invariant.
     pub(crate) fn infer_batch_dir_flat(
         &self,
         pack: &PackedBatch,
@@ -311,7 +307,7 @@ impl Lstm {
             bz[..nb * gr].copy_from_slice(&dir.proj[off * gr..(off + nb) * gr]);
             self.u
                 .value
-                .matmul_nt_fused_to(&bh[..nb * hl], nb, &mut bz[..nb * gr], true);
+                .matmul_nt_to(&bh[..nb * hl], nb, &mut bz[..nb * gr], true);
             for b in 0..nb {
                 let c = &mut bc[b * hl..(b + 1) * hl];
                 let h = &mut bh[b * hl..(b + 1) * hl];
@@ -365,20 +361,19 @@ impl Lstm {
     /// 1. one 4H-wide [`lstm_gates_backward_fused`] gate-gradient sweep
     ///    per active row (bitwise identical to the textbook per-gate
     ///    formulas on every instruction set);
-    /// 2. the per-step `dh_next = Uᵀ·dZ` transpose-multiply as a
-    ///    register-tiled [`Matrix::matmul_nt_fused_to`] GEMM over a
-    ///    `Uᵀ` view served by the direction's version-keyed
-    ///    [`crate::matrix::TransposedCache`] (rebuilt only when the
-    ///    optimizer stepped `U`);
+    /// 2. the per-step `dh_next = Uᵀ·dZ` transpose-multiply as one
+    ///    [`Matrix::matmul_nt_to`] GEMM over a `Uᵀ` view served by the
+    ///    direction's version-keyed [`crate::matrix::TransposedCache`]
+    ///    (rebuilt only when the optimizer stepped `U`);
     /// 3. the final `dW += dZᵀ·X` / `dU += dZᵀ·H_prev` accumulations on
-    ///    the register-tiled [`Matrix::add_tn_product_fused`], which
+    ///    the register-tiled [`Matrix::add_tn_product`], which
     ///    streams the gradient matrices through cache once instead of
     ///    once per packed row.
     ///
-    /// Numerics: stages (2) and (3) contract multiplies and adds into
-    /// fused multiply-adds but keep each element's summation order
-    /// fixed, so gradients are deterministic and bitwise lane-invariant;
-    /// the test suite checks them against finite differences.
+    /// Numerics: stages (2) and (3) run on fused multiply-adds with each
+    /// element's summation order fixed, so gradients are deterministic
+    /// and bitwise lane-invariant; the test suite checks them against
+    /// finite differences.
     pub(crate) fn backward_batch_dir_fused(
         &mut self,
         pack: &PackedBatch,
@@ -441,7 +436,7 @@ impl Lstm {
                 // dh_next for step t-1, all active rows in one fused
                 // GEMM over the cached transpose (overwrite: rows past
                 // `nb` stay at their zero boundary values).
-                ut.matmul_nt_fused_to(
+                ut.matmul_nt_to(
                     &dz[off * gr..(off + nb) * gr],
                     nb,
                     &mut bh[..nb * hl],
@@ -449,10 +444,8 @@ impl Lstm {
                 );
             }
         }
-        self.w
-            .grad
-            .add_tn_product_fused(dz, pack.x(reversed), total);
-        self.u.grad.add_tn_product_fused(dz, h_prev, total);
+        self.w.grad.add_tn_product(dz, pack.x(reversed), total);
+        self.u.grad.add_tn_product(dz, h_prev, total);
         let bg = self.b.grad.data_mut();
         for row in dz.chunks_exact(gr) {
             for (slot, &d) in bg.iter_mut().zip(row) {
@@ -525,10 +518,8 @@ impl BiLstm {
     /// and no per-frame vectors are allocated anywhere. This is the
     /// engine under [`BiLstm::hidden_states_batch`] and the batched
     /// classifier head, which runs one flat GEMM straight over the
-    /// buffer. The recurrent GEMMs run on the fused-FMA kernel of
-    /// [`crate::matrix::Matrix::matmul_nt_fused_to`], so outputs match
-    /// the training path, [`BiLstm::forward_batch`], within rounding
-    /// rather than bitwise.
+    /// buffer. Outputs equal the training path,
+    /// [`BiLstm::forward_batch`], bitwise.
     pub(crate) fn hidden_states_batch_flat(
         &self,
         seqs: &[&[Vec<f32>]],
@@ -553,10 +544,9 @@ impl BiLstm {
 
     /// Batched inference: summed hidden states per sequence in caller
     /// order, without recording backward-pass caches. A re-nesting
-    /// wrapper around the crate-internal flat packed pass, whose
-    /// recurrent GEMMs run on the fused-FMA kernel family: outputs match
-    /// [`BiLstm::forward_batch`] within fused-multiply-add rounding and
-    /// are bitwise batch-size invariant.
+    /// wrapper around the crate-internal flat packed pass: outputs equal
+    /// [`BiLstm::forward_batch`] bitwise and are bitwise batch-size
+    /// invariant.
     pub fn hidden_states_batch(
         &self,
         seqs: &[&[Vec<f32>]],
@@ -809,12 +799,11 @@ mod tests {
     #[test]
     fn batched_forward_matches_batches_of_one_at_wide_hidden_sizes() {
         // H = 33 stays on the wide GEMM path (>= 32 recurrent columns)
-        // while exercising the dot kernel's tail passes; mixed lengths
-        // exercise the shrinking active prefix. The train path's rows do
-        // not depend on the rest of the pack, so each sequence must get
-        // the bits of its batch of one; the inference path runs the
-        // fused recurrent GEMM and is only required to agree with the
-        // train path within fused-multiply-add rounding.
+        // while exercising the dot kernel's tail; mixed lengths exercise
+        // the shrinking active prefix. GEMM rows do not depend on the
+        // rest of the pack, so each sequence must get the bits of its
+        // batch of one, and inference runs the same kernels as the
+        // train path, so it must reproduce those bits too.
         let mut rng = StdRng::seed_from_u64(31);
         let bi = BiLstm::new(3, 33, &mut rng);
         let seqs: Vec<Vec<Vec<f32>>> = [5usize, 2, 7, 1]
@@ -830,9 +819,10 @@ mod tests {
         for (i, seq) in seqs.iter().enumerate() {
             let alone = bi_forward(&bi, seq);
             assert_eq!(batched[i], alone, "seq {i} (train path)");
+            assert_eq!(inferred[i].len(), alone.len(), "seq {i}");
             for (t, (a, b)) in inferred[i].iter().zip(&alone).enumerate() {
                 for (x, y) in a.iter().zip(b) {
-                    assert!((x - y).abs() < 1e-5, "seq {i} t {t}: {x} vs {y}");
+                    assert_eq!(x.to_bits(), y.to_bits(), "seq {i} t {t}: {x} vs {y}");
                 }
             }
         }

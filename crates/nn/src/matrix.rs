@@ -1,207 +1,46 @@
 //! Dense row-major matrix and the GEMM kernels the recurrent layers run on.
 //!
-//! Two kernel families live here. Each has scalar, AVX2, AVX-512 and
-//! NEON bodies that follow one pinned operation sequence, so a family's
-//! results are bitwise identical on every instruction set:
+//! One kernel family lives here. Its scalar, AVX2+FMA, AVX-512 and NEON
+//! bodies follow one pinned operation sequence, so every product is
+//! bitwise identical on every instruction set:
 //!
-//! * **Unfused** ([`Matrix::matmul_nt_to`]): every output element is a
-//!   32-lane multiply-then-add dot product folded through a fixed
-//!   reduction tree, or, below 32 columns, a column-streaming plain
-//!   fold. The packed training forward runs its recurrent step
-//!   `Z += H·Uᵀ` on it, and the input projections `W·X` and the dense
-//!   head run on it in training and inference alike.
-//! * **Fused** ([`Matrix::matmul_nt_fused_to`],
-//!   [`Matrix::add_tn_product_fused`]): sixteen-lane fused multiply-add
-//!   dots for the inference recurrence and the backward `Uᵀ·dZ`
-//!   products, and register-tiled `dW += dZᵀ·X` gradient accumulation.
+//! * [`Matrix::matmul_nt_to`]: from 32 columns up, every output element
+//!   is a sixteen-lane fused multiply-add dot product folded through a
+//!   fixed reduction tree; below 32 columns it is a column-streaming
+//!   plain left-to-right fold. The input projections `W·X`, the
+//!   recurrent step `Z += H·Uᵀ` of training and inference alike, the
+//!   backward `Uᵀ·dZ` products and the dense head all run on it.
+//! * [`Matrix::add_tn_product`]: register-tiled `dW += dZᵀ·X` gradient
+//!   accumulation, one sequential fused multiply-add fold per element.
 //!
-//! The families differ by fma rounding (~1e-7 relative), so inference
-//! hidden states match the training forward within tolerance rather
-//! than bitwise. Both are deterministic and batch-size invariant: a row
-//! gets the same bits alone or inside any batch. [`GemmScratch`] owns
-//! the buffers the packed engines stream through, so a caller that
-//! scores or trains many batches reuses one set of allocations.
+//! Training and inference share these kernels, so inference hidden
+//! states equal the training forward's bitwise. Every product is
+//! deterministic and batch-size invariant: a row gets the same bits
+//! alone or inside any batch. [`GemmScratch`] owns the buffers the
+//! packed engines stream through, so a caller that scores or trains
+//! many batches reuses one set of allocations.
 
 use rand::Rng;
 
-/// Thirty-two-lane dot product — the inner kernel of every wide
-/// unfused matrix product in this module. Lane `k` sums elements
-/// `32i + k`, the lanes are folded with a fixed reduction tree, and the
-/// tail shorter than 32 is handled by an eight-lane pass plus a
-/// sequential remainder. The *lane assignment* (not the vector width of
-/// the machine it runs on) defines the summation order, so this
-/// portable body and the SIMD ones below are bitwise identical.
-/// Thirty-two lanes means four independent 8-wide accumulator chains,
-/// enough instruction-level parallelism to hide the floating-point add
-/// latency that a single chain would serialize on.
-#[inline]
-fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = [0.0f32; 32];
-    let mut ca = a.chunks_exact(32);
-    let mut cb = b.chunks_exact(32);
-    for (xa, xb) in (&mut ca).zip(&mut cb) {
-        for k in 0..32 {
-            acc[k] += xa[k] * xb[k];
-        }
-    }
-    let mut m = [0.0f32; 8];
-    for k in 0..8 {
-        m[k] = (acc[k] + acc[8 + k]) + (acc[16 + k] + acc[24 + k]);
-    }
-    let s = ((m[0] + m[1]) + (m[2] + m[3])) + ((m[4] + m[5]) + (m[6] + m[7]));
-    s + dot_tail(ca.remainder(), cb.remainder())
-}
-
-/// Eight-lane pass over the sub-32 tail, shared by every
-/// [`dot_scalar`] implementation so their results agree bitwise.
-#[inline]
-fn dot_tail(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = [0.0f32; 8];
-    let mut ca = a.chunks_exact(8);
-    let mut cb = b.chunks_exact(8);
-    for (xa, xb) in (&mut ca).zip(&mut cb) {
-        for k in 0..8 {
-            acc[k] += xa[k] * xb[k];
-        }
-    }
-    let mut s = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-    for (xa, xb) in ca.remainder().iter().zip(cb.remainder()) {
-        s += xa * xb;
-    }
-    s
-}
-
-/// AVX2 implementation of [`dot_scalar`]'s lane semantics: lane `32i + 8j + k`
-/// lives in lane `k` of accumulator register `j`, the registers are
-/// folded pairwise (matching `dot_scalar`'s tree), and multiplies and
-/// adds stay separate instructions (no FMA contraction), so the result
-/// is bitwise identical to the portable path. Marked `#[inline]` so the
-/// row-loop kernels below (which share the `avx2` feature context)
-/// inline it — a per-row function call would pay call overhead plus an
-/// AVX-to-SSE `vzeroupper` transition on every row.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
-    use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_setzero_ps, _mm256_storeu_ps,
-    };
-    let mut acc = [_mm256_setzero_ps(); 4];
-    let mut ca = a.chunks_exact(32);
-    let mut cb = b.chunks_exact(32);
-    for (xa, xb) in (&mut ca).zip(&mut cb) {
-        for (j, slot) in acc.iter_mut().enumerate() {
-            // SAFETY: `xa`/`xb` are exactly 32 elements, so offsets
-            // `8j..8j + 8` for `j < 4` are in bounds.
-            let va = unsafe { _mm256_loadu_ps(xa.as_ptr().add(8 * j)) };
-            let vb = unsafe { _mm256_loadu_ps(xb.as_ptr().add(8 * j)) };
-            *slot = _mm256_add_ps(*slot, _mm256_mul_ps(va, vb));
-        }
-    }
-    let m = _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), _mm256_add_ps(acc[2], acc[3]));
-    let mut lanes = [0.0f32; 8];
-    // SAFETY: `lanes` is a 32-byte buffer; unaligned store is allowed.
-    unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), m) };
-    let s = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-        + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-    s + dot_tail(ca.remainder(), cb.remainder())
-}
-
-/// NEON implementation of [`dot_scalar`]'s lane semantics: scalar lane
-/// `32i + 4j + k` lives in lane `k` of four-wide accumulator register
-/// `j` (`j < 8`), so the scalar reduction `m[k] = (acc[k] + acc[8+k]) +
-/// (acc[16+k] + acc[24+k])` maps to the register folds `(r0 + r2) +
-/// (r4 + r6)` (lanes 0..4 of `m`) and `(r1 + r3) + (r5 + r7)` (lanes
-/// 4..8). Multiplies and adds stay separate instructions — no
-/// `vfmaq_f32` contraction — so the result is bitwise identical to the
-/// portable path, exactly like the AVX2 kernel above.
-#[cfg(target_arch = "aarch64")]
-#[inline]
-#[target_feature(enable = "neon")]
-unsafe fn dot_neon(a: &[f32], b: &[f32]) -> f32 {
-    use std::arch::aarch64::{vaddq_f32, vdupq_n_f32, vgetq_lane_f32, vld1q_f32, vmulq_f32};
-    let mut acc = [vdupq_n_f32(0.0); 8];
-    let mut ca = a.chunks_exact(32);
-    let mut cb = b.chunks_exact(32);
-    for (xa, xb) in (&mut ca).zip(&mut cb) {
-        for (j, slot) in acc.iter_mut().enumerate() {
-            // SAFETY: `xa`/`xb` are exactly 32 elements, so offsets
-            // `4j..4j + 4` for `j < 8` are in bounds.
-            let va = unsafe { vld1q_f32(xa.as_ptr().add(4 * j)) };
-            let vb = unsafe { vld1q_f32(xb.as_ptr().add(4 * j)) };
-            *slot = vaddq_f32(*slot, vmulq_f32(va, vb));
-        }
-    }
-    let mlo = vaddq_f32(vaddq_f32(acc[0], acc[2]), vaddq_f32(acc[4], acc[6]));
-    let mhi = vaddq_f32(vaddq_f32(acc[1], acc[3]), vaddq_f32(acc[5], acc[7]));
-    let s = ((vgetq_lane_f32::<0>(mlo) + vgetq_lane_f32::<1>(mlo))
-        + (vgetq_lane_f32::<2>(mlo) + vgetq_lane_f32::<3>(mlo)))
-        + ((vgetq_lane_f32::<0>(mhi) + vgetq_lane_f32::<1>(mhi))
-            + (vgetq_lane_f32::<2>(mhi) + vgetq_lane_f32::<3>(mhi)));
-    s + dot_tail(ca.remainder(), cb.remainder())
-}
-
 /// Column counts below this use the column-streaming layout in
-/// [`matmul_nt_narrow`]: the shared dot kernel's 32-lane body never
-/// engages on such short rows, leaving its reduction tree and tail
-/// handling as pure overhead per output element.
+/// [`matmul_nt_narrow`]: on rows this short the dot kernels' sixteen-lane
+/// body engages at most once, leaving their reduction tree and
+/// sequential tail as overhead per output element.
 const NARROW_COLS: usize = 32;
 
-/// Blocked loop of the time-batched `C = X · Wᵀ` product (`add`
-/// selects accumulation onto the existing contents of `out`): each
-/// ~L1-sized panel of weight rows is reused across every timestep
-/// before moving to the next panel. Dispatched once per call so the
-/// SIMD dot kernel inlines into the loop instead of being re-entered
-/// per row.
-#[inline]
-fn matmul_nt_rows(data: &[f32], rows: usize, cols: usize, x: &[f32], out: &mut [f32], add: bool) {
-    if cols < NARROW_COLS {
-        matmul_nt_narrow(data, rows, cols, x, out, add);
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx512f")
-        && std::arch::is_x86_feature_detected!("avx512dq")
-    {
-        // SAFETY: guarded by the runtime AVX-512 checks above.
-        unsafe { matmul_nt_rows_avx512(data, rows, cols, x, out, add) };
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: guarded by the runtime AVX2 check above.
-        unsafe { matmul_nt_rows_avx2(data, rows, cols, x, out, add) };
-        return;
-    }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        // SAFETY: guarded by the runtime NEON check above.
-        unsafe { matmul_nt_rows_neon(data, rows, cols, x, out, add) };
-        return;
-    }
-    const ROW_BLOCK: usize = 64;
-    let mut r0 = 0;
-    while r0 < rows {
-        let r1 = (r0 + ROW_BLOCK).min(rows);
-        let panel = &data[r0 * cols..r1 * cols];
-        for (xi, oi) in x.chunks_exact(cols).zip(out.chunks_exact_mut(rows)) {
-            for (slot, row) in oi[r0..r1].iter_mut().zip(panel.chunks_exact(cols)) {
-                let d = dot_scalar(row, xi);
-                *slot = if add { *slot + d } else { d };
-            }
-        }
-        r0 = r1;
-    }
-}
+/// Weight rows per panel of [`matmul_nt_fused_rows`]: a ~L1-sized block
+/// of `U` or `W` that is reused across every input row before the loop
+/// moves to the next one.
+const ROW_BLOCK: usize = 64;
 
-/// Narrow-input variant of [`matmul_nt_rows`]: the weight panel is
+/// Narrow-input path of [`matmul_nt_fused_rows`]: the weight panel is
 /// transposed once so each input column is contiguous, then every
 /// timestep accumulates `out_t += x[t][c] · w_col_c` column by column —
 /// SIMD lanes span *output rows* and the (short) sum over the input
 /// dimension runs sequentially. The summation order is therefore the
-/// plain left-to-right fold over columns rather than the dot kernel's
-/// lane order; training and inference both project inputs through this
-/// same path, so they agree bitwise with each other.
+/// plain left-to-right fold over columns, with separate multiplies and
+/// adds, rather than the dot kernels' lane order. The 14-wide input
+/// projections take this path in training and inference alike.
 fn matmul_nt_narrow(data: &[f32], rows: usize, cols: usize, x: &[f32], out: &mut [f32], add: bool) {
     let mut wt = vec![0.0f32; cols * rows];
     for (r, row) in data.chunks_exact(cols).enumerate() {
@@ -277,134 +116,6 @@ unsafe fn matmul_nt_narrow_avx2(
     }
 }
 
-/// AVX2 instantiation of [`matmul_nt_rows`]'s loop. Full groups of
-/// eight weight rows go through [`dot8_avx2`], which shares the input
-/// chunk loads across the group and replaces eight store-and-scalar-add
-/// horizontal reductions with one register transpose; leftover rows
-/// fall back to per-row [`dot_avx2`]. Both produce bitwise-identical
-/// elements, so the split is invisible to callers.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn matmul_nt_rows_avx2(
-    data: &[f32],
-    rows: usize,
-    cols: usize,
-    x: &[f32],
-    out: &mut [f32],
-    add: bool,
-) {
-    const ROW_BLOCK: usize = 64;
-    let mut r0 = 0;
-    while r0 < rows {
-        let r1 = (r0 + ROW_BLOCK).min(rows);
-        let panel = &data[r0 * cols..r1 * cols];
-        let grouped = (r1 - r0) / 8 * 8;
-        for (xi, oi) in x.chunks_exact(cols).zip(out.chunks_exact_mut(rows)) {
-            let oi = &mut oi[r0..r1];
-            let mut g = 0;
-            while g < grouped {
-                // SAFETY: the caller established AVX2 support;
-                // `panel[g * cols..]` holds at least eight rows because
-                // `g + 8 <= grouped <= r1 - r0`.
-                unsafe { dot8_avx2(&panel[g * cols..], cols, xi, &mut oi[g..g + 8], add) };
-                g += 8;
-            }
-            for (slot, row) in oi[grouped..]
-                .iter_mut()
-                .zip(panel[grouped * cols..].chunks_exact(cols))
-            {
-                // SAFETY: the caller established AVX2 support.
-                let d = unsafe { dot_avx2(row, xi) };
-                *slot = if add { *slot + d } else { d };
-            }
-        }
-        r0 = r1;
-    }
-}
-
-/// Eight consecutive weight rows against one input vector, with
-/// [`dot_scalar`]'s lane semantics per row. Rows are processed in pairs so the
-/// input chunk registers are loaded once per pair, each row's four
-/// accumulators are folded into one register `m_j` exactly as in
-/// [`dot_avx2`], and the eight `m` registers are transposed so lane `k`
-/// of every row lands in register `t_k`. The lane-wise vector folds
-/// `((t0+t1)+(t2+t3))+((t4+t5)+(t6+t7))` then perform, per lane, the
-/// same scalar addition tree `dot_avx2` performs after its store — so
-/// every output element is bitwise identical to a per-row `dot_avx2`
-/// call, while the horizontal reduction costs ~4 shuffle/add ops per
-/// row instead of a 32-byte store feeding eight dependent scalar adds.
-/// This is where a GEMM's advantage over per-row mat-vecs comes from:
-/// the reduction overhead amortizes over the row group only when
-/// enough independent dot products are in flight.
-///
-/// `rows8` must hold at least `8 * cols` values and `out` exactly 8.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot8_avx2(rows8: &[f32], cols: usize, x: &[f32], out: &mut [f32], add: bool) {
-    use std::arch::x86_64::{_mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_setzero_ps};
-    let body = cols / 32 * 32;
-    let xp = x.as_ptr();
-    let mut m = [_mm256_setzero_ps(); 8];
-    for j in (0..8).step_by(2) {
-        let ra = rows8[j * cols..].as_ptr();
-        let rb = rows8[(j + 1) * cols..].as_ptr();
-        let mut acc_a = [_mm256_setzero_ps(); 4];
-        let mut acc_b = [_mm256_setzero_ps(); 4];
-        let mut c = 0;
-        while c < body {
-            for k in 0..4 {
-                // SAFETY: `c + 8k + 8 <= body <= cols`, so the loads
-                // stay inside row `j`, row `j + 1` and `x`.
-                let vx = unsafe { _mm256_loadu_ps(xp.add(c + 8 * k)) };
-                let va = unsafe { _mm256_loadu_ps(ra.add(c + 8 * k)) };
-                let vb = unsafe { _mm256_loadu_ps(rb.add(c + 8 * k)) };
-                acc_a[k] = _mm256_add_ps(acc_a[k], _mm256_mul_ps(va, vx));
-                acc_b[k] = _mm256_add_ps(acc_b[k], _mm256_mul_ps(vb, vx));
-            }
-            c += 32;
-        }
-        m[j] = _mm256_add_ps(
-            _mm256_add_ps(acc_a[0], acc_a[1]),
-            _mm256_add_ps(acc_a[2], acc_a[3]),
-        );
-        m[j + 1] = _mm256_add_ps(
-            _mm256_add_ps(acc_b[0], acc_b[1]),
-            _mm256_add_ps(acc_b[2], acc_b[3]),
-        );
-    }
-    // SAFETY: same AVX2 context and the same row-group invariants.
-    unsafe { fold8_store_avx2(m, rows8, cols, body, x, out, add) };
-}
-
-/// Shared epilogue of the eight-row kernels: transposes the eight
-/// folded accumulator registers, performs the per-lane reduction tree,
-/// adds each row's sub-32 tail and writes the results. `m[j]` must hold
-/// row `j`'s four accumulators folded as in [`dot_avx2`].
-#[cfg(target_arch = "x86_64")]
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn fold8_store_avx2(
-    m: [std::arch::x86_64::__m256; 8],
-    rows8: &[f32],
-    cols: usize,
-    body: usize,
-    x: &[f32],
-    out: &mut [f32],
-    add: bool,
-) {
-    use std::arch::x86_64::_mm256_storeu_ps;
-    // SAFETY: same AVX2 context.
-    let s = unsafe { transpose8_sum_avx2(m) };
-    let mut sums = [0.0f32; 8];
-    // SAFETY: `sums` is a 32-byte buffer; unaligned store is allowed.
-    unsafe { _mm256_storeu_ps(sums.as_mut_ptr(), s) };
-    let xt = &x[body..cols];
-    for (j, (slot, &sj)) in out.iter_mut().zip(&sums).enumerate() {
-        let d = sj + dot_tail(&rows8[j * cols + body..(j + 1) * cols], xt);
-        *slot = if add { *slot + d } else { d };
-    }
-}
-
 /// Transposes eight folded accumulator registers (`t_k[j] = m_j[k]`
 /// after the transpose) and performs the per-lane reduction tree
 /// `((t0+t1)+(t2+t3))+((t4+t5)+(t6+t7))`, so lane `j` of the result is
@@ -449,119 +160,23 @@ unsafe fn transpose8_sum_avx2(m: [std::arch::x86_64::__m256; 8]) -> std::arch::x
     )
 }
 
-/// AVX-512 variant of [`dot8_avx2`]: one 512-bit register carries two of
-/// a row's four 8-lane accumulators side by side (`acc[2r]` holds scalar
-/// accumulator lanes `0..16`, i.e. `acc0 | acc1`, and `acc[2r + 1]`
-/// holds `acc2 | acc3`), because a 32-element chunk is exactly two
-/// 512-bit loads whose lanes line up with consecutive accumulator
-/// groups. Sixteen accumulator registers cover the whole eight-row
-/// group, so the two input chunk loads are shared by every row, and
-/// each 32-element chunk costs two multiplies and two adds per row
-/// instead of four of each. Splitting each accumulator register into
-/// halves and adding them lane-wise reproduces `dot_avx2`'s folds
-/// `acc0 + acc1` and `acc2 + acc3` exactly, so the result is bitwise
-/// identical to the AVX2 and scalar paths.
+/// Sixteen-lane *fused* dot product — the inner kernel of every wide
+/// product of [`Matrix::matmul_nt_to`]. Lane `k` accumulates elements
+/// `16i + k` with a fused multiply-add (one rounding per step instead
+/// of two), the sixteen lanes fold as `m[k] = acc[k] + acc[8 + k]`
+/// followed by the pairwise tree
+/// `((m0 + m1) + (m2 + m3)) + ((m4 + m5) + (m6 + m7))`, and the sub-16
+/// tail is folded in sequentially with scalar fused multiply-adds.
+/// Fusing halves the floating-point instruction count, which is exactly
+/// the resource a batched GEMM is bound by once its loads amortize over
+/// the batch.
 ///
-/// `rows8` must hold at least `8 * cols` values and `out` exactly 8.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn dot8_avx512(rows8: &[f32], cols: usize, x: &[f32], out: &mut [f32], add: bool) {
-    use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_setzero_ps, _mm512_add_ps, _mm512_castps512_ps256,
-        _mm512_extractf32x8_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_setzero_ps,
-    };
-    let body = cols / 32 * 32;
-    let xp = x.as_ptr();
-    let rp = rows8.as_ptr();
-    let mut acc = [_mm512_setzero_ps(); 16];
-    let mut c = 0;
-    while c < body {
-        // SAFETY: `c + 32 <= body <= cols`, so both 16-lane loads stay
-        // inside `x`, and `r * cols + c + 32 <= 8 * cols` keeps the row
-        // loads inside `rows8` for every `r < 8`.
-        let xa = unsafe { _mm512_loadu_ps(xp.add(c)) };
-        let xb = unsafe { _mm512_loadu_ps(xp.add(c + 16)) };
-        for r in 0..8 {
-            let row = unsafe { rp.add(r * cols + c) };
-            let wa = unsafe { _mm512_loadu_ps(row) };
-            let wb = unsafe { _mm512_loadu_ps(row.add(16)) };
-            acc[2 * r] = _mm512_add_ps(acc[2 * r], _mm512_mul_ps(wa, xa));
-            acc[2 * r + 1] = _mm512_add_ps(acc[2 * r + 1], _mm512_mul_ps(wb, xb));
-        }
-        c += 32;
-    }
-    let mut m = [_mm256_setzero_ps(); 8];
-    for (r, mr) in m.iter_mut().enumerate() {
-        let z0 = acc[2 * r];
-        let z1 = acc[2 * r + 1];
-        let a01 = _mm256_add_ps(_mm512_castps512_ps256(z0), _mm512_extractf32x8_ps::<1>(z0));
-        let a23 = _mm256_add_ps(_mm512_castps512_ps256(z1), _mm512_extractf32x8_ps::<1>(z1));
-        *mr = _mm256_add_ps(a01, a23);
-    }
-    // SAFETY: avx512f implies avx2; same row-group invariants.
-    unsafe { fold8_store_avx2(m, rows8, cols, body, x, out, add) };
-}
-
-/// AVX-512 instantiation of [`matmul_nt_rows`]'s loop: full groups of
-/// eight weight rows go through [`dot8_avx512`], leftovers through
-/// per-row [`dot_avx2`] (bitwise identical either way).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn matmul_nt_rows_avx512(
-    data: &[f32],
-    rows: usize,
-    cols: usize,
-    x: &[f32],
-    out: &mut [f32],
-    add: bool,
-) {
-    const ROW_BLOCK: usize = 64;
-    let mut r0 = 0;
-    while r0 < rows {
-        let r1 = (r0 + ROW_BLOCK).min(rows);
-        let panel = &data[r0 * cols..r1 * cols];
-        let grouped = (r1 - r0) / 8 * 8;
-        for (xi, oi) in x.chunks_exact(cols).zip(out.chunks_exact_mut(rows)) {
-            let oi = &mut oi[r0..r1];
-            let mut g = 0;
-            while g < grouped {
-                // SAFETY: the caller established AVX-512 support;
-                // `panel[g * cols..]` holds at least eight rows because
-                // `g + 8 <= grouped <= r1 - r0`.
-                unsafe { dot8_avx512(&panel[g * cols..], cols, xi, &mut oi[g..g + 8], add) };
-                g += 8;
-            }
-            for (slot, row) in oi[grouped..]
-                .iter_mut()
-                .zip(panel[grouped * cols..].chunks_exact(cols))
-            {
-                // SAFETY: avx512f implies avx2.
-                let d = unsafe { dot_avx2(row, xi) };
-                *slot = if add { *slot + d } else { d };
-            }
-        }
-        r0 = r1;
-    }
-}
-
-/// Sixteen-lane *fused* dot product — the inner kernel of
-/// [`Matrix::matmul_nt_fused_to`], the batched engines' recurrent GEMM.
-/// Lane `k` accumulates elements `16i + k` with a fused multiply-add
-/// (one rounding per step instead of two), the sixteen lanes fold as
-/// `m[k] = acc[k] + acc[8 + k]` followed by the same pairwise tree the
-/// unfused kernel uses, and the sub-16 tail is folded in sequentially
-/// with scalar fused multiply-adds. Fusing halves the floating-point
-/// instruction count, which is exactly the resource a batched GEMM is
-/// bound by once its loads amortize over the batch; the price is that
-/// results differ from the unfused [`dot_scalar`] semantics by normal
-/// rounding (~1e-7 relative), so inference matches the training forward
-/// within tolerance instead of bitwise.
-///
-/// As with [`dot_scalar`], the *lane assignment* defines the summation order:
-/// this portable implementation (`f32::mul_add` is a correctly rounded
-/// IEEE fma, identical to the hardware instruction) and the AVX2-FMA /
-/// AVX-512 kernels below are bitwise identical to each other, and the
-/// result is independent of batch size and row position.
+/// The *lane assignment*, not the vector width of the machine it runs
+/// on, defines the summation order: this portable implementation
+/// (`f32::mul_add` is a correctly rounded IEEE fma, identical to the
+/// hardware instruction) and the AVX2-FMA / AVX-512 / NEON kernels below
+/// are bitwise identical to each other, and the result is independent
+/// of batch size and row position.
 #[inline]
 fn dot_fused_scalar(a: &[f32], b: &[f32]) -> f32 {
     let mut acc = [0.0f32; 16];
@@ -583,9 +198,9 @@ fn dot_fused_scalar(a: &[f32], b: &[f32]) -> f32 {
     s
 }
 
-/// Folds the eight per-lane sums of a [`dot_fused_scalar`]-semantics
-/// accumulator (`m[k] = acc[k] + acc[8+k]` already applied) with the
-/// shared pairwise tree, then adds the sequential fused tail.
+/// Adds the sub-16 tail of a [`dot_fused_scalar`]-semantics dot
+/// product onto `s`, the already folded sixteen-lane body, as the
+/// sequential fused multiply-adds of the portable kernel.
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 #[inline]
 fn fused_tail(mut s: f32, row_tail: &[f32], x_tail: &[f32]) -> f32 {
@@ -869,7 +484,7 @@ unsafe fn dot8_fused_fma(rows8: &[f32], cols: usize, x: &[f32], out: &mut [f32],
 /// `acc0 + acc2` (folded lanes 0..4) and `acc1 + acc3` (folded lanes
 /// 4..8), and the pairwise tree then runs over those eight lanes in the
 /// shared order, so every result is bitwise identical to the portable
-/// kernel — exactly the relationship [`dot_neon`] has with [`dot_scalar`].
+/// kernel.
 #[cfg(target_arch = "aarch64")]
 #[inline]
 #[target_feature(enable = "neon")]
@@ -898,14 +513,15 @@ unsafe fn dot1_fused_neon(a: &[f32], b: &[f32]) -> f32 {
     fused_tail(s, &a[body..cols], &b[body..cols])
 }
 
-/// Blocked loop of [`Matrix::matmul_nt_fused_to`], mirroring
-/// [`matmul_nt_rows`]'s panel structure with the fused kernels. Narrow
-/// inputs keep the column-streaming layout (its per-element overhead is
-/// already minimal and the fused kernels' 16-lane body never engages);
-/// on x86_64 full eight-row groups take the grouped kernels and
-/// leftovers the single-row ones, all bitwise identical per element;
-/// aarch64 runs the per-row [`dot1_fused_neon`] loop. Other
-/// architectures use the portable [`dot_fused_scalar`].
+/// Blocked loop of [`Matrix::matmul_nt_to`] (`add` selects
+/// accumulation onto the existing contents of `out`): each
+/// [`ROW_BLOCK`]-row panel of weights is reused across every input row
+/// before moving on. Narrow inputs take the column-streaming
+/// [`matmul_nt_narrow`]. Wide ones dispatch once per call: to
+/// [`matmul_nt_fused_rows_x86`] on x86_64 with AVX-512 or AVX2+FMA, to
+/// [`matmul_nt_fused_rows_neon`] on aarch64, and otherwise to the
+/// portable [`dot_fused_scalar`] loop below. All are bitwise identical
+/// per element.
 #[inline]
 fn matmul_nt_fused_rows(
     data: &[f32],
@@ -919,7 +535,6 @@ fn matmul_nt_fused_rows(
         matmul_nt_narrow(data, rows, cols, x, out, add);
         return;
     }
-    const ROW_BLOCK: usize = 64;
     #[cfg(target_arch = "x86_64")]
     {
         let avx512 = std::arch::is_x86_feature_detected!("avx512f")
@@ -927,93 +542,8 @@ fn matmul_nt_fused_rows(
         let fma = std::arch::is_x86_feature_detected!("avx2")
             && std::arch::is_x86_feature_detected!("fma");
         if avx512 || fma {
-            let n = x.len() / cols;
-            let mut r0 = 0;
-            while r0 < rows {
-                let r1 = (r0 + ROW_BLOCK).min(rows);
-                let panel = &data[r0 * cols..r1 * cols];
-                let pr = r1 - r0;
-                let mut i0 = 0;
-                if avx512 {
-                    // Register-blocked core: 4 batch vectors × 4 panel
-                    // rows per tile, leftovers below.
-                    while i0 + 4 <= n {
-                        let x4 = &x[i0 * cols..(i0 + 4) * cols];
-                        let tiled = pr / 4 * 4;
-                        let mut g = 0;
-                        while g < tiled {
-                            let out4 = &mut out[i0 * rows + r0 + g..];
-                            // SAFETY: feature support established
-                            // above; `panel[g * cols..]` holds at least
-                            // four rows and `out4` reaches the last
-                            // tile cell `3 * rows + 3`.
-                            unsafe {
-                                dot4x4_fused_avx512(&panel[g * cols..], cols, x4, out4, rows, add);
-                            }
-                            g += 4;
-                        }
-                        for r in tiled..pr {
-                            let row = &panel[r * cols..(r + 1) * cols];
-                            for i in 0..4 {
-                                // SAFETY: feature support established above.
-                                let d = unsafe {
-                                    dot1_fused_avx512(row, &x4[i * cols..(i + 1) * cols])
-                                };
-                                let slot = &mut out[(i0 + i) * rows + r0 + r];
-                                *slot = if add { *slot + d } else { d };
-                            }
-                        }
-                        i0 += 4;
-                    }
-                }
-                // Leftover batch vectors (all of them without AVX-512)
-                // go through the one-vector eight-row kernels.
-                let grouped = pr / 8 * 8;
-                for i in i0..n {
-                    let xi = &x[i * cols..(i + 1) * cols];
-                    let oi = &mut out[i * rows + r0..i * rows + r1];
-                    let mut g = 0;
-                    while g < grouped {
-                        // SAFETY: feature support established above;
-                        // `panel[g * cols..]` holds at least eight rows.
-                        unsafe {
-                            if avx512 {
-                                dot8_fused_avx512(
-                                    &panel[g * cols..],
-                                    cols,
-                                    xi,
-                                    &mut oi[g..g + 8],
-                                    add,
-                                );
-                            } else {
-                                dot8_fused_fma(
-                                    &panel[g * cols..],
-                                    cols,
-                                    xi,
-                                    &mut oi[g..g + 8],
-                                    add,
-                                );
-                            }
-                        }
-                        g += 8;
-                    }
-                    for (slot, row) in oi[grouped..]
-                        .iter_mut()
-                        .zip(panel[grouped * cols..].chunks_exact(cols))
-                    {
-                        // SAFETY: feature support established above.
-                        let d = unsafe {
-                            if avx512 {
-                                dot1_fused_avx512(row, xi)
-                            } else {
-                                dot1_fused_fma(row, xi)
-                            }
-                        };
-                        *slot = if add { *slot + d } else { d };
-                    }
-                }
-                r0 = r1;
-            }
+            // SAFETY: guarded by the runtime feature checks above.
+            unsafe { matmul_nt_fused_rows_x86(data, rows, cols, x, out, add, avx512) };
             return;
         }
     }
@@ -1037,6 +567,105 @@ fn matmul_nt_fused_rows(
     }
 }
 
+/// x86_64 body of [`matmul_nt_fused_rows`] for wide inputs. With
+/// `avx512`, full groups of four input rows run through the
+/// register-blocked [`dot4x4_fused_avx512`] tiles. The remaining input
+/// rows (all of them without `avx512`) take the one-vector eight-row
+/// kernel for full groups of weight rows and the single-row kernel for
+/// the rest: [`dot8_fused_avx512`] / [`dot1_fused_avx512`] with
+/// `avx512`, [`dot8_fused_fma`] / [`dot1_fused_fma`] without. Every
+/// element gets the same bits whichever kernel computes it; the tests
+/// pass `avx512 = false` directly so the AVX2+FMA kernels stay pinned
+/// on hosts where AVX-512 wins the dispatch.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F and AVX-512DQ when `avx512` is set,
+/// and AVX2 and FMA when it is not.
+#[cfg(target_arch = "x86_64")]
+unsafe fn matmul_nt_fused_rows_x86(
+    data: &[f32],
+    rows: usize,
+    cols: usize,
+    x: &[f32],
+    out: &mut [f32],
+    add: bool,
+    avx512: bool,
+) {
+    let n = x.len() / cols;
+    let mut r0 = 0;
+    while r0 < rows {
+        let r1 = (r0 + ROW_BLOCK).min(rows);
+        let panel = &data[r0 * cols..r1 * cols];
+        let pr = r1 - r0;
+        let mut i0 = 0;
+        if avx512 {
+            // Register-blocked core: 4 batch vectors × 4 panel rows
+            // per tile, leftovers below.
+            while i0 + 4 <= n {
+                let x4 = &x[i0 * cols..(i0 + 4) * cols];
+                let tiled = pr / 4 * 4;
+                let mut g = 0;
+                while g < tiled {
+                    let out4 = &mut out[i0 * rows + r0 + g..];
+                    // SAFETY: the caller guarantees the features;
+                    // `panel[g * cols..]` holds at least four rows and
+                    // `out4` reaches the last tile cell `3 * rows + 3`.
+                    unsafe {
+                        dot4x4_fused_avx512(&panel[g * cols..], cols, x4, out4, rows, add);
+                    }
+                    g += 4;
+                }
+                for r in tiled..pr {
+                    let row = &panel[r * cols..(r + 1) * cols];
+                    for i in 0..4 {
+                        // SAFETY: the caller guarantees the features.
+                        let d = unsafe { dot1_fused_avx512(row, &x4[i * cols..(i + 1) * cols]) };
+                        let slot = &mut out[(i0 + i) * rows + r0 + r];
+                        *slot = if add { *slot + d } else { d };
+                    }
+                }
+                i0 += 4;
+            }
+        }
+        // Leftover batch vectors (all of them without AVX-512) go
+        // through the one-vector eight-row kernels.
+        let grouped = pr / 8 * 8;
+        for i in i0..n {
+            let xi = &x[i * cols..(i + 1) * cols];
+            let oi = &mut out[i * rows + r0..i * rows + r1];
+            let mut g = 0;
+            while g < grouped {
+                // SAFETY: the caller guarantees the features;
+                // `panel[g * cols..]` holds at least eight rows.
+                unsafe {
+                    if avx512 {
+                        dot8_fused_avx512(&panel[g * cols..], cols, xi, &mut oi[g..g + 8], add);
+                    } else {
+                        dot8_fused_fma(&panel[g * cols..], cols, xi, &mut oi[g..g + 8], add);
+                    }
+                }
+                g += 8;
+            }
+            for (slot, row) in oi[grouped..]
+                .iter_mut()
+                .zip(panel[grouped * cols..].chunks_exact(cols))
+            {
+                // SAFETY: the caller guarantees the features.
+                let d = unsafe {
+                    if avx512 {
+                        dot1_fused_avx512(row, xi)
+                    } else {
+                        dot1_fused_fma(row, xi)
+                    }
+                };
+                *slot = if add { *slot + d } else { d };
+            }
+        }
+        r0 = r1;
+    }
+}
+
 /// NEON instantiation of [`matmul_nt_fused_rows`]'s fallback loop,
 /// dispatched once per call so [`dot1_fused_neon`] inlines into the
 /// panel walk. Element-for-element bitwise identical to the portable
@@ -1051,7 +680,6 @@ unsafe fn matmul_nt_fused_rows_neon(
     out: &mut [f32],
     add: bool,
 ) {
-    const ROW_BLOCK: usize = 64;
     let mut r0 = 0;
     while r0 < rows {
         let r1 = (r0 + ROW_BLOCK).min(rows);
@@ -1067,35 +695,8 @@ unsafe fn matmul_nt_fused_rows_neon(
     }
 }
 
-/// NEON instantiation of [`matmul_nt_rows`]'s loop.
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn matmul_nt_rows_neon(
-    data: &[f32],
-    rows: usize,
-    cols: usize,
-    x: &[f32],
-    out: &mut [f32],
-    add: bool,
-) {
-    const ROW_BLOCK: usize = 64;
-    let mut r0 = 0;
-    while r0 < rows {
-        let r1 = (r0 + ROW_BLOCK).min(rows);
-        let panel = &data[r0 * cols..r1 * cols];
-        for (xi, oi) in x.chunks_exact(cols).zip(out.chunks_exact_mut(rows)) {
-            for (slot, row) in oi[r0..r1].iter_mut().zip(panel.chunks_exact(cols)) {
-                // SAFETY: the caller established NEON support.
-                let d = unsafe { dot_neon(row, xi) };
-                *slot = if add { *slot + d } else { d };
-            }
-        }
-        r0 = r1;
-    }
-}
-
 /// Register-tiled fused-FMA gradient accumulation `W += Aᵀ · B` — the
-/// backward counterpart of the fused inference GEMMs. Every output
+/// backward counterpart of [`matmul_nt_fused_rows`]. Every output
 /// element `(r, c)` is a plain *sequential* fold over the `n` packed
 /// rows, `acc = fma(a[t·R + r], b[t·C + c], acc)`, finished by a single
 /// `+=` onto the existing value. No element ever crosses a reduction
@@ -1667,62 +1268,30 @@ impl Matrix {
         self.matmul_nt_to(x, n, out, false);
     }
 
-    /// Row-batched product `C = X · selfᵀ` on the unfused kernels: `x`
-    /// holds `n` row-major rows of `self.cols()` values and row `i` of
-    /// `out` receives `self · x_i`, overwritten or, with `add`,
-    /// accumulated (`out += X · selfᵀ`). Each ~L1-sized panel of weight
-    /// rows is reused across all `n` input rows before moving on.
+    /// Row-batched product `C = X · selfᵀ`: `x` holds `n` row-major
+    /// rows of `self.cols()` values and row `i` of `out` receives
+    /// `self · x_i`, overwritten or, with `add`, accumulated
+    /// (`out += X · selfᵀ`). Each ~L1-sized panel of weight rows is
+    /// reused across all `n` input rows before moving on. Every product
+    /// in the crate runs on it: the input projections `W·X`, the
+    /// recurrent step `Z += H · Uᵀ` of training and inference, the
+    /// backward's transposed products and the dense head.
     ///
-    /// With 32 or more columns every output element is the 32-lane dot
-    /// kernel followed, when accumulating, by a single `+` onto the
-    /// existing value; below 32 columns it is the plain left-to-right
-    /// fold over columns, starting from zero or from the existing
-    /// value. Either way a row's result does not depend on `n` or on the
-    /// other rows. This is the packed training forward's recurrent step
-    /// `Z += H · Uᵀ`, the input projections `W·X` and the dense head.
+    /// With 32 or more columns every output element is the sixteen-lane
+    /// fused multiply-add dot product (`dot_fused_scalar`) followed,
+    /// when accumulating, by a single `+` onto the existing value; below
+    /// 32 columns it is the plain left-to-right fold over columns with
+    /// separate multiplies and adds, starting from zero or from the
+    /// existing value. The portable path (`f32::mul_add` is a correctly
+    /// rounded IEEE fma), AVX2+FMA, AVX-512 and NEON kernels agree
+    /// bitwise, and a row's result does not depend on `n` or on the
+    /// other rows.
     ///
     /// # Panics
     ///
     /// Panics unless `x.len() == n * self.cols()` and
     /// `out.len() == n * self.rows()`.
     pub fn matmul_nt_to(&self, x: &[f32], n: usize, out: &mut [f32], add: bool) {
-        assert_eq!(x.len(), n * self.cols, "matmul_nt dimension mismatch");
-        assert_eq!(out.len(), n * self.rows, "matmul_nt output length mismatch");
-        if self.cols == 0 || self.rows == 0 {
-            if !add {
-                out.iter_mut().for_each(|v| *v = 0.0);
-            }
-            return;
-        }
-        matmul_nt_rows(&self.data, self.rows, self.cols, x, out, add);
-    }
-
-    /// [`Matrix::matmul_nt_to`] with *fused* multiply-add semantics —
-    /// the throughput kernel behind the inference engine's recurrent
-    /// GEMMs (`Z += H · Uᵀ`) and the fused backward's transposed
-    /// GEMMs. The cached input projections and the dense head stay on
-    /// the unfused kernels.
-    ///
-    /// Each dot product follows `dot_fused_scalar`: sixteen
-    /// accumulator lanes updated with single-rounding fused
-    /// multiply-adds, halving the floating-point instruction count of
-    /// the unfused `dot_scalar` semantics — the resource a batched GEMM
-    /// is bound by once its loads amortize over the batch. The cost is a
-    /// deterministic but *different* rounding: the portable scalar path
-    /// (`f32::mul_add` — a correctly rounded IEEE fma), AVX2+FMA,
-    /// AVX-512 and NEON kernels all agree bitwise with each other, and
-    /// the result stays independent of batch size and row position, but
-    /// outputs differ from [`Matrix::matmul_nt_to`] by ~1e-7 relative
-    /// error. The packed training forward stays on the unfused kernels
-    /// (moving it would change the bits of every trained model), so
-    /// inference outputs match that forward within tolerance rather than
-    /// bitwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `x.len() == n * self.cols()` and
-    /// `out.len() == n * self.rows()`.
-    pub fn matmul_nt_fused_to(&self, x: &[f32], n: usize, out: &mut [f32], add: bool) {
         assert_eq!(x.len(), n * self.cols, "matmul_nt dimension mismatch");
         assert_eq!(out.len(), n * self.rows, "matmul_nt output length mismatch");
         if self.cols == 0 || self.rows == 0 {
@@ -1748,7 +1317,7 @@ impl Matrix {
     ///
     /// Panics unless `a.len() == n * self.rows()` and
     /// `b.len() == n * self.cols()`.
-    pub fn add_tn_product_fused(&mut self, a: &[f32], b: &[f32], n: usize) {
+    pub fn add_tn_product(&mut self, a: &[f32], b: &[f32], n: usize) {
         assert_eq!(a.len(), n * self.rows, "add_tn_product row mismatch");
         assert_eq!(b.len(), n * self.cols, "add_tn_product col mismatch");
         if self.cols == 0 || self.rows == 0 || n == 0 {
@@ -1883,96 +1452,74 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn dispatched_matmul_nt_is_bitwise_identical_to_scalar_folds() {
-        // Pins the unfused kernels on whatever instruction set the
-        // dispatcher picks (AVX-512, AVX2, NEON or portable), and the
-        // AVX2 row loop directly on hosts where AVX-512 wins the
+    fn fused_matmul_nt_is_bitwise_identical_to_scalar_fused_lanes() {
+        // Pins every GEMM body on whatever instruction set the
+        // dispatcher picks (AVX-512, AVX2+FMA, NEON or portable), and the
+        // AVX2+FMA row loop directly on hosts where AVX-512 wins the
         // dispatch. From 32 columns every element must be the portable
-        // 32-lane `dot_scalar` of its row (plus one add when
+        // sixteen-lane `dot_fused_scalar` of its row (plus one add when
         // accumulating); below 32 it must be the plain left-to-right
-        // fold over columns of the portable narrow loop. Columns
-        // straddle the 8-lane tail, the 32-lane body and the
-        // narrow/wide switch; 70 rows straddle the eight-row groups and
-        // the 64-row panel; `n` covers single rows, pairs and odd batch
-        // sizes.
+        // fold over columns of the narrow path, which carries every
+        // 14-wide input projection. Columns straddle the 16-lane body,
+        // the fused tail and the narrow/wide switch; 70 and 256 rows
+        // straddle the four- and eight-row groups and the 64-row panel;
+        // `n` covers single rows, pairs, the 4x4 tiles and their
+        // leftovers.
         let mut rng = StdRng::seed_from_u64(7);
+        let mut shapes = Vec::new();
         for cols in [1, 7, 31, 32, 33, 64, 100] {
             for rows in [5, 70] {
-                let m = Matrix::xavier(rows, cols, &mut rng);
                 for n in [1, 2, 8, 9] {
-                    let x: Vec<f32> = (0..n * cols).map(|i| (i as f32 * 0.37).sin()).collect();
-                    for add in [false, true] {
-                        let base: Vec<f32> =
-                            (0..n * rows).map(|i| (i as f32 * 0.11).cos()).collect();
-                        let mut out = base.clone();
-                        m.matmul_nt_to(&x, n, &mut out, add);
-                        let mut bodies = vec![("dispatched", out)];
-                        #[cfg(target_arch = "x86_64")]
-                        if cols >= NARROW_COLS && std::arch::is_x86_feature_detected!("avx2") {
-                            let mut avx2 = base.clone();
-                            // SAFETY: guarded by the runtime AVX2 check.
-                            unsafe {
-                                matmul_nt_rows_avx2(m.data(), rows, cols, &x, &mut avx2, add)
-                            };
-                            bodies.push(("avx2", avx2));
-                        }
-                        for (body, out) in &bodies {
-                            for t in 0..n {
-                                let xt = &x[t * cols..(t + 1) * cols];
-                                for r in 0..rows {
-                                    let init = if add { base[t * rows + r] } else { 0.0 };
-                                    let want = if cols >= NARROW_COLS {
-                                        let d = dot_scalar(m.row(r), xt);
-                                        if add {
-                                            init + d
-                                        } else {
-                                            d
-                                        }
-                                    } else {
-                                        let mut s = init;
-                                        for (&w, &xc) in m.row(r).iter().zip(xt) {
-                                            s += w * xc;
-                                        }
-                                        s
-                                    };
-                                    assert_eq!(
-                                    out[t * rows + r].to_bits(),
-                                    want.to_bits(),
-                                    "{body}: rows {rows} cols {cols} n {n} add {add} t {t} r {r}"
-                                );
-                                }
-                            }
-                        }
-                    }
+                    shapes.push((rows, cols, n));
                 }
             }
         }
-    }
-
-    #[test]
-    fn fused_matmul_nt_is_bitwise_identical_to_scalar_fused_lanes() {
-        // Wide shapes take the AVX2-FMA / AVX-512 kernels where
-        // available; every element must still reproduce the portable
-        // sixteen-lane `mul_add` reference exactly. Column counts
-        // straddle the 16-lane body boundary and the fused tail, row
-        // counts straddle the eight-row group and the 64-row panel.
-        let mut rng = StdRng::seed_from_u64(11);
-        for (rows, cols, n) in [(8, 32, 1), (13, 33, 3), (70, 45, 4), (256, 64, 8)] {
+        shapes.extend([(8, 32, 1), (13, 33, 3), (70, 45, 4), (256, 64, 8)]);
+        for (rows, cols, n) in shapes {
             let m = Matrix::xavier(rows, cols, &mut rng);
-            let x: Vec<f32> = (0..n * cols).map(|i| (i as f32 * 0.61).sin()).collect();
+            let x: Vec<f32> = (0..n * cols).map(|i| (i as f32 * 0.37).sin()).collect();
             for add in [false, true] {
-                let mut out: Vec<f32> = (0..n * rows).map(|i| i as f32 * 0.01).collect();
-                let base = out.clone();
-                m.matmul_nt_fused_to(&x, n, &mut out, add);
-                for t in 0..n {
-                    for r in 0..rows {
-                        let d = dot_fused_scalar(m.row(r), &x[t * cols..(t + 1) * cols]);
-                        let want = if add { base[t * rows + r] + d } else { d };
-                        assert_eq!(
-                            out[t * rows + r].to_bits(),
-                            want.to_bits(),
-                            "rows {rows} cols {cols} n {n} add {add} t {t} r {r}"
-                        );
+                let base: Vec<f32> = (0..n * rows).map(|i| (i as f32 * 0.11).cos()).collect();
+                let mut out = base.clone();
+                m.matmul_nt_to(&x, n, &mut out, add);
+                let mut bodies = vec![("dispatched", out)];
+                #[cfg(target_arch = "x86_64")]
+                if cols >= NARROW_COLS
+                    && std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("fma")
+                {
+                    let mut fma = base.clone();
+                    // SAFETY: guarded by the runtime AVX2+FMA checks.
+                    unsafe {
+                        matmul_nt_fused_rows_x86(m.data(), rows, cols, &x, &mut fma, add, false)
+                    };
+                    bodies.push(("avx2-fma", fma));
+                }
+                for (body, out) in &bodies {
+                    for t in 0..n {
+                        let xt = &x[t * cols..(t + 1) * cols];
+                        for r in 0..rows {
+                            let init = if add { base[t * rows + r] } else { 0.0 };
+                            let want = if cols >= NARROW_COLS {
+                                let d = dot_fused_scalar(m.row(r), xt);
+                                if add {
+                                    init + d
+                                } else {
+                                    d
+                                }
+                            } else {
+                                let mut s = init;
+                                for (&w, &xc) in m.row(r).iter().zip(xt) {
+                                    s += w * xc;
+                                }
+                                s
+                            };
+                            assert_eq!(
+                                out[t * rows + r].to_bits(),
+                                want.to_bits(),
+                                "{body}: rows {rows} cols {cols} n {n} add {add} t {t} r {r}"
+                            );
+                        }
                     }
                 }
             }
@@ -1989,10 +1536,10 @@ mod tests {
         let m = Matrix::xavier(rows, cols, &mut rng);
         let x: Vec<f32> = (0..n * cols).map(|i| (i as f32 * 0.23).cos()).collect();
         let mut batched = vec![0.0f32; n * rows];
-        m.matmul_nt_fused_to(&x, n, &mut batched, false);
+        m.matmul_nt_to(&x, n, &mut batched, false);
         for t in 0..n {
             let mut single = vec![0.0f32; rows];
-            m.matmul_nt_fused_to(&x[t * cols..(t + 1) * cols], 1, &mut single, false);
+            m.matmul_nt_to(&x[t * cols..(t + 1) * cols], 1, &mut single, false);
             for r in 0..rows {
                 assert_eq!(
                     batched[t * rows + r].to_bits(),
@@ -2000,21 +1547,6 @@ mod tests {
                     "t {t} r {r}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn fused_matmul_nt_matches_unfused_up_to_rounding() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let (rows, cols, n) = (70, 45, 5);
-        let m = Matrix::xavier(rows, cols, &mut rng);
-        let x: Vec<f32> = (0..n * cols).map(|i| (i as f32 * 0.47).sin()).collect();
-        let mut fused = vec![0.0f32; n * rows];
-        let mut plain = vec![0.0f32; n * rows];
-        m.matmul_nt_fused_to(&x, n, &mut fused, false);
-        m.matmul_nt_to(&x, n, &mut plain, false);
-        for (i, (a, b)) in fused.iter().zip(&plain).enumerate() {
-            assert!((a - b).abs() < 1e-4 * b.abs().max(1.0), "{i}: {a} vs {b}");
         }
     }
 
@@ -2115,7 +1647,7 @@ mod tests {
             let base = m.clone();
             let a: Vec<f32> = (0..n * rows).map(|i| (i as f32 * 0.29).sin()).collect();
             let b: Vec<f32> = (0..n * cols).map(|i| (i as f32 * 0.53).cos()).collect();
-            m.add_tn_product_fused(&a, &b, n);
+            m.add_tn_product(&a, &b, n);
             for r in 0..rows {
                 for c in 0..cols {
                     let mut s = 0.0f32;

@@ -541,8 +541,8 @@ mod tests {
     fn train_step_loss_matches_per_sequence_reference() {
         // The loss `train_step` reports is computed before its backward
         // pass runs, so it must equal, bit for bit, the loss rebuilt from
-        // each sequence's training forward as a batch of one (rows of the
-        // unfused GEMMs do not depend on the rest of the pack), the head
+        // each sequence's training forward as a batch of one (GEMM rows
+        // do not depend on the rest of the pack), the head
         // and per-frame softmax cross-entropy. Later steps see weights
         // updated through the fused gradients: the same batch presented
         // in reverse order reorders their accumulations, and the two
