@@ -21,9 +21,13 @@
 //! * **refuses to guess without history**: fewer than `min_runs`
 //!   same-host baselines yields a passing `NoBaseline` verdict, so the
 //!   first runs on a fresh machine can seed the ledger without failing
-//!   CI.
+//!   CI;
+//! * **does not pass blind on a label mismatch**: when the host has
+//!   history but none of it under the run's label, the check fails and
+//!   names the labels it found, since a typo'd or new label would
+//!   otherwise pass without comparing anything.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use thrubarrier_obs::ledger::RunRecord;
 
@@ -126,16 +130,21 @@ pub struct CheckReport {
     /// Stages present in most baselines but absent from the current
     /// run (informational; a renamed stage silently resets history).
     pub missing_stages: Vec<String>,
+    /// The labels of the same-host history when none of it carries the
+    /// run's label (empty otherwise). Non-empty fails the check.
+    pub other_labels: Vec<String>,
 }
 
 impl CheckReport {
-    /// `true` when nothing regressed.
+    /// `true` when nothing regressed and the run's label found its
+    /// same-host history.
     pub fn pass(&self) -> bool {
-        !self
-            .stages
-            .iter()
-            .chain(&self.accuracy)
-            .any(|s| s.verdict == Verdict::Regressed)
+        self.other_labels.is_empty()
+            && !self
+                .stages
+                .iter()
+                .chain(&self.accuracy)
+                .any(|s| s.verdict == Verdict::Regressed)
     }
 
     /// The names that regressed.
@@ -171,8 +180,8 @@ pub fn mad(values: &[f64], center: f64) -> f64 {
     median(&devs)
 }
 
-/// Ratio stages carry this suffix in `BENCH_pipeline.json`; for them
-/// *larger* is better.
+/// Ratio stages carry this suffix in the ledger; for them *larger* is
+/// better.
 fn is_ratio_stage(name: &str) -> bool {
     name.ends_with("_speedup_x1000")
 }
@@ -292,6 +301,16 @@ pub fn check_record(current: &RunRecord, history: &[RunRecord], cfg: &CheckConfi
         .filter(|&(name, n)| 2 * n > base.len() && !current.stages_ns.contains_key(name))
         .map(|(name, _)| name.to_string())
         .collect();
+    let other_labels = if base.is_empty() {
+        let labels: BTreeSet<&str> = history
+            .iter()
+            .filter(|r| r.host == current.host)
+            .map(|r| r.label.as_str())
+            .collect();
+        labels.into_iter().map(str::to_string).collect()
+    } else {
+        Vec::new()
+    };
     CheckReport {
         host: current.host.clone(),
         label: current.label.clone(),
@@ -299,6 +318,7 @@ pub fn check_record(current: &RunRecord, history: &[RunRecord], cfg: &CheckConfi
         stages,
         accuracy,
         missing_stages,
+        other_labels,
     }
 }
 
@@ -392,15 +412,22 @@ pub fn render_report(report: &CheckReport) -> String {
             "  note: stage \"{name}\" present in baselines but not in this run"
         );
     }
-    let _ = writeln!(
-        s,
-        "verdict: {}",
-        if report.pass() {
-            "PASS".to_string()
-        } else {
-            format!("FAIL ({})", report.regressions().join(", "))
-        }
-    );
+    let labels = report.other_labels.join("\", \"");
+    if !labels.is_empty() {
+        let _ = writeln!(
+            s,
+            "  note: no same-host run under label \"{}\"; the host's runs carry \"{labels}\"",
+            report.label
+        );
+    }
+    let verdict = if report.pass() {
+        "PASS".to_string()
+    } else if !labels.is_empty() {
+        format!("FAIL (no baseline under label \"{}\")", report.label)
+    } else {
+        format!("FAIL ({})", report.regressions().join(", "))
+    };
+    let _ = writeln!(s, "verdict: {verdict}");
     s
 }
 

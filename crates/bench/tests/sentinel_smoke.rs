@@ -4,7 +4,8 @@
 //! This is the proof the regression gate actually gates: the fixture's
 //! own last record must pass cleanly against its history, and the same
 //! record with an injected 2× stage slowdown, a +0.05 EER shift, a
-//! −0.05 AUC drop, or a halved speedup ratio must each be flagged.
+//! −0.05 AUC drop, a halved speedup ratio, or a label with no
+//! same-host history must each be flagged.
 //! `bench_json --check --dry-run --ledger <fixture>` performs the
 //! first comparison as the CI smoke step; these tests pin all the
 //! injected variants as well.
@@ -114,6 +115,21 @@ fn foreign_host_gets_no_baseline_not_a_verdict() {
         .stages
         .iter()
         .all(|s| s.verdict == Verdict::NoBaseline));
+}
+
+#[test]
+fn relabelled_run_fails_and_names_the_labels_found() {
+    // Same host, history present, but none of it under the run's
+    // label: the check has nothing to compare against and must say so
+    // rather than pass.
+    let (mut current, history) = fixture();
+    current.label = "renamed".to_string();
+    let report = check_record(&current, &history, &CheckConfig::default());
+    assert_eq!(report.baseline_runs, 0);
+    assert!(!report.pass());
+    let text = thrubarrier_bench::sentinel::render_report(&report);
+    assert!(text.contains("\"post\""), "{text}");
+    assert!(text.contains("FAIL"), "{text}");
 }
 
 #[test]

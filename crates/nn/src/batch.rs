@@ -148,6 +148,12 @@ impl PackedBatch {
         self.active[t]
     }
 
+    /// Number of sequences running at step 0, the widest step (0 for an
+    /// empty batch).
+    pub(crate) fn max_active(&self) -> usize {
+        self.active.first().copied().unwrap_or(0)
+    }
+
     /// First packed row of step `t` (valid for `t <= max_len`).
     pub(crate) fn offset(&self, t: usize) -> usize {
         self.offsets[t]
@@ -176,10 +182,80 @@ impl PackedBatch {
     pub(crate) fn width(&self) -> usize {
         self.width
     }
+
+    /// Packed row of every frame in caller order: sequence by sequence,
+    /// each in time order.
+    pub(crate) fn caller_rows(&self) -> impl Iterator<Item = usize> + '_ {
+        let mut slot = vec![0; self.order.len()];
+        for (b, &i) in self.order.iter().enumerate() {
+            slot[i] = b;
+        }
+        slot.into_iter()
+            .flat_map(move |b| (0..self.lens[b]).map(move |t| self.offsets[t] + b))
+    }
+
+    /// The flat packed output `flat` (`total_rows x hl`) re-nested per
+    /// sequence in caller order: `out[i][t]` is `seqs[i]`'s row at step
+    /// `t`.
+    pub(crate) fn nested(
+        &self,
+        flat: &[f32],
+        seqs: &[&[Vec<f32>]],
+        hl: usize,
+    ) -> Vec<Vec<Vec<f32>>> {
+        let mut rows = self.caller_rows();
+        seqs.iter()
+            .map(|s| {
+                rows.by_ref()
+                    .take(s.len())
+                    .map(|r| flat[r * hl..(r + 1) * hl].to_vec())
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Stores one direction's hidden rows of step `t` (`bh`, sorted-slot
+    /// order) into the flat packed output (`total_rows x hl`). The
+    /// forward direction writes the step's block with one copy; the
+    /// reversed direction, which runs second, adds slot `b`'s row at its
+    /// natural time position `lens[b] - 1 - t`.
+    pub(crate) fn store_step(
+        &self,
+        t: usize,
+        reversed: bool,
+        bh: &[f32],
+        flat: &mut [f32],
+        hl: usize,
+    ) {
+        let nb = self.active(t);
+        if !reversed {
+            let off = self.offset(t);
+            flat[off * hl..(off + nb) * hl].copy_from_slice(&bh[..nb * hl]);
+            return;
+        }
+        for b in 0..nb {
+            // Slot `b` is active at `pos` too (`pos < lens[b]`), so it
+            // owns packed row `offset(pos) + b`.
+            let row = self.offset(self.lens[b] - 1 - t) + b;
+            let dst = &mut flat[row * hl..(row + 1) * hl];
+            for (o, &v) in dst.iter_mut().zip(&bh[b * hl..(b + 1) * hl]) {
+                *o += v;
+            }
+        }
+    }
+}
+
+/// Empties `buf` and refills it with `len` zeros, reusing its
+/// allocation.
+pub(crate) fn reset(buf: &mut Vec<f32>, len: usize) {
+    buf.clear();
+    buf.resize(len, 0.0);
 }
 
 /// Per-direction working set: the cached time-batched `W·X` projection
-/// plus the forward-pass rows the backward pass replays.
+/// plus the forward-pass rows the backward pass replays. Only a
+/// recording (training) forward fills the replay rows; inference leaves
+/// them as they were.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DirCache {
     /// Time-batched input projections, `total_rows x gate_rows`. The
@@ -194,8 +270,7 @@ pub(crate) struct DirCache {
     /// weights → reuse, optimizer stepped → recompute into the same
     /// allocation.
     pub(crate) proj_key: Option<(u64, u64)>,
-    /// Hidden state entering each step, `total_rows x hidden` (training
-    /// forward only).
+    /// Hidden state entering each step, `total_rows x hidden`.
     pub(crate) h_prev: Vec<f32>,
     /// Cell state entering each step (LSTM), `total_rows x hidden`.
     pub(crate) c_prev: Vec<f32>,
@@ -222,12 +297,6 @@ pub struct BatchWorkspace {
     pub(crate) pack: PackedBatch,
     pub(crate) fwd: DirCache,
     pub(crate) bwd: DirCache,
-    /// Flat packed hidden-state output of the batched inference engine,
-    /// `total_rows x hidden` in packed-row order (step `t`'s active
-    /// rows contiguous at `offset(t)`). Lives here so repeated
-    /// inference calls reuse the allocation and the classifier head can
-    /// run one flat GEMM straight over it without re-nesting.
-    pub(crate) flat: Vec<f32>,
 }
 
 impl BatchWorkspace {

@@ -8,15 +8,16 @@
 //!
 //! The packed-batch engine mirrors [`crate::lstm`]: fused `3H x D` /
 //! `3H x H` weight matrices, cached input projections `W·X` for every
-//! packed row, one `U·H` GEMM per step (the same kernels in training
-//! and inference, so the two agree bitwise), flat activation caches,
-//! and a fused backward. The GRU keeps *two* flat gradient buffers
+//! packed row, one `U·H` GEMM per step in the one step loop that
+//! training and inference share (only training records the flat
+//! activation caches), and a fused backward. The GRU keeps *two* flat
+//! gradient buffers
 //! because the candidate gate's recurrent gradient is scaled by the
 //! reset gate, so the `U`-side gate matrix differs from the `W`-side
 //! one.
 
-use crate::act::{gru_gates_backward_fused, sigmoid, sigmoid_slice, tanh, tanh_slice};
-use crate::batch::{BatchWorkspace, DirCache, PackedBatch};
+use crate::act::{gru_gates_backward_fused, sigmoid_slice, tanh_slice};
+use crate::batch::{reset, BatchWorkspace, DirCache, PackedBatch};
 use crate::matrix::{GemmScratch, Matrix};
 use crate::param::Param;
 use rand::Rng;
@@ -32,6 +33,36 @@ pub struct Gru {
     pub b: Param,
     input_size: usize,
     hidden_size: usize,
+}
+
+/// Applies one GRU cell update. `wx`, `uh` and `bias` hold the fused
+/// `[z, r, n]` input projection, recurrent product and bias; `gates`
+/// receives the activated blocks, `un_h` the candidate's `U·h` block,
+/// and `h` is updated in place. Pre-activations add `wx + uh + bias` in
+/// that association order, and the slice kernels of [`crate::act`]
+/// activate them bitwise like the scalar functions.
+#[inline]
+fn gru_cell(
+    wx: &[f32],
+    uh: &[f32],
+    bias: &[f32],
+    gates: &mut [f32],
+    un_h: &mut [f32],
+    h: &mut [f32],
+) {
+    let hl = h.len();
+    for k in 0..2 * hl {
+        gates[k] = wx[k] + uh[k] + bias[k];
+    }
+    sigmoid_slice(&mut gates[..2 * hl]);
+    un_h.copy_from_slice(&uh[2 * hl..]);
+    for k in 0..hl {
+        gates[2 * hl + k] = wx[2 * hl + k] + gates[hl + k] * un_h[k] + bias[2 * hl + k];
+    }
+    tanh_slice(&mut gates[2 * hl..]);
+    for k in 0..hl {
+        h[k] = (1.0 - gates[k]) * gates[2 * hl + k] + gates[k] * h[k];
+    }
 }
 
 impl Gru {
@@ -69,8 +100,7 @@ impl Gru {
             thrubarrier_obs::counter!("nn.proj_cache.hit").incr();
         } else {
             thrubarrier_obs::counter!("nn.proj_cache.miss").incr();
-            dir.proj.clear();
-            dir.proj.resize(total * gr, 0.0);
+            reset(&mut dir.proj, total * gr);
             self.w
                 .value
                 .matmul_nt_to(pack.x(reversed), total, &mut dir.proj, false);
@@ -78,47 +108,58 @@ impl Gru {
         }
     }
 
-    /// Batched forward pass over a packed minibatch, mirroring
-    /// [`crate::lstm::Lstm::forward_batch_dir`]: the recurrent `U·h` of
-    /// every active sequence runs as one `3H×H × H×nb` GEMM per step
-    /// and the input projections come from the epoch-persistent
-    /// `dir.proj` cache. Hidden states are *added* into `out[seq][t]`
-    /// (index-reversed when `reversed`); activations are cached in
-    /// `dir` for [`Gru::backward_batch_dir_fused`].
-    pub(crate) fn forward_batch_dir(
+    /// The one per-direction step loop, mirroring
+    /// [`crate::lstm::Lstm::forward_dir`]: the recurrent `U·h` of every
+    /// active sequence runs as one `3H×H × H×nb` GEMM per step, the
+    /// input projections come from the epoch-persistent `dir.proj`
+    /// cache, [`gru_cell`] updates each row, and hidden states go to
+    /// `flat` through [`PackedBatch::store_step`]. With `record`,
+    /// activations are cached in `dir` for
+    /// [`Gru::backward_batch_dir_fused`]; without it the cell writes into
+    /// one reused scratch row.
+    pub(crate) fn forward_dir(
         &self,
         pack: &PackedBatch,
         dir: &mut DirCache,
         reversed: bool,
         scratch: &mut GemmScratch,
-        out: &mut [Vec<Vec<f32>>],
+        record: bool,
     ) {
         let hl = self.hidden_size;
         let gr = 3 * hl;
         assert_eq!(pack.width(), self.input_size, "input dimension mismatch");
         let total = pack.total_rows();
         self.fill_proj(pack, dir, reversed);
-        dir.h_prev.clear();
-        dir.h_prev.resize(total * hl, 0.0);
-        dir.gates.clear();
-        dir.gates.resize(total * gr, 0.0);
-        dir.aux.clear();
-        dir.aux.resize(total * hl, 0.0);
-        let nb0 = if pack.max_len() == 0 {
-            0
+        let GemmScratch {
+            bh, bt, row, flat, ..
+        } = scratch;
+        let DirCache {
+            proj,
+            h_prev,
+            gates,
+            aux,
+            ..
+        } = dir;
+        assert_eq!(flat.len(), total * hl, "flat output length");
+        let (gates, aux) = if record {
+            reset(h_prev, total * hl);
+            reset(gates, total * gr);
+            reset(aux, total * hl);
+            (gates.as_mut_slice(), aux.as_mut_slice())
         } else {
-            pack.active(0)
+            reset(row, gr + hl);
+            row.split_at_mut(gr)
         };
-        let GemmScratch { bh, bt, .. } = scratch;
-        bh.clear();
-        bh.resize(nb0 * hl, 0.0);
-        bt.clear();
-        bt.resize(nb0 * gr, 0.0);
+        let nb0 = pack.max_active();
+        reset(bh, nb0 * hl);
+        reset(bt, nb0 * gr);
         let bias = self.b.value.data();
         for t in 0..pack.max_len() {
             let nb = pack.active(t);
             let off = pack.offset(t);
-            dir.h_prev[off * hl..(off + nb) * hl].copy_from_slice(&bh[..nb * hl]);
+            if record {
+                h_prev[off * hl..(off + nb) * hl].copy_from_slice(&bh[..nb * hl]);
+            }
             // uh = U·h_{t-1} for all active rows; the n-block stays
             // separate from the input projection because it is gated by
             // r before entering tanh.
@@ -126,119 +167,17 @@ impl Gru {
                 .value
                 .matmul_nt_to(&bh[..nb * hl], nb, &mut bt[..nb * gr], false);
             for b in 0..nb {
-                let r = off + b;
-                let uh = &bt[b * gr..(b + 1) * gr];
-                let wx = &dir.proj[r * gr..(r + 1) * gr];
-                let gates = &mut dir.gates[r * gr..(r + 1) * gr];
-                let un_h = &mut dir.aux[r * hl..(r + 1) * hl];
-                let h = &mut bh[b * hl..(b + 1) * hl];
-                for k in 0..hl {
-                    gates[k] = sigmoid(wx[k] + uh[k] + bias[k]);
-                    gates[hl + k] = sigmoid(wx[hl + k] + uh[hl + k] + bias[hl + k]);
-                    un_h[k] = uh[2 * hl + k];
-                }
-                for k in 0..hl {
-                    gates[2 * hl + k] =
-                        tanh(wx[2 * hl + k] + gates[hl + k] * un_h[k] + bias[2 * hl + k]);
-                }
-                for k in 0..hl {
-                    h[k] = (1.0 - gates[k]) * gates[2 * hl + k] + gates[k] * h[k];
-                }
+                let r = if record { off + b } else { 0 };
+                gru_cell(
+                    &proj[(off + b) * gr..(off + b + 1) * gr],
+                    &bt[b * gr..(b + 1) * gr],
+                    bias,
+                    &mut gates[r * gr..(r + 1) * gr],
+                    &mut aux[r * hl..(r + 1) * hl],
+                    &mut bh[b * hl..(b + 1) * hl],
+                );
             }
-            for b in 0..nb {
-                let pos = if reversed { pack.lens()[b] - 1 - t } else { t };
-                let dst = &mut out[pack.order()[b]][pos];
-                for (o, &v) in dst.iter_mut().zip(&bh[b * hl..(b + 1) * hl]) {
-                    *o += v;
-                }
-            }
-        }
-    }
-
-    /// Batched *inference* forward pass writing straight into the flat
-    /// packed output buffer `flat` (`total_rows x H`, packed-row
-    /// order), mirroring [`crate::lstm::Lstm::infer_batch_dir_flat`]:
-    /// the recurrent `U·h` GEMM is the training forward's
-    /// [`Matrix::matmul_nt_to`] and the gate activations go through the
-    /// slice kernels (bitwise identical per element to the scalar calls
-    /// of the training cell), so outputs equal the training forward
-    /// bitwise and stay bitwise batch-size invariant. No per-step caches
-    /// are recorded and no per-frame vectors are allocated.
-    pub(crate) fn infer_batch_dir_flat(
-        &self,
-        pack: &PackedBatch,
-        dir: &mut DirCache,
-        reversed: bool,
-        scratch: &mut GemmScratch,
-        flat: &mut [f32],
-        accumulate: bool,
-    ) {
-        let hl = self.hidden_size;
-        let gr = 3 * hl;
-        assert_eq!(pack.width(), self.input_size, "input dimension mismatch");
-        assert_eq!(flat.len(), pack.total_rows() * hl, "flat output length");
-        self.fill_proj(pack, dir, reversed);
-        let nb0 = if pack.max_len() == 0 {
-            0
-        } else {
-            pack.active(0)
-        };
-        let GemmScratch { bh, bt, bz, .. } = scratch;
-        bh.clear();
-        bh.resize(nb0 * hl, 0.0);
-        bt.clear();
-        bt.resize(nb0 * gr, 0.0);
-        bz.clear();
-        bz.resize(nb0 * gr, 0.0);
-        let bias = self.b.value.data();
-        for t in 0..pack.max_len() {
-            let nb = pack.active(t);
-            let off = pack.offset(t);
-            self.u
-                .value
-                .matmul_nt_to(&bh[..nb * hl], nb, &mut bt[..nb * gr], false);
-            for b in 0..nb {
-                let r = off + b;
-                let uh = &bt[b * gr..(b + 1) * gr];
-                let wx = &dir.proj[r * gr..(r + 1) * gr];
-                let g = &mut bz[b * gr..(b + 1) * gr];
-                let h = &mut bh[b * hl..(b + 1) * hl];
-                // Pre-activations keep the training cell's
-                // `wx + uh + bias` association order; the slice kernels
-                // then activate them bitwise like the scalar calls.
-                for k in 0..2 * hl {
-                    g[k] = wx[k] + uh[k] + bias[k];
-                }
-                sigmoid_slice(&mut g[..2 * hl]);
-                for k in 0..hl {
-                    g[2 * hl + k] = wx[2 * hl + k] + g[hl + k] * uh[2 * hl + k] + bias[2 * hl + k];
-                }
-                tanh_slice(&mut g[2 * hl..]);
-                for k in 0..hl {
-                    h[k] = (1.0 - g[k]) * g[2 * hl + k] + g[k] * h[k];
-                }
-            }
-            if !reversed && !accumulate {
-                // Step t's rows are exactly the packed rows at its
-                // offset: one block copy replaces the per-row scatter.
-                flat[off * hl..(off + nb) * hl].copy_from_slice(&bh[..nb * hl]);
-            } else {
-                for b in 0..nb {
-                    let pos = if reversed { pack.lens()[b] - 1 - t } else { t };
-                    // Row `b` is active at `pos` too (`pos < lens[b]`),
-                    // so it owns packed row `offset(pos) + b`.
-                    let row = pack.offset(pos) + b;
-                    let src = &bh[b * hl..(b + 1) * hl];
-                    let dst = &mut flat[row * hl..(row + 1) * hl];
-                    if accumulate {
-                        for (o, &v) in dst.iter_mut().zip(src) {
-                            *o += v;
-                        }
-                    } else {
-                        dst.copy_from_slice(src);
-                    }
-                }
-            }
+            pack.store_step(t, reversed, bh, flat, hl);
         }
     }
 
@@ -267,11 +206,7 @@ impl Gru {
         let hl = self.hidden_size;
         let gr = 3 * hl;
         let total = pack.total_rows();
-        let nb0 = if pack.max_len() == 0 {
-            0
-        } else {
-            pack.active(0)
-        };
+        let nb0 = pack.max_active();
         let DirCache {
             ut,
             gates,
@@ -280,14 +215,11 @@ impl Gru {
             ..
         } = dir;
         let GemmScratch { dz, dz_u, bh, .. } = scratch;
-        dz.clear();
-        dz.resize(total * gr, 0.0);
-        dz_u.clear();
-        dz_u.resize(total * gr, 0.0);
+        reset(dz, total * gr);
+        reset(dz_u, total * gr);
         // bh holds dh_next rows; a sequence joins the reverse traversal
         // at its own final step with its row still at the zero boundary.
-        bh.clear();
-        bh.resize(nb0 * hl, 0.0);
+        reset(bh, nb0 * hl);
         if nb0 > 0 {
             let ut = ut.get(&self.u.value, self.u.version());
             for t in (0..pack.max_len()).rev() {
@@ -366,80 +298,35 @@ impl BiGru {
         self.fwd.hidden_size()
     }
 
-    /// Batched forward over a minibatch of sequences (see
-    /// [`crate::lstm::BiLstm::forward_batch`]): packs the batch into
-    /// `ws`, runs both directions through the GEMM engine and returns
-    /// summed hidden states per sequence in caller order, caching
-    /// activations in `ws` for [`BiGru::backward_batch`].
+    /// Packs `seqs` into `ws` and runs both directions'
+    /// [`Gru::forward_dir`] into the flat packed buffer `scratch.flat` — the
+    /// GRU mirror of [`crate::lstm::BiLstm`]'s packed pass.
+    pub(crate) fn forward_packed(
+        &self,
+        seqs: &[&[Vec<f32>]],
+        ws: &mut BatchWorkspace,
+        scratch: &mut GemmScratch,
+        record: bool,
+    ) {
+        ws.prepare(seqs, self.fwd.input_size());
+        let BatchWorkspace { pack, fwd, bwd } = ws;
+        reset(&mut scratch.flat, pack.total_rows() * self.hidden_size());
+        self.fwd.forward_dir(pack, fwd, false, scratch, record);
+        self.bwd.forward_dir(pack, bwd, true, scratch, record);
+    }
+
+    /// Batched training forward (see
+    /// [`crate::lstm::BiLstm::forward_batch`]): summed hidden states per
+    /// sequence in caller order, with the activations for
+    /// [`BiGru::backward_batch`] cached in `ws`.
     pub fn forward_batch(
         &self,
         seqs: &[&[Vec<f32>]],
         ws: &mut BatchWorkspace,
         scratch: &mut GemmScratch,
     ) -> Vec<Vec<Vec<f32>>> {
-        ws.prepare(seqs, self.fwd.input_size());
-        let mut out: Vec<Vec<Vec<f32>>> = seqs
-            .iter()
-            .map(|s| vec![vec![0.0f32; self.hidden_size()]; s.len()])
-            .collect();
-        let BatchWorkspace { pack, fwd, bwd, .. } = ws;
-        self.fwd
-            .forward_batch_dir(pack, fwd, false, scratch, &mut out);
-        self.bwd
-            .forward_batch_dir(pack, bwd, true, scratch, &mut out);
-        out
-    }
-
-    /// Batched inference into the workspace's flat packed buffer
-    /// (`ws.flat`, `total_rows x hidden`, packed-row order): the
-    /// forward direction writes, the reversed direction accumulates —
-    /// the GRU mirror of
-    /// [`crate::lstm::BiLstm::hidden_states_batch_flat`].
-    pub(crate) fn hidden_states_batch_flat(
-        &self,
-        seqs: &[&[Vec<f32>]],
-        ws: &mut BatchWorkspace,
-        scratch: &mut GemmScratch,
-    ) {
-        ws.prepare(seqs, self.fwd.input_size());
-        let BatchWorkspace {
-            pack,
-            fwd,
-            bwd,
-            flat,
-        } = ws;
-        let hl = self.hidden_size();
-        flat.clear();
-        flat.resize(pack.total_rows() * hl, 0.0);
-        self.fwd
-            .infer_batch_dir_flat(pack, fwd, false, scratch, flat, false);
-        self.bwd
-            .infer_batch_dir_flat(pack, bwd, true, scratch, flat, true);
-    }
-
-    /// Batched inference: summed hidden states per sequence in caller
-    /// order, without recording backward-pass caches. A re-nesting
-    /// wrapper around the crate-internal flat packed pass — outputs
-    /// equal [`BiGru::forward_batch`] bitwise and are bitwise batch-size
-    /// invariant.
-    pub fn hidden_states_batch(
-        &self,
-        seqs: &[&[Vec<f32>]],
-        ws: &mut BatchWorkspace,
-        scratch: &mut GemmScratch,
-    ) -> Vec<Vec<Vec<f32>>> {
-        self.hidden_states_batch_flat(seqs, ws, scratch);
-        let hl = self.hidden_size();
-        let pack = &ws.pack;
-        let mut out: Vec<Vec<Vec<f32>>> =
-            seqs.iter().map(|s| Vec::with_capacity(s.len())).collect();
-        for (b, (&i, &len)) in pack.order().iter().zip(pack.lens()).enumerate() {
-            out[i].extend((0..len).map(|t| {
-                let row = pack.offset(t) + b;
-                ws.flat[row * hl..(row + 1) * hl].to_vec()
-            }));
-        }
-        out
+        self.forward_packed(seqs, ws, scratch, true);
+        ws.pack.nested(&scratch.flat, seqs, self.hidden_size())
     }
 
     /// Batched BPTT through both directions; `dhs[i]` is caller
@@ -479,14 +366,22 @@ mod tests {
             .collect()
     }
 
+    /// Runs one direction's recording forward over `xs` as a batch of
+    /// one into `ws` and `scratch.flat`.
+    fn dir_run(gru: &Gru, xs: &[Vec<f32>], ws: &mut BatchWorkspace, scratch: &mut GemmScratch) {
+        ws.prepare(&[xs], gru.input_size());
+        reset(&mut scratch.flat, xs.len() * gru.hidden_size());
+        gru.forward_dir(&ws.pack, &mut ws.fwd, false, scratch, true);
+    }
+
     /// One direction's training forward over `xs` as a batch of one.
     fn dir_forward(gru: &Gru, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        let mut ws = BatchWorkspace::new();
-        ws.prepare(&[xs], gru.input_size());
-        let mut out = vec![vec![vec![0.0f32; gru.hidden_size()]; xs.len()]];
-        let BatchWorkspace { pack, fwd, .. } = &mut ws;
-        gru.forward_batch_dir(pack, fwd, false, &mut GemmScratch::new(), &mut out);
-        out.pop().unwrap()
+        let (mut ws, mut scratch) = (BatchWorkspace::new(), GemmScratch::new());
+        dir_run(gru, xs, &mut ws, &mut scratch);
+        ws.pack
+            .nested(&scratch.flat, &[xs], gru.hidden_size())
+            .pop()
+            .unwrap()
     }
 
     fn bi_forward(bi: &BiGru, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
@@ -533,10 +428,8 @@ mod tests {
         {
             let mut ws = BatchWorkspace::new();
             let mut scratch = GemmScratch::new();
-            ws.prepare(&[&xs], d);
-            let mut out = vec![vec![vec![0.0f32; h]; t_len]];
+            dir_run(&gru, &xs, &mut ws, &mut scratch);
             let BatchWorkspace { pack, fwd, .. } = &mut ws;
-            gru.forward_batch_dir(pack, fwd, false, &mut scratch, &mut out);
             let dh = vec![1.0f32; t_len * h];
             gru.backward_batch_dir_fused(pack, fwd, false, &[&dh], &mut scratch);
         }
@@ -624,37 +517,9 @@ mod tests {
     }
 
     #[test]
-    fn batched_inference_matches_training_forward_bitwise() {
-        // The inference path runs the training forward's kernels, so it
-        // must reproduce its bits; H = 34 keeps the recurrent GEMM on
-        // the wide kernel path and mixed lengths exercise the
-        // scatter/accumulate flat writes of both directions.
-        let mut rng = StdRng::seed_from_u64(55);
-        let bi = BiGru::new(3, 34, &mut rng);
-        let seqs: Vec<Vec<Vec<f32>>> = [6usize, 1, 4, 4]
-            .iter()
-            .enumerate()
-            .map(|(i, &len)| toy_inputs(len, 3, 700 + i as u64))
-            .collect();
-        let refs: Vec<&[Vec<f32>]> = seqs.iter().map(|s| s.as_slice()).collect();
-        let mut ws = BatchWorkspace::new();
-        let mut scratch = GemmScratch::new();
-        let inferred = bi.hidden_states_batch(&refs, &mut ws, &mut scratch);
-        for (i, seq) in seqs.iter().enumerate() {
-            let trained = bi_forward(&bi, seq);
-            assert_eq!(inferred[i].len(), trained.len(), "seq {i}");
-            for (t, (a, b)) in inferred[i].iter().zip(&trained).enumerate() {
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "seq {i} t {t}: {x} vs {y}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_inference_is_bitwise_batch_size_invariant() {
-        // A sequence's inferred states must not depend on what else is
-        // in the batch.
+    fn batched_forward_is_bitwise_batch_size_invariant() {
+        // A sequence's states must not depend on what else is in the
+        // batch.
         let mut rng = StdRng::seed_from_u64(57);
         let bi = BiGru::new(3, 34, &mut rng);
         let seqs: Vec<Vec<Vec<f32>>> = [5usize, 2, 7]
@@ -665,10 +530,10 @@ mod tests {
         let refs: Vec<&[Vec<f32>]> = seqs.iter().map(|s| s.as_slice()).collect();
         let mut ws = BatchWorkspace::new();
         let mut scratch = GemmScratch::new();
-        let together = bi.hidden_states_batch(&refs, &mut ws, &mut scratch);
+        let together = bi.forward_batch(&refs, &mut ws, &mut scratch);
         for (i, seq) in seqs.iter().enumerate() {
             let mut solo_ws = BatchWorkspace::new();
-            let alone = bi.hidden_states_batch(&[seq.as_slice()], &mut solo_ws, &mut scratch);
+            let alone = bi.forward_batch(&[seq.as_slice()], &mut solo_ws, &mut scratch);
             assert_eq!(together[i], alone[0], "seq {i}");
         }
     }

@@ -36,8 +36,9 @@
 //! Scoring one recording is a batch of one; the kernels are bitwise
 //! batch-size invariant, so a recording gets the same labels alone or
 //! inside any pack. Training has one engine too: `train_step` runs the
-//! packed forward and the packed backward, for both cell types. Every
-//! product in both engines runs on the same kernels, so inference
+//! packed forward and the packed backward, for both cell types. Each
+//! cell has one forward step loop, which training and inference share
+//! (only training records backward-pass state), so inference
 //! reproduces the training forward's hidden states bitwise.
 //!
 //! Gradients are verified against finite differences in the test suite.

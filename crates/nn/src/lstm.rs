@@ -15,25 +15,26 @@
 //! 1. **Input projections** — `W·x + b` for every packed row in one
 //!    [`Matrix::matmul_nt_to`] GEMM, cached in the workspace until the
 //!    optimizer steps `W` or `b`.
-//! 2. **Training forward** ([`BiLstm::forward_batch`]) — per step, one
-//!    `Z += H·Uᵀ` GEMM over the active rows, then the gate sweep; gate
-//!    activations and pre-step states land in flat caches for the
-//!    backward pass.
+//! 2. **Forward** — one step loop per direction for training and
+//!    inference alike: per step, one `Z += H·Uᵀ` GEMM over the active
+//!    rows, then the gate sweep, with hidden states written into the
+//!    flat packed buffer of [`GemmScratch`]. A training forward
+//!    ([`BiLstm::forward_batch`], `train_step`) also records gate
+//!    activations and pre-step states for the backward pass; inference
+//!    (`predict_batch`) records nothing.
 //! 3. **Backward** ([`BiLstm::backward_batch`]) — a fused gate-gradient
 //!    sweep per row, one fused `Uᵀ·dZ` GEMM per step over a cached
 //!    transpose, and register-tiled `dW += dZᵀ·X` / `dU += dZᵀ·H_prev`
 //!    accumulations. No input gradients: the classifier's inputs are
 //!    data.
-//! 4. **Inference** ([`BiLstm::hidden_states_batch`]) — the same
-//!    recurrence, recording no backward-pass state.
 //!
 //! Every GEMM runs on the one fused-FMA kernel family of
-//! [`crate::matrix`], so inference equals the training forward bitwise.
-//! Both forwards are bitwise batch-size invariant: a sequence gets the
-//! same bits alone or inside any pack.
+//! [`crate::matrix`], and inference runs the training forward's own
+//! loop, so the two agree bitwise. The forward is bitwise batch-size
+//! invariant: a sequence gets the same bits alone or inside any pack.
 
 use crate::act::{gates_fused, lstm_gates_backward_fused, tanh_slice};
-use crate::batch::{BatchWorkspace, DirCache, PackedBatch};
+use crate::batch::{reset, BatchWorkspace, DirCache, PackedBatch};
 use crate::matrix::{GemmScratch, Matrix};
 use crate::param::Param;
 use rand::Rng;
@@ -51,18 +52,18 @@ pub struct Lstm {
     hidden_size: usize,
 }
 
-/// Applies one LSTM cell update. `z` holds the fused pre-activations,
-/// `gates` receives the activated `[i, f, g, o]` blocks, and `c`/`h` are
-/// updated in place (their pre-step values must already be stashed).
-/// The activations run block-wise through the slice kernels in
-/// [`crate::act`], which are SIMD on capable machines (the cell is
-/// otherwise bound by the rational kernel's division throughput); the
-/// remaining state arithmetic is plain element-wise code the compiler
-/// vectorizes on its own.
+/// Applies one LSTM cell update. `gates` holds the fused
+/// pre-activations on entry and the activated `[i, f, g, o]` blocks on
+/// exit, `tanh_c` receives `tanh(c)`, and `c`/`h` are updated in place
+/// (their pre-step values must already be stashed). The activations
+/// run block-wise through the slice kernels in [`crate::act`], which
+/// are SIMD on capable machines (the cell is otherwise bound by the
+/// rational kernel's division throughput); the remaining state
+/// arithmetic is plain element-wise code the compiler vectorizes on its
+/// own.
 #[inline]
-fn lstm_cell(z: &[f32], gates: &mut [f32], c: &mut [f32], h: &mut [f32], tanh_c: &mut [f32]) {
+fn lstm_cell(gates: &mut [f32], c: &mut [f32], h: &mut [f32], tanh_c: &mut [f32]) {
     let hl = h.len();
-    gates.copy_from_slice(z);
     gates_fused(gates, hl);
     let (gi, rest) = gates.split_at(hl);
     let (gf, rest) = rest.split_at(hl);
@@ -173,8 +174,7 @@ impl Lstm {
         }
         thrubarrier_obs::counter!("nn.proj_cache.miss").incr();
         let total = pack.total_rows();
-        dir.proj.clear();
-        dir.proj.resize(total * gr, 0.0);
+        reset(&mut dir.proj, total * gr);
         self.w
             .value
             .matmul_nt_to(pack.x(reversed), total, &mut dir.proj, false);
@@ -187,165 +187,101 @@ impl Lstm {
         dir.proj_key = Some(key);
     }
 
-    /// Batched *training* forward pass over a packed minibatch (see
-    /// [`crate::batch`]). Each step runs the recurrent half as one
-    /// `4H×H × H×nb` GEMM over the step's active rows; the input
-    /// projections for the *whole batch* come from the epoch-persistent
-    /// cache of [`Lstm::fill_proj`]. Hidden states are *added* into
-    /// `out[seq][t]` (index-reversed when `reversed`); per-row
-    /// activations go through [`lstm_cell`] and are cached in `dir` for
-    /// [`Lstm::backward_batch_dir_fused`].
+    /// The one per-direction step loop, shared by the training forward
+    /// and inference, over a packed minibatch (see [`crate::batch`]).
+    /// Each step runs the recurrent half as one `4H×H × H×nb` GEMM over
+    /// the step's active rows on top of the cached input projections of
+    /// [`Lstm::fill_proj`], then [`lstm_cell`] per row. Hidden states go
+    /// to `flat` through [`PackedBatch::store_step`] (the forward
+    /// direction writes, the reversed one adds).
     ///
-    /// A GEMM row does not depend on the rest of the batch, so every
-    /// sequence's states are bitwise the same alone or packed, and the
-    /// inference engine, [`Lstm::infer_batch_dir_flat`], runs the same
-    /// kernels and reproduces them bitwise.
-    pub(crate) fn forward_batch_dir(
+    /// With `record`, the pre-step states, gate activations and
+    /// `tanh(c)` of every row are cached in `dir` for
+    /// [`Lstm::backward_batch_dir_fused`]; without it the gates are
+    /// activated in place in the step's pre-activation rows, `tanh(c)`
+    /// goes to one reused scratch row, and `dir` keeps only its
+    /// projections. A GEMM row does not depend on the rest of the batch, so every
+    /// sequence's states are bitwise the same alone or packed.
+    pub(crate) fn forward_dir(
         &self,
         pack: &PackedBatch,
         dir: &mut DirCache,
         reversed: bool,
         scratch: &mut GemmScratch,
-        out: &mut [Vec<Vec<f32>>],
+        record: bool,
     ) {
         let hl = self.hidden_size;
         let gr = 4 * hl;
         assert_eq!(pack.width(), self.input_size, "input dimension mismatch");
         let total = pack.total_rows();
         self.fill_proj(pack, dir, reversed);
-        dir.h_prev.clear();
-        dir.h_prev.resize(total * hl, 0.0);
-        dir.c_prev.clear();
-        dir.c_prev.resize(total * hl, 0.0);
-        dir.gates.clear();
-        dir.gates.resize(total * gr, 0.0);
-        dir.aux.clear();
-        dir.aux.resize(total * hl, 0.0);
-        let nb0 = if pack.max_len() == 0 {
-            0
+        let GemmScratch {
+            bh,
+            bc,
+            bz,
+            row,
+            flat,
+            ..
+        } = scratch;
+        let DirCache {
+            proj,
+            h_prev,
+            c_prev,
+            gates,
+            aux,
+            ..
+        } = dir;
+        assert_eq!(flat.len(), total * hl, "flat output length");
+        let aux = if record {
+            reset(h_prev, total * hl);
+            reset(c_prev, total * hl);
+            reset(gates, total * gr);
+            reset(aux, total * hl);
+            aux
         } else {
-            pack.active(0)
+            reset(row, hl);
+            row
         };
-        let GemmScratch { bh, bc, bz, .. } = scratch;
-        bh.clear();
-        bh.resize(nb0 * hl, 0.0);
-        bc.clear();
-        bc.resize(nb0 * hl, 0.0);
-        bz.clear();
-        bz.resize(nb0 * gr, 0.0);
+        let nb0 = pack.max_active();
+        reset(bh, nb0 * hl);
+        reset(bc, nb0 * hl);
+        reset(bz, nb0 * gr);
         for t in 0..pack.max_len() {
             // Active sequences are a shrinking prefix of the sorted
             // batch, so rows 0..nb of bh/bc carry exactly the states of
             // the sequences still running.
             let nb = pack.active(t);
             let off = pack.offset(t);
-            dir.h_prev[off * hl..(off + nb) * hl].copy_from_slice(&bh[..nb * hl]);
-            dir.c_prev[off * hl..(off + nb) * hl].copy_from_slice(&bc[..nb * hl]);
-            bz[..nb * gr].copy_from_slice(&dir.proj[off * gr..(off + nb) * gr]);
+            if record {
+                h_prev[off * hl..(off + nb) * hl].copy_from_slice(&bh[..nb * hl]);
+                c_prev[off * hl..(off + nb) * hl].copy_from_slice(&bc[..nb * hl]);
+            }
+            bz[..nb * gr].copy_from_slice(&proj[off * gr..(off + nb) * gr]);
             self.u
                 .value
                 .matmul_nt_to(&bh[..nb * hl], nb, &mut bz[..nb * gr], true);
             for b in 0..nb {
-                let r = off + b;
+                // The cell activates its gate row in place: the cache
+                // row when recording, else the step's own `bz` row.
+                let z = &mut bz[b * gr..(b + 1) * gr];
+                let (g, tanh_c) = if record {
+                    let r = off + b;
+                    gates[r * gr..(r + 1) * gr].copy_from_slice(z);
+                    (
+                        &mut gates[r * gr..(r + 1) * gr],
+                        &mut aux[r * hl..(r + 1) * hl],
+                    )
+                } else {
+                    (z, &mut aux[..])
+                };
                 lstm_cell(
-                    &bz[b * gr..(b + 1) * gr],
-                    &mut dir.gates[r * gr..(r + 1) * gr],
+                    g,
                     &mut bc[b * hl..(b + 1) * hl],
                     &mut bh[b * hl..(b + 1) * hl],
-                    &mut dir.aux[r * hl..(r + 1) * hl],
+                    tanh_c,
                 );
             }
-            for b in 0..nb {
-                let pos = if reversed { pack.lens()[b] - 1 - t } else { t };
-                let dst = &mut out[pack.order()[b]][pos];
-                for (o, &v) in dst.iter_mut().zip(&bh[b * hl..(b + 1) * hl]) {
-                    *o += v;
-                }
-            }
-        }
-    }
-
-    /// Batched *inference* forward pass writing straight into the flat
-    /// packed output buffer `flat` (`total_rows x hidden`, packed-row
-    /// order — step `t`'s active rows contiguous at `pack.offset(t)`).
-    /// The forward direction stores its step block with one contiguous
-    /// copy; the reversed direction runs with `accumulate` and adds
-    /// each row at its natural time position. No per-step caches are
-    /// recorded and no per-frame vectors are allocated. The GEMMs and
-    /// the cell arithmetic are those of [`Lstm::forward_batch_dir`], so
-    /// hidden states equal the training forward's bitwise and stay
-    /// bitwise batch-size invariant.
-    pub(crate) fn infer_batch_dir_flat(
-        &self,
-        pack: &PackedBatch,
-        dir: &mut DirCache,
-        reversed: bool,
-        scratch: &mut GemmScratch,
-        flat: &mut [f32],
-        accumulate: bool,
-    ) {
-        let hl = self.hidden_size;
-        let gr = 4 * hl;
-        assert_eq!(pack.width(), self.input_size, "input dimension mismatch");
-        assert_eq!(flat.len(), pack.total_rows() * hl, "flat output length");
-        self.fill_proj(pack, dir, reversed);
-        let nb0 = if pack.max_len() == 0 {
-            0
-        } else {
-            pack.active(0)
-        };
-        let GemmScratch { bh, bc, bz, .. } = scratch;
-        bh.clear();
-        bh.resize(nb0 * hl, 0.0);
-        bc.clear();
-        bc.resize(nb0 * hl, 0.0);
-        bz.clear();
-        bz.resize(nb0 * gr, 0.0);
-        for t in 0..pack.max_len() {
-            let nb = pack.active(t);
-            let off = pack.offset(t);
-            bz[..nb * gr].copy_from_slice(&dir.proj[off * gr..(off + nb) * gr]);
-            self.u
-                .value
-                .matmul_nt_to(&bh[..nb * hl], nb, &mut bz[..nb * gr], true);
-            for b in 0..nb {
-                let c = &mut bc[b * hl..(b + 1) * hl];
-                let h = &mut bh[b * hl..(b + 1) * hl];
-                let zrow = &mut bz[b * gr..(b + 1) * gr];
-                gates_fused(zrow, hl);
-                let (gi, rest) = zrow.split_at(hl);
-                let (gf, rest) = rest.split_at(hl);
-                let (gg, go) = rest.split_at(hl);
-                for k in 0..hl {
-                    c[k] = gf[k] * c[k] + gi[k] * gg[k];
-                }
-                h.copy_from_slice(c);
-                tanh_slice(h);
-                for k in 0..hl {
-                    h[k] *= go[k];
-                }
-            }
-            if !reversed && !accumulate {
-                // Step t's rows are exactly the packed rows at its
-                // offset: one block copy replaces the per-row scatter.
-                flat[off * hl..(off + nb) * hl].copy_from_slice(&bh[..nb * hl]);
-            } else {
-                for b in 0..nb {
-                    let pos = if reversed { pack.lens()[b] - 1 - t } else { t };
-                    // Row `b` is active at `pos` too (`pos < lens[b]`),
-                    // so it owns packed row `offset(pos) + b`.
-                    let row = pack.offset(pos) + b;
-                    let src = &bh[b * hl..(b + 1) * hl];
-                    let dst = &mut flat[row * hl..(row + 1) * hl];
-                    if accumulate {
-                        for (o, &v) in dst.iter_mut().zip(src) {
-                            *o += v;
-                        }
-                    } else {
-                        dst.copy_from_slice(src);
-                    }
-                }
-            }
+            pack.store_step(t, reversed, bh, flat, hl);
         }
     }
 
@@ -385,11 +321,7 @@ impl Lstm {
         let hl = self.hidden_size;
         let gr = 4 * hl;
         let total = pack.total_rows();
-        let nb0 = if pack.max_len() == 0 {
-            0
-        } else {
-            pack.active(0)
-        };
+        let nb0 = pack.max_active();
         let DirCache {
             ut,
             gates,
@@ -399,15 +331,12 @@ impl Lstm {
             ..
         } = dir;
         let GemmScratch { dz, bh, bc, .. } = scratch;
-        dz.clear();
-        dz.resize(total * gr, 0.0);
+        reset(dz, total * gr);
         // bh/bc hold dh_next/dc_next rows. A sequence joins the reverse
         // traversal at its own final step, where its rows have never
         // been written — the zero boundary condition comes for free.
-        bh.clear();
-        bh.resize(nb0 * hl, 0.0);
-        bc.clear();
-        bc.resize(nb0 * hl, 0.0);
+        reset(bh, nb0 * hl);
+        reset(bc, nb0 * hl);
         if nb0 > 0 {
             let ut = ut.get(&self.u.value, self.u.version());
             for t in (0..pack.max_len()).rev() {
@@ -485,86 +414,39 @@ impl BiLstm {
         self.fwd.hidden_size()
     }
 
-    /// Batched training forward over a minibatch of sequences: packs
-    /// (or re-uses the packed layout of) the batch into `ws`, runs both
-    /// directions through the GEMM engine and returns the summed hidden
-    /// states per sequence in *caller order*. The forward-pass caches
-    /// for [`BiLstm::backward_batch`] live in `ws`.
+    /// Packs (or re-uses the packed layout of) `seqs` into `ws` and runs
+    /// both directions' [`Lstm::forward_dir`] into the flat packed buffer
+    /// `scratch.flat`, recording the backward-pass caches when `record`.
     ///
     /// A workspace is tied to one model: its projection caches are
     /// keyed by this layer's weight versions.
+    pub(crate) fn forward_packed(
+        &self,
+        seqs: &[&[Vec<f32>]],
+        ws: &mut BatchWorkspace,
+        scratch: &mut GemmScratch,
+        record: bool,
+    ) {
+        ws.prepare(seqs, self.fwd.input_size());
+        let BatchWorkspace { pack, fwd, bwd } = ws;
+        reset(&mut scratch.flat, pack.total_rows() * self.hidden_size());
+        self.fwd.forward_dir(pack, fwd, false, scratch, record);
+        self.bwd.forward_dir(pack, bwd, true, scratch, record);
+    }
+
+    /// Batched training forward over a minibatch of sequences: the
+    /// summed hidden states per sequence in *caller order*, a re-nested
+    /// view of the packed pass. The forward-pass caches for
+    /// [`BiLstm::backward_batch`] live in `ws`. Every sequence gets the
+    /// same bits alone or inside any pack.
     pub fn forward_batch(
         &self,
         seqs: &[&[Vec<f32>]],
         ws: &mut BatchWorkspace,
         scratch: &mut GemmScratch,
     ) -> Vec<Vec<Vec<f32>>> {
-        ws.prepare(seqs, self.fwd.input_size());
-        let mut out: Vec<Vec<Vec<f32>>> = seqs
-            .iter()
-            .map(|s| vec![vec![0.0f32; self.hidden_size()]; s.len()])
-            .collect();
-        let BatchWorkspace { pack, fwd, bwd, .. } = ws;
-        self.fwd
-            .forward_batch_dir(pack, fwd, false, scratch, &mut out);
-        self.bwd
-            .forward_batch_dir(pack, bwd, true, scratch, &mut out);
-        out
-    }
-
-    /// Batched inference into the workspace's flat packed buffer
-    /// (`ws.flat`, `total_rows x hidden`, packed-row order): the
-    /// forward direction writes, the reversed direction accumulates,
-    /// and no per-frame vectors are allocated anywhere. This is the
-    /// engine under [`BiLstm::hidden_states_batch`] and the batched
-    /// classifier head, which runs one flat GEMM straight over the
-    /// buffer. Outputs equal the training path,
-    /// [`BiLstm::forward_batch`], bitwise.
-    pub(crate) fn hidden_states_batch_flat(
-        &self,
-        seqs: &[&[Vec<f32>]],
-        ws: &mut BatchWorkspace,
-        scratch: &mut GemmScratch,
-    ) {
-        ws.prepare(seqs, self.fwd.input_size());
-        let BatchWorkspace {
-            pack,
-            fwd,
-            bwd,
-            flat,
-        } = ws;
-        let hl = self.hidden_size();
-        flat.clear();
-        flat.resize(pack.total_rows() * hl, 0.0);
-        self.fwd
-            .infer_batch_dir_flat(pack, fwd, false, scratch, flat, false);
-        self.bwd
-            .infer_batch_dir_flat(pack, bwd, true, scratch, flat, true);
-    }
-
-    /// Batched inference: summed hidden states per sequence in caller
-    /// order, without recording backward-pass caches. A re-nesting
-    /// wrapper around the crate-internal flat packed pass: outputs equal
-    /// [`BiLstm::forward_batch`] bitwise and are bitwise batch-size
-    /// invariant.
-    pub fn hidden_states_batch(
-        &self,
-        seqs: &[&[Vec<f32>]],
-        ws: &mut BatchWorkspace,
-        scratch: &mut GemmScratch,
-    ) -> Vec<Vec<Vec<f32>>> {
-        self.hidden_states_batch_flat(seqs, ws, scratch);
-        let hl = self.hidden_size();
-        let pack = &ws.pack;
-        let mut out: Vec<Vec<Vec<f32>>> =
-            seqs.iter().map(|s| Vec::with_capacity(s.len())).collect();
-        for (b, (&i, &len)) in pack.order().iter().zip(pack.lens()).enumerate() {
-            out[i].extend((0..len).map(|t| {
-                let row = pack.offset(t) + b;
-                ws.flat[row * hl..(row + 1) * hl].to_vec()
-            }));
-        }
-        out
+        self.forward_packed(seqs, ws, scratch, true);
+        ws.pack.nested(&scratch.flat, seqs, self.hidden_size())
     }
 
     /// Batched BPTT through both directions. `dhs[i]` is caller
@@ -605,14 +487,22 @@ mod tests {
             .collect()
     }
 
+    /// Runs one direction's recording forward over `xs` as a batch of
+    /// one into `ws` and `scratch.flat`.
+    fn dir_run(lstm: &Lstm, xs: &[Vec<f32>], ws: &mut BatchWorkspace, scratch: &mut GemmScratch) {
+        ws.prepare(&[xs], lstm.input_size());
+        reset(&mut scratch.flat, xs.len() * lstm.hidden_size());
+        lstm.forward_dir(&ws.pack, &mut ws.fwd, false, scratch, true);
+    }
+
     /// One direction's training forward over `xs` as a batch of one.
     fn dir_forward(lstm: &Lstm, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        let mut ws = BatchWorkspace::new();
-        ws.prepare(&[xs], lstm.input_size());
-        let mut out = vec![vec![vec![0.0f32; lstm.hidden_size()]; xs.len()]];
-        let BatchWorkspace { pack, fwd, .. } = &mut ws;
-        lstm.forward_batch_dir(pack, fwd, false, &mut GemmScratch::new(), &mut out);
-        out.pop().unwrap()
+        let (mut ws, mut scratch) = (BatchWorkspace::new(), GemmScratch::new());
+        dir_run(lstm, xs, &mut ws, &mut scratch);
+        ws.pack
+            .nested(&scratch.flat, &[xs], lstm.hidden_size())
+            .pop()
+            .unwrap()
     }
 
     /// Accumulates one direction's parameter gradients for output
@@ -620,10 +510,8 @@ mod tests {
     fn dir_backward(lstm: &mut Lstm, xs: &[Vec<f32>], dh: &[f32]) {
         let mut ws = BatchWorkspace::new();
         let mut scratch = GemmScratch::new();
-        ws.prepare(&[xs], lstm.input_size());
-        let mut out = vec![vec![vec![0.0f32; lstm.hidden_size()]; xs.len()]];
+        dir_run(lstm, xs, &mut ws, &mut scratch);
         let BatchWorkspace { pack, fwd, .. } = &mut ws;
-        lstm.forward_batch_dir(pack, fwd, false, &mut scratch, &mut out);
         lstm.backward_batch_dir_fused(pack, fwd, false, &[dh], &mut scratch);
     }
 
@@ -802,8 +690,8 @@ mod tests {
         // while exercising the dot kernel's tail; mixed lengths exercise
         // the shrinking active prefix. GEMM rows do not depend on the
         // rest of the pack, so each sequence must get the bits of its
-        // batch of one, and inference runs the same kernels as the
-        // train path, so it must reproduce those bits too.
+        // batch of one. (`model::tests::inference_records_no_backward_state`
+        // checks that inference leaves the same bits.)
         let mut rng = StdRng::seed_from_u64(31);
         let bi = BiLstm::new(3, 33, &mut rng);
         let seqs: Vec<Vec<Vec<f32>>> = [5usize, 2, 7, 1]
@@ -815,16 +703,9 @@ mod tests {
         let mut ws = BatchWorkspace::new();
         let mut scratch = GemmScratch::new();
         let batched = bi.forward_batch(&refs, &mut ws, &mut scratch);
-        let inferred = bi.hidden_states_batch(&refs, &mut ws, &mut scratch);
         for (i, seq) in seqs.iter().enumerate() {
             let alone = bi_forward(&bi, seq);
-            assert_eq!(batched[i], alone, "seq {i} (train path)");
-            assert_eq!(inferred[i].len(), alone.len(), "seq {i}");
-            for (t, (a, b)) in inferred[i].iter().zip(&alone).enumerate() {
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "seq {i} t {t}: {x} vs {y}");
-                }
-            }
+            assert_eq!(batched[i], alone, "seq {i}");
         }
     }
 

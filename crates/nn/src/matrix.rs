@@ -1387,6 +1387,16 @@ pub struct GemmScratch {
     pub(crate) bz: Vec<f32>,
     /// Batched GRU `U·h` rows, `B x gate_rows`.
     pub(crate) bt: Vec<f32>,
+    /// Where the cell writes the per-row values a forward pass that
+    /// records no backward state does not keep: `tanh(c)` for the LSTM,
+    /// one gate row then one `aux` row for the GRU.
+    pub(crate) row: Vec<f32>,
+    /// Hidden-state output of the last packed forward, `total_rows x
+    /// hidden` in packed-row order (see [`crate::batch`]). It is a
+    /// call's output, not a per-batch cache, so it lives here rather
+    /// than in the workspace: a training loop's cached workspaces share
+    /// one buffer.
+    pub(crate) flat: Vec<f32>,
 }
 
 impl GemmScratch {

@@ -9,6 +9,12 @@
 //! LSTM-versus-GRU design check trains both cells through the same
 //! loop; `BrnnClassifier` without a parameter is the paper's BiLSTM
 //! detector, and only that one is serialized.
+//!
+//! Training and inference run the cell's one packed forward into the
+//! scratch's flat hidden-state buffer. `train_step` asks it to record
+//! the backward caches and gathers the buffer into caller order for the
+//! head; `predict_batch` records nothing and runs the head straight over
+//! the packed rows.
 
 use crate::batch::{fingerprint_of, BatchWorkspace};
 use crate::dense::Dense;
@@ -48,22 +54,19 @@ mod sealed {
         fn input_size(&self) -> usize;
         fn hidden_size(&self) -> usize;
         fn params_mut(&mut self) -> Vec<&mut Param>;
-        fn forward_batch(
+        /// The packed forward into `scratch.flat`; `record` keeps the caches
+        /// `backward_batch` replays.
+        fn forward_packed(
             &self,
             seqs: &[&[Vec<f32>]],
             ws: &mut BatchWorkspace,
             scratch: &mut GemmScratch,
-        ) -> Vec<Vec<Vec<f32>>>;
+            record: bool,
+        );
         fn backward_batch(
             &mut self,
             ws: &mut BatchWorkspace,
             dhs: &[&[f32]],
-            scratch: &mut GemmScratch,
-        );
-        fn hidden_states_batch_flat(
-            &self,
-            seqs: &[&[Vec<f32>]],
-            ws: &mut BatchWorkspace,
             scratch: &mut GemmScratch,
         );
     }
@@ -80,13 +83,14 @@ mod sealed {
                 fn params_mut(&mut self) -> Vec<&mut Param> {
                     <$cell>::params_mut(self)
                 }
-                fn forward_batch(
+                fn forward_packed(
                     &self,
                     seqs: &[&[Vec<f32>]],
                     ws: &mut BatchWorkspace,
                     scratch: &mut GemmScratch,
-                ) -> Vec<Vec<Vec<f32>>> {
-                    <$cell>::forward_batch(self, seqs, ws, scratch)
+                    record: bool,
+                ) {
+                    <$cell>::forward_packed(self, seqs, ws, scratch, record)
                 }
                 fn backward_batch(
                     &mut self,
@@ -95,14 +99,6 @@ mod sealed {
                     scratch: &mut GemmScratch,
                 ) {
                     <$cell>::backward_batch(self, ws, dhs, scratch)
-                }
-                fn hidden_states_batch_flat(
-                    &self,
-                    seqs: &[&[Vec<f32>]],
-                    ws: &mut BatchWorkspace,
-                    scratch: &mut GemmScratch,
-                ) {
-                    <$cell>::hidden_states_batch_flat(self, seqs, ws, scratch)
                 }
             }
         };
@@ -286,15 +282,15 @@ impl<C: RecurrentCell> BrnnClassifier<C> {
                 ..
             } = self;
             let ws = train_ws.entry(fp).or_default();
-            let hs = rnn.forward_batch(&seqs, ws, scratch);
+            rnn.forward_packed(&seqs, ws, scratch, true);
             let hl = rnn.hidden_size();
             let nc = head.output_size();
-            let n_frames: usize = hs.iter().map(|s| s.len()).sum();
+            // The head trains on caller-order rows, so its gradient sums
+            // keep the order of the per-sequence data.
+            let n_frames = ws.pack.total_rows();
             let mut hs_flat = Vec::with_capacity(n_frames * hl);
-            for seq in &hs {
-                for h in seq {
-                    hs_flat.extend_from_slice(h);
-                }
+            for r in ws.pack.caller_rows() {
+                hs_flat.extend_from_slice(&scratch.flat[r * hl..(r + 1) * hl]);
             }
             let mut logits = Vec::new();
             head.forward_flat(&hs_flat, n_frames, &mut logits);
@@ -347,7 +343,7 @@ impl<C: RecurrentCell> BrnnClassifier<C> {
 
     /// Per-frame argmax predictions for a whole batch of sequences
     /// through the packed-batch inference engine: the recurrent steps
-    /// run as fused-FMA cross-utterance GEMMs into the workspace's flat
+    /// run as fused-FMA cross-utterance GEMMs into the scratch's flat
     /// packed hidden-state buffer, the head runs one flat GEMM straight
     /// over that buffer (no per-frame vectors are materialized
     /// anywhere), and the argmax labels are scattered back to caller
@@ -380,8 +376,9 @@ impl<C: RecurrentCell> BrnnClassifier<C> {
     }
 
     /// The inference engine: packs `seqs` into `ws`, runs the recurrent
-    /// layer into the flat packed hidden-state buffer and the head as one flat
-    /// GEMM over it. `logits` receives `total_rows x n_classes` values in
+    /// layer's forward into the flat packed hidden-state buffer without
+    /// recording backward-pass state, and the head as one flat GEMM over
+    /// it. `logits` receives `total_rows x n_classes` values in
     /// packed-row order (see [`crate::batch`]).
     fn logits_flat(
         &self,
@@ -391,9 +388,9 @@ impl<C: RecurrentCell> BrnnClassifier<C> {
         logits: &mut Vec<f32>,
     ) {
         let _span = thrubarrier_obs::span!("nn.predict_batch");
-        self.rnn.hidden_states_batch_flat(seqs, ws, scratch);
+        self.rnn.forward_packed(seqs, ws, scratch, false);
         self.head
-            .forward_flat(&ws.flat, ws.pack.total_rows(), logits);
+            .forward_flat(&scratch.flat, ws.pack.total_rows(), logits);
     }
 
     /// Frame-level accuracy over a labelled set of sequences, each
@@ -659,6 +656,38 @@ mod tests {
             }
             assert_eq!(batched[i], model.predict(seqs[i]), "seq {i}");
         }
+    }
+
+    #[test]
+    fn inference_records_no_backward_state() {
+        // `predict_batch` runs the training step loop without recording:
+        // on a fresh workspace the replay caches stay empty, and the
+        // hidden states it leaves in `scratch.flat` are the recording pass's
+        // bits, for both cells.
+        fn check<C: RecurrentCell>(model: &BrnnClassifier<C>, seqs: &[&[Vec<f32>]]) {
+            let mut scratch = GemmScratch::new();
+            let mut ws = BatchWorkspace::new();
+            model.predict_batch(seqs, &mut ws, &mut scratch);
+            for dir in [&ws.fwd, &ws.bwd] {
+                assert!(dir.gates.is_empty() && dir.h_prev.is_empty());
+                assert!(dir.c_prev.is_empty() && dir.aux.is_empty());
+            }
+            let inferred = std::mem::take(&mut scratch.flat);
+            let mut train_ws = BatchWorkspace::new();
+            model
+                .rnn
+                .forward_packed(seqs, &mut train_ws, &mut scratch, true);
+            assert!(!train_ws.fwd.gates.is_empty() && !train_ws.bwd.h_prev.is_empty());
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&inferred), bits(&scratch.flat));
+        }
+        let mut data = framewise_dataset(3, 9, 340);
+        data.extend(framewise_dataset(2, 4, 341));
+        let seqs: Vec<&[Vec<f32>]> = data.iter().map(|(x, _)| x.as_slice()).collect();
+        let mut rng = StdRng::seed_from_u64(342);
+        check(&BrnnClassifier::new(3, 33, 2, &mut rng), &seqs);
+        let gru = BiGru::new(3, 33, &mut rng);
+        check(&BrnnClassifier::with_cell(gru, 2, &mut rng), &seqs);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Fused single-transform conversion engine.
 //!
-//! The staged conversion chain ([`Wearable::convert_staged`]) runs
-//! **three** independent frequency-domain filter round-trips per
-//! conversion — speaker band-limit, accelerometer coupling, and the
+//! The staged conversion chain (speaker play, then accelerometer
+//! capture, then body motion, each a separate pass) runs **three**
+//! independent frequency-domain filter round-trips per conversion —
+//! speaker band-limit, accelerometer coupling, and the
 //! brick-wall low-band pass that meters readout-noise drive — each a
 //! forward FFT plus an inverse FFT plus a full-size temporary. All
 //! three operate on the same spectrum, so the engine collapses them
@@ -28,9 +29,8 @@
 //! re-transforming (re-zeroing the pad region the combined-curve
 //! product keeps), and because Parseval metering integrates the whole
 //! padded block where the oracle measures only the truncated samples.
-//! Parity is therefore gated by tolerance proptests against the kept
-//! oracle, exactly like the correlation engine against
-//! `cross_correlate_time`.
+//! Parity is therefore gated by tolerance proptests against a
+//! test-local copy of the staged chain (`tests/properties.rs`).
 //!
 //! [`ConversionEngine`] owns the spectrum/signal scratch (the
 //! `GemmScratch` pattern), and [`with_engine`] hands out a per-thread
@@ -69,8 +69,8 @@ impl ConversionEngine {
     /// Cross-domain conversion of one recording: one forward transform,
     /// two curve multiplies, two inverse transforms, Parseval noise
     /// metering, in-place leak / interference mixing. Semantics match
-    /// [`Wearable::convert_staged`]: same output rate and length, same
-    /// RNG draw sequence, tolerance-level numeric agreement.
+    /// the staged chain: same output rate and length, same RNG draw
+    /// sequence, tolerance-level numeric agreement.
     pub fn convert<R: Rng + ?Sized>(
         &mut self,
         wearable: &Wearable,
@@ -229,6 +229,23 @@ mod tests {
     use rand::SeedableRng;
     use thrubarrier_dsp::stats;
 
+    /// The staged per-effect chain the engine fuses (the parity oracle
+    /// of `tests/properties.rs`).
+    fn convert_staged(
+        w: &Wearable,
+        recording: &[f32],
+        sample_rate: u32,
+        rng: &mut StdRng,
+    ) -> AudioBuffer {
+        let played = w.speaker.play(recording, sample_rate);
+        let mut vib = w.accelerometer.capture(&played, sample_rate, rng);
+        if let Some(motion) = &w.body_motion {
+            let rate = vib.sample_rate();
+            motion.add_into(vib.samples_mut(), rate, rng);
+        }
+        vib
+    }
+
     #[test]
     fn fused_output_has_staged_rate_and_length() {
         let w = Wearable::fossil_gen_5();
@@ -294,7 +311,7 @@ mod tests {
         let mut rng_fused = StdRng::seed_from_u64(5);
         let mut rng_staged = StdRng::seed_from_u64(5);
         let fused = w.convert(&[], 16_000, &mut rng_fused);
-        let staged = w.convert_staged(&[], 16_000, &mut rng_staged);
+        let staged = convert_staged(&w, &[], 16_000, &mut rng_staged);
         assert!(fused.is_empty() && staged.is_empty());
         // Both paths must have consumed the same number of draws.
         use rand::Rng as _;

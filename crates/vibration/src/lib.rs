@@ -29,9 +29,9 @@
 //!
 //! Production conversions run through the fused single-transform
 //! [`engine::ConversionEngine`] (one forward FFT, curve multiplies on the
-//! shared spectrum, Parseval noise metering); the staged per-effect chain
-//! is kept as [`Wearable::convert_staged`], the tolerance-gated parity
-//! oracle.
+//! shared spectrum, Parseval noise metering). The staged per-effect
+//! chain it replaces lives on only in the tests, as the tolerance-gated
+//! parity oracle.
 //!
 //! # Example
 //!

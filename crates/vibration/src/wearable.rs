@@ -120,28 +120,6 @@ impl Wearable {
     ) -> AudioBuffer {
         engine::with_engine(|e| e.convert(self, recording, sample_rate, rng))
     }
-
-    /// The staged per-effect conversion chain: speaker band-limit
-    /// filter, coupling filter, rectification leak, ADC decimation,
-    /// level-dependent noise, body motion — each stage a separate pass.
-    ///
-    /// Kept as the parity oracle for the fused engine (the
-    /// `cross_correlate_time` pattern): mathematically the same
-    /// computation, structured for auditability rather than speed.
-    pub fn convert_staged<R: Rng + ?Sized>(
-        &self,
-        recording: &[f32],
-        sample_rate: u32,
-        rng: &mut R,
-    ) -> AudioBuffer {
-        let played = self.speaker.play(recording, sample_rate);
-        let mut vib = self.accelerometer.capture(&played, sample_rate, rng);
-        if let Some(motion) = &self.body_motion {
-            let rate = vib.sample_rate();
-            motion.add_into(vib.samples_mut(), rate, rng);
-        }
-        vib
-    }
 }
 
 #[cfg(test)]
