@@ -353,6 +353,9 @@ fn run_stages(iters: usize) -> SweepResult {
 
     // Minibatched segmentation: eight 1 s utterances per scoring pass —
     // the eval worker's mask-computation unit under `batch_size = 8`.
+    // The workspace and scratch are reused across timed runs, so only
+    // their allocations are warm: every run re-packs the batch and
+    // recomputes the `W·X` projections, as every production call does.
     let batch_feats: Vec<Vec<Vec<f32>>> = (0..8)
         .map(|i| {
             mfcc.extract(&gen::chirp(
@@ -376,10 +379,10 @@ fn run_stages(iters: usize) -> SweepResult {
 
     // Per-worker scoring as the eval runner does it: 8 worker threads,
     // each scoring its own group of 8 one-second segments with a fresh
-    // workspace per group (every group is new data in a real run, so
-    // nothing is pack- or projection-cached — unlike
-    // `brnn_segment_batch8`, which re-scores identical data into a warm
-    // workspace). 64 segments per timed run.
+    // workspace and scratch per group. The work per group is
+    // `brnn_segment_batch8`'s; this stage adds the thread fan-out and
+    // the buffer allocations that stage keeps warm. 64 segments per
+    // timed run.
     out.insert(
         "brnn_score_inline_8t",
         median_ns(iters.max(16), || {

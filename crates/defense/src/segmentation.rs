@@ -182,10 +182,11 @@ impl PhonemeDetector {
             },
         };
         // Minibatch membership is frozen once up front and only the
-        // *order* of minibatches is shuffled per epoch: a repeated batch
-        // hashes to the same corpus fingerprint inside the batched
-        // engine, so its packed layout and projection-cache allocations
-        // persist across every epoch instead of being rebuilt per step.
+        // *order* of minibatches is shuffled per epoch. The membership
+        // fixes which sequences' gradients sum together in each step,
+        // so keeping it is what keeps the trained weights bitwise
+        // stable; re-drawing it per epoch would train a different
+        // model from the same seed.
         let order: Vec<usize> = (0..data.len()).collect();
         let chunks: Vec<&[usize]> = order.chunks(cfg.batch_size.max(1)).collect();
         let mut chunk_order: Vec<usize> = (0..chunks.len()).collect();

@@ -8,10 +8,14 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashSet;
 use std::sync::Arc;
-use thrubarrier_defense::segmentation::SegmentSelector;
+use thrubarrier_defense::segmentation::{DetectorTrainConfig, PhonemeDetector, SegmentSelector};
 use thrubarrier_defense::{DefenseMethod, DefenseSystem, Reason};
 use thrubarrier_dsp::{gen, AudioBuffer};
+use thrubarrier_phoneme::corpus::{speaker_panel, training_corpus};
+use thrubarrier_phoneme::inventory::Inventory;
+use thrubarrier_phoneme::synth::Synthesizer;
 use thrubarrier_vibration::Wearable;
 
 /// A selector that never marks a frame as sensitive.
@@ -21,6 +25,23 @@ impl SegmentSelector for NothingSensitive {
     fn sensitive_frames(&self, audio: &[f32], _sample_rate: u32) -> Vec<bool> {
         vec![false; audio.len() / 160]
     }
+}
+
+/// A small trained BRNN phoneme detector, the paper's selector. Nine
+/// units leave one lane to the activation kernels' scalar tail, which
+/// carries a NaN feature through to the logits.
+fn brnn_selector() -> PhonemeDetector {
+    let mut rng = StdRng::seed_from_u64(12);
+    let panel = speaker_panel(1, 1, &mut rng);
+    let corpus = training_corpus(&Synthesizer::new(16_000), 4, &panel, &mut rng);
+    let sensitive: HashSet<_> = [Inventory::by_symbol("ih").unwrap()].into_iter().collect();
+    let cfg = DetectorTrainConfig {
+        hidden_size: 9,
+        epochs: 1,
+        batch_size: 4,
+        learning_rate: 3e-3,
+    };
+    PhonemeDetector::train(&sensitive, &corpus, &cfg, &mut rng)
 }
 
 fn reject_count(name: &'static str) -> u64 {
@@ -105,8 +126,9 @@ fn every_reason_is_typed_scored_zero_and_counted() {
 
     // Finite samples whose sums overflow f32: at these gains the sync
     // correlation window turns infinite or NaN, and at 1e20 (with sync
-    // switched off) so do the replay RMS and the 2-D correlation. Every
-    // method must name a reason rather than score a bare 0.0.
+    // switched off) so do the replay RMS, the 2-D correlation and every
+    // MFCC coefficient the BRNN selector reads. Every method must name
+    // a reason rather than score a bare 0.0 or panic.
     let mut noise_rng = StdRng::seed_from_u64(4);
     let mut va = gen::chirp(150.0, 3_000.0, 0.1, fs, 1.5);
     let mut late = va[1_600..].to_vec();
@@ -114,6 +136,9 @@ fn every_reason_is_typed_scored_zero_and_counted() {
     gen::add_gaussian_noise(&mut late, 0.01, &mut noise_rng);
     let mut unsynced = DefenseSystem::paper_default();
     unsynced.synchronize = false;
+    let mut brnn_unsynced =
+        DefenseSystem::with_selector(Wearable::fossil_gen_5(), Arc::new(brnn_selector()));
+    brnn_unsynced.synchronize = false;
     let cases = [
         (1e18f32, &default, [Reason::SyncFailed; 3]),
         (1e20, &default, [Reason::SyncFailed; 3]),
@@ -125,6 +150,17 @@ fn every_reason_is_typed_scored_zero_and_counted() {
                 Reason::NonFinite,
                 // The energy selector finds no frame in the overflowed
                 // recording.
+                Reason::InsufficientEvidence { selected_s: 0.0 },
+            ],
+        ),
+        (
+            1e20,
+            &brnn_unsynced,
+            [
+                Reason::NonFinite,
+                Reason::NonFinite,
+                // Neither does the BRNN: its NaN logits label every
+                // frame not sensitive.
                 Reason::InsufficientEvidence { selected_s: 0.0 },
             ],
         ),

@@ -16,13 +16,10 @@
 //! masking is needed anywhere in the math.
 //!
 //! [`BatchWorkspace`] owns the packed layout plus the per-direction
-//! projection caches and persists across calls: training loops that
-//! revisit the same minibatch every epoch re-pack nothing and reuse all
-//! allocations, only recomputing the `W·X` projections when the input
-//! weights actually stepped (see [`crate::param::Param::version`]).
-
-use std::collections::hash_map::DefaultHasher;
-use std::hash::Hasher;
+//! projections and backward-pass rows. Every pass re-packs its batch
+//! and recomputes the `W·X` projections into the same allocations, so
+//! one workspace serves batches of any shape and its buffers stay
+//! sized to the largest batch it has seen.
 
 use crate::matrix::TransposedCache;
 
@@ -51,46 +48,17 @@ pub(crate) struct PackedBatch {
     /// Packed inputs with each sequence individually reversed (slot `j`
     /// contributes element `lens[j] - 1 - t` at step `t`), same layout.
     x_bwd: Vec<f32>,
-    /// Fingerprint of the batch contents the layout was built from.
-    fingerprint: u64,
-    /// False until the first `prepare` call.
-    prepared: bool,
-}
-
-/// Hashes a batch's shape and exact contents; used to detect that a
-/// training loop re-presented the same minibatch (same sequences, same
-/// order) so the packed layout and projections can be reused.
-pub(crate) fn fingerprint_of(seqs: &[&[Vec<f32>]], width: usize) -> u64 {
-    let mut h = DefaultHasher::new();
-    h.write_usize(width);
-    h.write_usize(seqs.len());
-    for seq in seqs {
-        h.write_usize(seq.len());
-        for frame in seq.iter() {
-            for &v in frame {
-                h.write_u32(v.to_bits());
-            }
-        }
-    }
-    h.finish()
 }
 
 impl PackedBatch {
-    /// (Re)builds the layout for `seqs` if its fingerprint differs from
-    /// the cached one; returns `true` when a rebuild happened (callers
-    /// must then drop any projection caches derived from the old
-    /// layout). Empty sequences are allowed and simply never active.
+    /// Builds the layout for `seqs`, reusing the previous batch's
+    /// allocations. Empty sequences are allowed and simply never
+    /// active.
     ///
     /// # Panics
     ///
     /// Panics if any frame's length differs from `width`.
-    pub(crate) fn prepare(&mut self, seqs: &[&[Vec<f32>]], width: usize) -> bool {
-        let fp = fingerprint_of(seqs, width);
-        if self.prepared && fp == self.fingerprint && self.width == width {
-            return false;
-        }
-        self.fingerprint = fp;
-        self.prepared = true;
+    pub(crate) fn prepare(&mut self, seqs: &[&[Vec<f32>]], width: usize) {
         self.width = width;
 
         self.order.clear();
@@ -116,9 +84,9 @@ impl PackedBatch {
 
         let total = self.total_rows();
         self.x_fwd.clear();
-        self.x_fwd.reserve(total * width);
+        self.x_fwd.reserve_exact(total * width);
         self.x_bwd.clear();
-        self.x_bwd.reserve(total * width);
+        self.x_bwd.reserve_exact(total * width);
         for t in 0..max_len {
             for (j, &len) in self.lens[..self.active[t]].iter().enumerate() {
                 let seq = seqs[self.order[j]];
@@ -130,7 +98,6 @@ impl PackedBatch {
                 self.x_bwd.extend_from_slice(bwd);
             }
         }
-        true
     }
 
     /// Length of the longest sequence (the number of timesteps).
@@ -246,16 +213,18 @@ impl PackedBatch {
 }
 
 /// Empties `buf` and refills it with `len` zeros, reusing its
-/// allocation.
+/// allocation. A buffer that must grow grows to exactly `len`, so a
+/// reused buffer holds no more than the largest size asked of it.
 pub(crate) fn reset(buf: &mut Vec<f32>, len: usize) {
     buf.clear();
+    buf.reserve_exact(len);
     buf.resize(len, 0.0);
 }
 
-/// Per-direction working set: the cached time-batched `W·X` projection
-/// plus the forward-pass rows the backward pass replays. Only a
-/// recording (training) forward fills the replay rows; inference leaves
-/// them as they were.
+/// Per-direction working set: the time-batched `W·X` projection plus
+/// the forward-pass rows the backward pass replays. Only a recording
+/// (training) forward fills the replay rows; inference leaves them as
+/// they were.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DirCache {
     /// Time-batched input projections, `total_rows x gate_rows`. The
@@ -264,12 +233,6 @@ pub(crate) struct DirCache {
     /// bare `W·x` because its cell adds the bias in a different
     /// association order.
     pub(crate) proj: Vec<f32>,
-    /// [`crate::param::Param::version`] tickets `(W, b)` the projection
-    /// was computed against; `None` forces recomputation (set on
-    /// repack). This is the epoch-persistence rule: same batch + same
-    /// weights → reuse, optimizer stepped → recompute into the same
-    /// allocation.
-    pub(crate) proj_key: Option<(u64, u64)>,
     /// Hidden state entering each step, `total_rows x hidden`.
     pub(crate) h_prev: Vec<f32>,
     /// Cell state entering each step (LSTM), `total_rows x hidden`.
@@ -281,17 +244,17 @@ pub(crate) struct DirCache {
     pub(crate) aux: Vec<f32>,
     /// Transposed recurrent weights `Uᵀ` for the fused backward's
     /// hidden-gradient GEMM, keyed on the `U` parameter's version
-    /// ticket (same invalidation rule as `proj_key`: optimizer stepped
-    /// → rebuild, otherwise reuse across epochs).
+    /// ticket: rebuilt after each optimizer step, never stale.
     pub(crate) ut: TransposedCache,
 }
 
 /// Reusable workspace for batched forward/backward passes.
 ///
-/// Create once and thread through `forward_batch` / `train_step`
-/// calls: the packed layout, projection caches and all scratch buffers
-/// persist, so repeated visits of the same minibatch (a training loop's
-/// epochs) neither re-pack nor re-allocate.
+/// Create once and thread through `forward_batch` / `predict_batch`
+/// calls: every pass re-packs its batch and recomputes the projections
+/// into the same buffers, which grow to the largest batch seen and are
+/// then reused without allocating. `train_step` trains through one
+/// such workspace.
 #[derive(Debug, Clone, Default)]
 pub struct BatchWorkspace {
     pub(crate) pack: PackedBatch,
@@ -305,15 +268,15 @@ impl BatchWorkspace {
         BatchWorkspace::default()
     }
 
-    /// Re-packs the layout if the batch changed; invalidates the
-    /// projection caches on repack. Returns `true` on repack.
-    pub(crate) fn prepare(&mut self, seqs: &[&[Vec<f32>]], width: usize) -> bool {
-        let repacked = self.pack.prepare(seqs, width);
-        if repacked {
-            self.fwd.proj_key = None;
-            self.bwd.proj_key = None;
+    /// Bytes of capacity held by the per-frame buffers: the packed
+    /// inputs, projections and replay rows.
+    #[cfg(test)]
+    pub(crate) fn retained_bytes(&self) -> usize {
+        let mut bufs = vec![&self.pack.x_fwd, &self.pack.x_bwd];
+        for d in [&self.fwd, &self.bwd] {
+            bufs.extend([&d.proj, &d.h_prev, &d.c_prev, &d.gates, &d.aux]);
         }
-        repacked
+        bufs.iter().map(|b| b.capacity() * 4).sum()
     }
 }
 
@@ -334,7 +297,7 @@ mod tests {
         let c = seq(3, 30.0);
         let refs: Vec<&[Vec<f32>]> = vec![&a, &b, &c];
         let mut p = PackedBatch::default();
-        assert!(p.prepare(&refs, 2));
+        p.prepare(&refs, 2);
         assert_eq!(p.order(), &[1, 2, 0]);
         assert_eq!(p.lens(), &[4, 3, 2]);
         assert_eq!(p.max_len(), 4);
@@ -379,26 +342,6 @@ mod tests {
         let mut p = PackedBatch::default();
         p.prepare(&refs, 2);
         assert_eq!(p.order(), &[0, 1, 2]);
-    }
-
-    #[test]
-    fn fingerprint_skips_repack_and_invalidation() {
-        let a = seq(2, 1.0);
-        let b = seq(3, 2.0);
-        let refs: Vec<&[Vec<f32>]> = vec![&a, &b];
-        let mut ws = BatchWorkspace::new();
-        assert!(ws.prepare(&refs, 2));
-        ws.fwd.proj_key = Some((7, 7));
-        ws.bwd.proj_key = Some((7, 7));
-        // Same batch: no repack, projections survive.
-        assert!(!ws.prepare(&refs, 2));
-        assert_eq!(ws.fwd.proj_key, Some((7, 7)));
-        // Any content change repacks and drops the projections.
-        let b2 = seq(3, 2.5);
-        let refs2: Vec<&[Vec<f32>]> = vec![&a, &b2];
-        assert!(ws.prepare(&refs2, 2));
-        assert_eq!(ws.fwd.proj_key, None);
-        assert_eq!(ws.bwd.proj_key, None);
     }
 
     #[test]

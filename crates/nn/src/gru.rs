@@ -7,7 +7,7 @@
 //! classifier). Gate layout is `[z, r, n]` (update, reset, candidate).
 //!
 //! The packed-batch engine mirrors [`crate::lstm`]: fused `3H x D` /
-//! `3H x H` weight matrices, cached input projections `W·X` for every
+//! `3H x H` weight matrices, one input-projection GEMM `W·X` over every
 //! packed row, one `U·H` GEMM per step in the one step loop that
 //! training and inference share (only training records the flat
 //! activation caches), and a fused backward. The GRU keeps *two* flat
@@ -87,32 +87,23 @@ impl Gru {
         self.hidden_size
     }
 
-    /// Fills `dir.proj` with the pack's input projections, keyed by the
-    /// weight versions so successive passes over an unchanged model
-    /// re-use it. Unlike the LSTM cache, `proj` stays bare `W·x`: the
-    /// GRU cell adds `wx + uh + bias` in that association order, so
-    /// folding the bias in here would change the sums bitwise.
+    /// Fills `dir.proj` with the pack's input projections. Unlike the
+    /// LSTM, `proj` stays bare `W·x`: the GRU cell adds
+    /// `wx + uh + bias` in that association order, so folding the bias
+    /// in here would change the sums bitwise.
     fn fill_proj(&self, pack: &PackedBatch, dir: &mut DirCache, reversed: bool) {
-        let gr = 3 * self.hidden_size;
         let total = pack.total_rows();
-        let key = (self.w.version(), self.b.version());
-        if dir.proj_key == Some(key) {
-            thrubarrier_obs::counter!("nn.proj_cache.hit").incr();
-        } else {
-            thrubarrier_obs::counter!("nn.proj_cache.miss").incr();
-            reset(&mut dir.proj, total * gr);
-            self.w
-                .value
-                .matmul_nt_to(pack.x(reversed), total, &mut dir.proj, false);
-            dir.proj_key = Some(key);
-        }
+        reset(&mut dir.proj, total * 3 * self.hidden_size);
+        self.w
+            .value
+            .matmul_nt_to(pack.x(reversed), total, &mut dir.proj, false);
     }
 
     /// The one per-direction step loop, mirroring
     /// [`crate::lstm::Lstm::forward_dir`]: the recurrent `U·h` of every
     /// active sequence runs as one `3H×H × H×nb` GEMM per step, the
-    /// input projections come from the epoch-persistent `dir.proj`
-    /// cache, [`gru_cell`] updates each row, and hidden states go to
+    /// input projections come from `dir.proj` ([`Gru::fill_proj`]),
+    /// [`gru_cell`] updates each row, and hidden states go to
     /// `flat` through [`PackedBatch::store_step`]. With `record`,
     /// activations are cached in `dir` for
     /// [`Gru::backward_batch_dir_fused`]; without it the cell writes into
@@ -308,8 +299,8 @@ impl BiGru {
         scratch: &mut GemmScratch,
         record: bool,
     ) {
-        ws.prepare(seqs, self.fwd.input_size());
         let BatchWorkspace { pack, fwd, bwd } = ws;
+        pack.prepare(seqs, self.fwd.input_size());
         reset(&mut scratch.flat, pack.total_rows() * self.hidden_size());
         self.fwd.forward_dir(pack, fwd, false, scratch, record);
         self.bwd.forward_dir(pack, bwd, true, scratch, record);
@@ -369,7 +360,7 @@ mod tests {
     /// Runs one direction's recording forward over `xs` as a batch of
     /// one into `ws` and `scratch.flat`.
     fn dir_run(gru: &Gru, xs: &[Vec<f32>], ws: &mut BatchWorkspace, scratch: &mut GemmScratch) {
-        ws.prepare(&[xs], gru.input_size());
+        ws.pack.prepare(&[xs], gru.input_size());
         reset(&mut scratch.flat, xs.len() * gru.hidden_size());
         gru.forward_dir(&ws.pack, &mut ws.fwd, false, scratch, true);
     }

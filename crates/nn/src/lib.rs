@@ -12,8 +12,9 @@
 //!   product [`matrix::Matrix::add_tn_product`]) shared by every layer,
 //! * [`matrix::GemmScratch`] — reusable working buffers so the hot
 //!   inference/training paths allocate nothing per timestep,
-//! * [`batch::BatchWorkspace`] — the packed minibatch layout shared by
-//!   batched training and the one inference engine,
+//! * [`batch::BatchWorkspace`] — the packed minibatch layout and its
+//!   projection and backward-pass buffers, re-packed on every pass and
+//!   reused across batches of any shape (training runs through one),
 //! * [`act`] — branch-free rational `tanh`/`sigmoid` kernels that the
 //!   gate loops auto-vectorize through (scalar libm transcendentals
 //!   cost as much as the matrix products at this model size),

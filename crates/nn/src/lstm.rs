@@ -13,8 +13,7 @@
 //! (see [`crate::batch`]); a single sequence is a batch of one.
 //!
 //! 1. **Input projections** — `W·x + b` for every packed row in one
-//!    [`Matrix::matmul_nt_to`] GEMM, cached in the workspace until the
-//!    optimizer steps `W` or `b`.
+//!    [`Matrix::matmul_nt_to`] GEMM per pass, into the workspace.
 //! 2. **Forward** — one step loop per direction for training and
 //!    inference alike: per step, one `Z += H·Uᵀ` GEMM over the active
 //!    rows, then the gate sweep, with hidden states written into the
@@ -159,20 +158,13 @@ impl Lstm {
         self.hidden_size
     }
 
-    /// Fills (or reuses) the epoch-persistent projection cache for one
-    /// direction: `dir.proj` row `r` becomes `W·x_r + b`, keyed by the
-    /// `(W, b)` parameter versions. The bias is folded in here once so
-    /// every step of every forward pass starts from a plain row copy
-    /// instead of an elementwise add; the cell computes
-    /// `(W·x + b) + U·h` in that association order either way.
+    /// Fills one direction's projections: `dir.proj` row `r` becomes
+    /// `W·x_r + b`. The bias is folded in here once so every step
+    /// starts from a plain row copy instead of an elementwise add; the
+    /// cell computes `(W·x + b) + U·h` in that association order either
+    /// way.
     fn fill_proj(&self, pack: &PackedBatch, dir: &mut DirCache, reversed: bool) {
         let gr = 4 * self.hidden_size;
-        let key = (self.w.version(), self.b.version());
-        if dir.proj_key == Some(key) {
-            thrubarrier_obs::counter!("nn.proj_cache.hit").incr();
-            return;
-        }
-        thrubarrier_obs::counter!("nn.proj_cache.miss").incr();
         let total = pack.total_rows();
         reset(&mut dir.proj, total * gr);
         self.w
@@ -184,13 +176,12 @@ impl Lstm {
                 *p += bv;
             }
         }
-        dir.proj_key = Some(key);
     }
 
     /// The one per-direction step loop, shared by the training forward
     /// and inference, over a packed minibatch (see [`crate::batch`]).
     /// Each step runs the recurrent half as one `4H×H × H×nb` GEMM over
-    /// the step's active rows on top of the cached input projections of
+    /// the step's active rows on top of the input projections of
     /// [`Lstm::fill_proj`], then [`lstm_cell`] per row. Hidden states go
     /// to `flat` through [`PackedBatch::store_step`] (the forward
     /// direction writes, the reversed one adds).
@@ -414,12 +405,9 @@ impl BiLstm {
         self.fwd.hidden_size()
     }
 
-    /// Packs (or re-uses the packed layout of) `seqs` into `ws` and runs
-    /// both directions' [`Lstm::forward_dir`] into the flat packed buffer
-    /// `scratch.flat`, recording the backward-pass caches when `record`.
-    ///
-    /// A workspace is tied to one model: its projection caches are
-    /// keyed by this layer's weight versions.
+    /// Packs `seqs` into `ws` and runs both directions'
+    /// [`Lstm::forward_dir`] into the flat packed buffer `scratch.flat`,
+    /// recording the backward-pass caches when `record`.
     pub(crate) fn forward_packed(
         &self,
         seqs: &[&[Vec<f32>]],
@@ -427,8 +415,8 @@ impl BiLstm {
         scratch: &mut GemmScratch,
         record: bool,
     ) {
-        ws.prepare(seqs, self.fwd.input_size());
         let BatchWorkspace { pack, fwd, bwd } = ws;
+        pack.prepare(seqs, self.fwd.input_size());
         reset(&mut scratch.flat, pack.total_rows() * self.hidden_size());
         self.fwd.forward_dir(pack, fwd, false, scratch, record);
         self.bwd.forward_dir(pack, bwd, true, scratch, record);
@@ -490,7 +478,7 @@ mod tests {
     /// Runs one direction's recording forward over `xs` as a batch of
     /// one into `ws` and `scratch.flat`.
     fn dir_run(lstm: &Lstm, xs: &[Vec<f32>], ws: &mut BatchWorkspace, scratch: &mut GemmScratch) {
-        ws.prepare(&[xs], lstm.input_size());
+        ws.pack.prepare(&[xs], lstm.input_size());
         reset(&mut scratch.flat, xs.len() * lstm.hidden_size());
         lstm.forward_dir(&ws.pack, &mut ws.fwd, false, scratch, true);
     }
@@ -775,37 +763,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn projection_cache_reuses_until_weights_step() {
-        let mut rng = StdRng::seed_from_u64(35);
-        let bi = BiLstm::new(2, 3, &mut rng);
-        let seqs: Vec<Vec<Vec<f32>>> = vec![toy_inputs(3, 2, 300), toy_inputs(5, 2, 301)];
-        let refs: Vec<&[Vec<f32>]> = seqs.iter().map(|s| s.as_slice()).collect();
-        let mut ws = BatchWorkspace::new();
-        let mut scratch = GemmScratch::new();
-        let first = bi.forward_batch(&refs, &mut ws, &mut scratch);
-        let key = ws.fwd.proj_key;
-        assert_eq!(key, Some((bi.fwd.w.version(), bi.fwd.b.version())));
-        // Same batch, same weights: projections survive and outputs repeat.
-        let second = bi.forward_batch(&refs, &mut ws, &mut scratch);
-        assert_eq!(ws.fwd.proj_key, key);
-        assert_eq!(first, second);
-        // A weight step invalidates the cache and changes the outputs.
-        let mut stepped = bi.clone();
-        stepped.fwd.w.grad.set(0, 0, 1.0);
-        stepped
-            .fwd
-            .w
-            .adam_step(&crate::param::AdamConfig::default(), 1);
-        let third = stepped.forward_batch(&refs, &mut ws, &mut scratch);
-        assert_eq!(
-            ws.fwd.proj_key,
-            Some((stepped.fwd.w.version(), stepped.fwd.b.version()))
-        );
-        assert_ne!(ws.fwd.proj_key, key);
-        assert_ne!(first, third);
     }
 
     #[test]

@@ -1393,9 +1393,8 @@ pub struct GemmScratch {
     pub(crate) row: Vec<f32>,
     /// Hidden-state output of the last packed forward, `total_rows x
     /// hidden` in packed-row order (see [`crate::batch`]). It is a
-    /// call's output, not a per-batch cache, so it lives here rather
-    /// than in the workspace: a training loop's cached workspaces share
-    /// one buffer.
+    /// call's output, not state the backward pass replays, so it lives
+    /// here rather than in the workspace.
     pub(crate) flat: Vec<f32>,
 }
 
@@ -1410,14 +1409,13 @@ impl GemmScratch {
 /// engine's input-gradient GEMMs (`dX = Wᵀ · dG`).
 ///
 /// The fused row-major kernels need `Wᵀ` laid out as a matrix of its
-/// own; rebuilding it every backward step would erase the win, so the
-/// cache keys the materialised transpose on the owning [`Param`]'s
-/// version ticket — the same invalidation rule as the batched
-/// projection cache. Version tickets are allocated from one global
-/// counter and bumped on every optimiser step, so a ticket match
-/// guarantees value identity (clones share a ticket only while their
-/// values are bitwise equal), and a stale transpose can never survive
-/// an `adam_step`.
+/// own; rebuilding it on every use would erase the win, so the cache
+/// keys the materialised transpose on the owning [`Param`]'s version
+/// ticket and rebuilds it only after the weights change. Version
+/// tickets are allocated from one global counter and bumped on every
+/// optimiser step, so a ticket match guarantees value identity (clones
+/// share a ticket only while their values are bitwise equal), and a
+/// stale transpose can never survive an `adam_step`.
 ///
 /// [`Param`]: crate::param::Param
 #[derive(Debug, Clone)]

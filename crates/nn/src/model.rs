@@ -16,7 +16,7 @@
 //! head; `predict_batch` records nothing and runs the head straight over
 //! the packed rows.
 
-use crate::batch::{fingerprint_of, BatchWorkspace};
+use crate::batch::BatchWorkspace;
 use crate::dense::Dense;
 use crate::gru::BiGru;
 use crate::loss;
@@ -24,12 +24,6 @@ use crate::lstm::{BiLstm, Lstm};
 use crate::matrix::{GemmScratch, Matrix, TransposedCache};
 use crate::param::{AdamConfig, Param};
 use rand::Rng;
-use std::collections::HashMap;
-
-/// Upper bound on cached packed-batch workspaces; a training corpus
-/// split into minibatches keeps one workspace per distinct batch, and
-/// the map resets if a caller streams unbounded novel batches through.
-const MAX_TRAIN_WORKSPACES: usize = 64;
 
 /// Training hyper-parameters for [`BrnnClassifier::train_step`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -115,12 +109,10 @@ pub struct BrnnClassifier<C = BiLstm> {
     rnn: C,
     head: Dense,
     step: u64,
-    /// Packed-batch workspaces keyed by corpus fingerprint: a training
-    /// loop that revisits the same minibatches every epoch re-packs
-    /// nothing and re-allocates nothing — only the `W·X` projections
-    /// are recomputed after each optimizer step (their cache is keyed
-    /// by weight version, see [`crate::batch`]).
-    train_ws: HashMap<u64, BatchWorkspace>,
+    /// The one training workspace: every `train_step` re-packs its
+    /// minibatch into it, so its buffers stay sized to the largest
+    /// minibatch trained on.
+    train_ws: BatchWorkspace,
     scratch: GemmScratch,
     /// Cached `Wᵀ` of the head for the fused input-gradient GEMM,
     /// keyed by the head weight's version ticket.
@@ -190,7 +182,7 @@ impl<C: RecurrentCell> BrnnClassifier<C> {
             rnn,
             head,
             step: 0,
-            train_ws: HashMap::new(),
+            train_ws: BatchWorkspace::new(),
             scratch: GemmScratch::new(),
             head_wt: TransposedCache::new(),
         }
@@ -244,10 +236,8 @@ impl<C: RecurrentCell> BrnnClassifier<C> {
     /// BPTT is batched the same way. Returns the mean loss over the
     /// batch.
     ///
-    /// Repeated steps over the same minibatch (a training loop's
-    /// epochs) reuse the packed layout and every buffer via the
-    /// internal workspace cache; the `W·X` projections are recomputed
-    /// only because the optimizer stepped the weights.
+    /// Every step re-packs its minibatch into the classifier's one
+    /// training workspace, reusing its allocations.
     ///
     /// # Panics
     ///
@@ -268,20 +258,15 @@ impl<C: RecurrentCell> BrnnClassifier<C> {
         }
         let scale = 1.0 / batch.len() as f32;
         let seqs: Vec<&[Vec<f32>]> = batch.iter().map(|(xs, _)| *xs).collect();
-        let fp = fingerprint_of(&seqs, self.rnn.input_size());
-        if self.train_ws.len() >= MAX_TRAIN_WORKSPACES && !self.train_ws.contains_key(&fp) {
-            self.train_ws.clear();
-        }
         let total = {
             let BrnnClassifier {
                 rnn,
                 head,
-                train_ws,
+                train_ws: ws,
                 scratch,
                 head_wt,
                 ..
             } = self;
-            let ws = train_ws.entry(fp).or_default();
             rnn.forward_packed(&seqs, ws, scratch, true);
             let hl = rnn.hidden_size();
             let nc = head.output_size();
@@ -350,6 +335,9 @@ impl<C: RecurrentCell> BrnnClassifier<C> {
     /// order. This is the classifier's only inference engine; the fused
     /// kernels are bitwise batch-size invariant, so a sequence gets the
     /// same labels here as from [`BrnnClassifier::predict`] alone.
+    ///
+    /// Non-finite features (e.g. MFCCs of audio loud enough to overflow
+    /// `f32`) do not panic: a frame with a NaN logit gets class 0.
     pub fn predict_batch(
         &self,
         seqs: &[&[Vec<f32>]],
@@ -364,12 +352,7 @@ impl<C: RecurrentCell> BrnnClassifier<C> {
         for (b, (&i, &len)) in pack.order().iter().zip(pack.lens()).enumerate() {
             out[i].extend((0..len).map(|t| {
                 let row = pack.offset(t) + b;
-                logits[row * nc..(row + 1) * nc]
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-                    .map(|(c, _)| c)
-                    .unwrap_or(0)
+                argmax(&logits[row * nc..(row + 1) * nc])
             }));
         }
         out
@@ -411,6 +394,21 @@ impl<C: RecurrentCell> BrnnClassifier<C> {
             correct as f32 / total as f32
         }
     }
+}
+
+/// Index of the largest value, the last one on ties; 0 for a row that
+/// holds a NaN, which has no largest value.
+fn argmax(row: &[f32]) -> usize {
+    if row.iter().any(|v| v.is_nan()) {
+        return 0;
+    }
+    let mut best = 0;
+    for (c, &v) in row.iter().enumerate() {
+        if v >= row[best] {
+            best = c;
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -613,7 +611,6 @@ mod tests {
             last = model.train_step(&batch, &cfg);
         }
         assert!(last < first * 0.5, "loss {first} -> {last}");
-        assert_eq!(model.train_ws.len(), 1, "one cached workspace per batch");
         let test = framewise_dataset(8, 10, 404);
         assert!(model.accuracy(&test) > 0.9, "acc {}", model.accuracy(&test));
     }
@@ -691,15 +688,122 @@ mod tests {
     }
 
     #[test]
-    fn workspace_cache_is_bounded() {
-        let mut rng = StdRng::seed_from_u64(330);
-        let mut model = BrnnClassifier::new(2, 4, 2, &mut rng);
-        let cfg = TrainConfig::default();
-        for i in 0..(MAX_TRAIN_WORKSPACES + 3) {
-            let xs = vec![vec![i as f32, 0.5]; 3];
-            let ys = vec![0usize; 3];
-            model.train_step(&[(&xs, &ys)], &cfg);
-            assert!(model.train_ws.len() <= MAX_TRAIN_WORKSPACES);
+    fn predict_batch_survives_non_finite_features() {
+        // Audio loud enough to overflow f32 yields NaN or infinite MFCC
+        // rows; scoring them must label every frame, not panic. With 33
+        // units one lane runs in the activation kernels' scalar tail,
+        // which passes a NaN on, and the recurrence spreads it to every
+        // frame of its sequence: that sequence is all class 0, and a
+        // finite sequence packed beside it keeps its own labels.
+        let mut rng = StdRng::seed_from_u64(350);
+        let model = BrnnClassifier::new(3, 33, 2, &mut rng);
+        let clean = framewise_dataset(1, 6, 351).remove(0).0;
+        let mut nan = clean.clone();
+        nan[2][0] = f32::NAN;
+        let inf = vec![vec![f32::INFINITY, f32::NEG_INFINITY, 1.0]; 4];
+        let seqs: Vec<&[Vec<f32>]> = vec![&nan, &clean, &inf];
+        let mut ws = BatchWorkspace::new();
+        let labels = model.predict_batch(&seqs, &mut ws, &mut GemmScratch::new());
+        assert_eq!(labels[0], vec![0; nan.len()]);
+        assert_eq!(labels[1], model.predict(&clean));
+        assert_eq!(labels[2].len(), inf.len());
+        assert_eq!(model.predict(&nan), labels[0]);
+        assert_eq!(argmax(&[f32::NAN, 1.0]), 0);
+        assert_eq!(argmax(&[1.0, f32::NAN, 2.0]), 0);
+        assert_eq!(argmax(&[0.5, 0.5]), 1, "ties go to the last index");
+    }
+
+    #[test]
+    fn one_workspace_serves_every_batch_shape_bitwise() {
+        // A workspace and scratch reused across long -> short -> long
+        // batches must leave no stale row behind: hidden states and
+        // every parameter gradient equal a fresh workspace's bit for
+        // bit, for both cells.
+        fn check<C: RecurrentCell>(cell: &C, batches: &[Vec<&[Vec<f32>]>]) {
+            let hl = cell.hidden_size();
+            let run = |seqs: &[&[Vec<f32>]], ws: &mut BatchWorkspace, scratch: &mut GemmScratch| {
+                let mut rnn = cell.clone();
+                for p in rnn.params_mut() {
+                    p.zero_grad();
+                }
+                rnn.forward_packed(seqs, ws, scratch, true);
+                let mut bits: Vec<u32> = scratch.flat.iter().map(|v| v.to_bits()).collect();
+                let dh: Vec<Vec<f32>> = seqs
+                    .iter()
+                    .map(|s| (0..s.len() * hl).map(|j| (0.37 * j as f32).sin()).collect())
+                    .collect();
+                let dhs: Vec<&[f32]> = dh.iter().map(Vec::as_slice).collect();
+                rnn.backward_batch(ws, &dhs, scratch);
+                for p in rnn.params_mut() {
+                    bits.extend(p.grad.data().iter().map(|g| g.to_bits()));
+                }
+                bits
+            };
+            let mut ws = BatchWorkspace::new();
+            let mut scratch = GemmScratch::new();
+            for (k, seqs) in batches.iter().enumerate() {
+                let fresh = run(seqs, &mut BatchWorkspace::new(), &mut GemmScratch::new());
+                assert_eq!(run(seqs, &mut ws, &mut scratch), fresh, "batch {k}");
+            }
         }
+        let long_a = framewise_dataset(3, 12, 360);
+        let short = framewise_dataset(2, 3, 361);
+        let long_b = framewise_dataset(4, 11, 362);
+        fn refs(d: &[(Vec<Vec<f32>>, Vec<usize>)]) -> Vec<&[Vec<f32>]> {
+            d.iter().map(|(x, _)| x.as_slice()).collect()
+        }
+        let mut mixed = refs(&long_b);
+        mixed.push(&short[0].0[..1]);
+        let batches = vec![refs(&long_a), refs(&short), mixed, refs(&long_a)];
+        let mut rng = StdRng::seed_from_u64(363);
+        check(&BiLstm::new(3, 33, &mut rng), &batches);
+        check(&BiGru::new(3, 33, &mut rng), &batches);
+    }
+
+    #[test]
+    fn training_workspace_is_sized_by_the_largest_batch() {
+        // `train_step` re-packs every minibatch into one workspace.
+        // After 67 distinct batches its per-frame buffers must hold no
+        // more than training on the largest of them alone, which
+        // dominates every other batch in sequence count, length and
+        // frames.
+        let mut rng = StdRng::seed_from_u64(330);
+        let base = BrnnClassifier::new(2, 4, 2, &mut rng);
+        let largest = 40;
+        type Batch = Vec<(Vec<Vec<f32>>, Vec<usize>)>;
+        let batches: Vec<Batch> = (0..67)
+            .map(|i| {
+                let (n, len) = if i == largest {
+                    (4, 8)
+                } else {
+                    (1 + i % 3, 1 + i % 6)
+                };
+                (0..n)
+                    .map(|k| (vec![vec![i as f32, k as f32]; len], vec![i % 2; len]))
+                    .collect()
+            })
+            .collect();
+        let step = |model: &mut BrnnClassifier, b: &Batch| {
+            let batch: Vec<(&[Vec<f32>], &[usize])> = b
+                .iter()
+                .map(|(x, y)| (x.as_slice(), y.as_slice()))
+                .collect();
+            model.train_step(&batch, &TrainConfig::default());
+        };
+        let mut model = base.clone();
+        for b in &batches {
+            step(&mut model, b);
+        }
+        let mut alone = base.clone();
+        step(&mut alone, &batches[largest]);
+        let (held, needed) = (
+            model.train_ws.retained_bytes(),
+            alone.train_ws.retained_bytes(),
+        );
+        assert!(needed > 0);
+        assert!(
+            held <= needed,
+            "retained {held} B, largest batch needs {needed} B"
+        );
     }
 }
