@@ -44,7 +44,6 @@ use thrubarrier_dsp::mel::MfccExtractor;
 use thrubarrier_dsp::{correlate, fft, gen, Stft};
 use thrubarrier_eval::runner::{score_trial, Runner, RunnerConfig};
 use thrubarrier_eval::scenario::TrialContext;
-use thrubarrier_nn::act::gates_fused;
 use thrubarrier_nn::lstm::BiLstm;
 use thrubarrier_nn::model::{BrnnClassifier, TrainConfig};
 use thrubarrier_nn::{BatchWorkspace, GemmScratch};
@@ -175,49 +174,6 @@ fn run_stages(iters: usize) -> SweepResult {
                     .unwrap(),
             );
         }),
-    );
-
-    // The bounded-lag search at the cross-device sync shape (1 s
-    // reference against a 1.1 s delayed copy, max lag 0.25 s):
-    // `estimate_delay_1s` pins the exact bounded-FFT search the engine
-    // picks for this shape (pinned so the figure keeps naming one path
-    // even if the auto crossover is retuned), and
-    // `estimate_delay_1s_time` is the exact windowed time-domain scan.
-    // The scan costs ~10^8 multiply-adds per call, so it runs on a
-    // reduced iteration budget.
-    for (stage, search, stage_iters) in [
-        ("estimate_delay_1s", correlate::LagSearch::Fft, iters),
-        (
-            "estimate_delay_1s_time",
-            correlate::LagSearch::TimeDomain,
-            iters.min(5),
-        ),
-    ] {
-        out.insert(
-            stage,
-            median_ns(stage_iters, || {
-                black_box(
-                    correlate::estimate_delay_with(
-                        black_box(&reference),
-                        black_box(&delayed),
-                        4_000,
-                        search,
-                    )
-                    .unwrap(),
-                );
-            }),
-        );
-    }
-
-    // Parity guard: at the 1 s shape the bounded-FFT search must never
-    // lose to the time-domain scan on the bench host. Asserted so a
-    // path-selection regression fails the bench run instead of silently
-    // recording a bad snapshot.
-    assert!(
-        out["estimate_delay_1s"] <= out["estimate_delay_1s_time"],
-        "lag_search_parity: bounded-FFT search {} ns slower than time-domain scan {} ns at 1 s inputs",
-        out["estimate_delay_1s"],
-        out["estimate_delay_1s_time"]
     );
 
     let wearable = Wearable::fossil_gen_5();
@@ -397,25 +353,6 @@ fn run_stages(iters: usize) -> SweepResult {
                     });
                 }
             });
-        }),
-    );
-
-    // The gate-fused activation sweep over one LSTM row's 4H gate
-    // buffer at paper width (H = 64): sigmoid on the input/forget and
-    // output blocks and tanh on the candidate block in a single pass.
-    // 1000 sweeps per timed run (one sweep is far below timer
-    // granularity); the buffer is restored from a pristine copy each
-    // sweep so every iteration transforms identical data.
-    let gate_src: Vec<f32> = (0..4 * 64).map(|i| (i as f32).sin() * 4.0).collect();
-    let mut gate_buf = gate_src.clone();
-    out.insert(
-        "act_gate_fused_4h",
-        median_ns(iters.max(64), || {
-            for _ in 0..1_000 {
-                gate_buf.copy_from_slice(&gate_src);
-                gates_fused(black_box(&mut gate_buf), 64);
-            }
-            black_box(&gate_buf);
         }),
     );
 

@@ -3,11 +3,10 @@
 //! * The cross-device synchronization step (paper Eq. 5) aligns the VA and
 //!   wearable recordings with the lag that maximizes their
 //!   cross-correlation. [`estimate_delay`] implements it with a
-//!   **bounded-lag** correlator: only the `±max_lag` window of the
-//!   correlation is ever materialized, by size-selected choice between a
-//!   windowed time-domain scan and frequency-domain circular correlation
-//!   on the planned real transform. Both are exact; the tests compare
-//!   them with a test-local full direct-form correlation.
+//!   **bounded-lag** correlator: one frequency-domain circular
+//!   correlation on the planned real transform, of which only the
+//!   `±max_lag` window is read. The tests compare it with a test-local
+//!   full direct-form correlation.
 //! * The attack detector (paper Eq. 6) scores the similarity of two
 //!   normalized vibration spectrograms with a 2-D correlation
 //!   coefficient; [`spectrogram_correlation`] implements it directly on
@@ -25,45 +24,10 @@ use crate::fft;
 use crate::stats;
 use crate::stft::Spectrogram;
 
-/// Path selection for the bounded-lag search ([`estimate_delay_with`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LagSearch {
-    /// Pick a path from the input lengths and the lag-window width
-    /// (measured crossover; see `LAG_TIME_MAX_MACS`).
-    #[default]
-    Auto,
-    /// Windowed time-domain scan: one dot product per candidate lag,
-    /// `O(W·min(N, M))` total.
-    TimeDomain,
-    /// Circular FFT correlation sized `next_pow2(max(N, M) + max_lag)` —
-    /// roughly half the transform of the full `2N−1` correlation — from
-    /// which only the `±max_lag` window is read.
-    Fft,
-}
-
-/// `W · min(N, M)` multiply-adds below which the windowed time-domain
-/// scan beats the bounded FFT (measured on the bench host: the FFT path
-/// costs three transforms regardless of how narrow the window is, and
-/// won from ~64k MACs up — e.g. already 1.8x at N=512, W=257).
-const LAG_TIME_MAX_MACS: usize = 1 << 15;
-
-/// One correlation value: `c[lag] = Σ_i a[i] · b[i − lag]` over the
-/// overlapping support (zero when the supports are disjoint).
-fn lag_dot(a: &[f32], b: &[f32], lag: isize) -> f32 {
-    let i0 = lag.max(0);
-    let i1 = (a.len() as isize).min(b.len() as isize + lag);
-    if i1 <= i0 {
-        return 0.0;
-    }
-    let ai = &a[i0 as usize..i1 as usize];
-    let bi = &b[(i0 - lag) as usize..];
-    ai.iter().zip(bi).map(|(x, y)| x * y).sum()
-}
-
 /// Estimates the delay (in samples) of `delayed` relative to `reference`
 /// by maximizing the cross-correlation over `±max_lag`, materializing
-/// only that window ([`LagSearch::Auto`]). A positive return value means
-/// `delayed` starts `k` samples later than `reference`.
+/// only that window. A positive return value means `delayed` starts `k`
+/// samples later than `reference`.
 ///
 /// `max_lag` bounds the search (use e.g. 2x the worst-case network delay).
 ///
@@ -93,22 +57,6 @@ pub fn estimate_delay(
     delayed: &[f32],
     max_lag: usize,
 ) -> Result<isize, DspError> {
-    estimate_delay_with(reference, delayed, max_lag, LagSearch::Auto)
-}
-
-/// [`estimate_delay`] with an explicit search path (parity tests and
-/// benches force each one; [`LagSearch::Auto`] reproduces the public
-/// behaviour).
-///
-/// # Errors
-///
-/// As [`estimate_delay`].
-pub fn estimate_delay_with(
-    reference: &[f32],
-    delayed: &[f32],
-    max_lag: usize,
-    search: LagSearch,
-) -> Result<isize, DspError> {
     if delayed.is_empty() {
         return Err(DspError::EmptyInput("estimate_delay delayed"));
     }
@@ -120,52 +68,19 @@ pub fn estimate_delay_with(
     // live in [-(M-1), N-1]; clamp the requested window to that range.
     let lag_lo = -(max_lag.min(reference.len() - 1) as isize);
     let lag_hi = max_lag.min(delayed.len() - 1) as isize;
-    let search = match search {
-        LagSearch::Auto => choose_lag_search(
-            delayed.len(),
-            reference.len(),
-            (lag_hi - lag_lo + 1) as usize,
-        ),
-        s => s,
-    };
-    let window = match search {
-        LagSearch::TimeDomain => {
-            thrubarrier_obs::counter!("dsp.estimate_delay.path.time").incr();
-            bounded_window_time(delayed, reference, lag_lo, lag_hi)
-        }
-        LagSearch::Fft => {
-            thrubarrier_obs::counter!("dsp.estimate_delay.path.fft").incr();
-            bounded_window_fft(delayed, reference, lag_lo, lag_hi)
-        }
-        LagSearch::Auto => unreachable!("Auto resolved above"),
-    };
+    let window = bounded_window_fft(delayed, reference, lag_lo, lag_hi);
     if !window.iter().all(|c| c.is_finite()) {
         return Err(DspError::NonFinite("estimate_delay correlation window"));
     }
     Ok(lag_lo + stats::argmax(&window).expect("window is non-empty") as isize)
 }
 
-/// Measured size heuristic for [`LagSearch::Auto`].
-fn choose_lag_search(n: usize, m: usize, window: usize) -> LagSearch {
-    let short = n.min(m);
-    if window.saturating_mul(short) <= LAG_TIME_MAX_MACS {
-        LagSearch::TimeDomain
-    } else {
-        LagSearch::Fft
-    }
-}
-
-/// The `lag_lo..=lag_hi` correlation window of `a` against `b`, one
-/// exact dot product per lag.
-fn bounded_window_time(a: &[f32], b: &[f32], lag_lo: isize, lag_hi: isize) -> Vec<f32> {
-    (lag_lo..=lag_hi).map(|lag| lag_dot(a, b, lag)).collect()
-}
-
-/// The same window via circular FFT correlation. The transform length
-/// `next_pow2(max(N + |lag_lo|, M + lag_hi))` is exactly what keeps the
-/// window free of circular aliasing — for the sync workload (N ≈ M ≈ 1 s,
-/// `max_lag` ≈ 0.25 s) it is half the `next_pow2(N + M - 1)` transform
-/// of the full correlation.
+/// The `lag_lo..=lag_hi` correlation window of `a` against `b`,
+/// `c[lag] = Σ_i a[i] · b[i − lag]`, via circular FFT correlation. The
+/// transform length `next_pow2(max(N + |lag_lo|, M + lag_hi))` is
+/// exactly what keeps the window free of circular aliasing — for the
+/// sync workload (N ≈ M ≈ 1 s, `max_lag` ≈ 0.25 s) it is half the
+/// `next_pow2(N + M - 1)` transform of the full correlation.
 fn bounded_window_fft(a: &[f32], b: &[f32], lag_lo: isize, lag_hi: isize) -> Vec<f32> {
     let n_fft = fft::next_pow2(
         (a.len() + lag_lo.unsigned_abs()).max(b.len() + lag_hi.max(0).unsigned_abs()),
@@ -288,9 +203,22 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// One correlation value: `c[lag] = Σ_i a[i] · b[i − lag]` over the
+    /// overlapping support (zero when the supports are disjoint).
+    fn lag_dot(a: &[f32], b: &[f32], lag: isize) -> f32 {
+        let i0 = lag.max(0);
+        let i1 = (a.len() as isize).min(b.len() as isize + lag);
+        if i1 <= i0 {
+            return 0.0;
+        }
+        let ai = &a[i0 as usize..i1 as usize];
+        let bi = &b[(i0 - lag) as usize..];
+        ai.iter().zip(bi).map(|(x, y)| x * y).sum()
+    }
+
     /// Direct `O(N·M)` full linear cross-correlation of `a` and `b`,
     /// exact (no transform rounding): the oracle the bounded-lag
-    /// searches are pinned against. The output has length
+    /// search is pinned against. The output has length
     /// `a.len() + b.len() - 1`; index `k` corresponds to lag
     /// `k - (b.len() - 1)` of `a` relative to `b`. Empty inputs yield an
     /// empty output.
@@ -304,9 +232,6 @@ mod tests {
             .map(|k| lag_dot(a, b, k - (m - 1)))
             .collect()
     }
-
-    const ALL_LAG_SEARCHES: [LagSearch; 3] =
-        [LagSearch::Auto, LagSearch::TimeDomain, LagSearch::Fft];
 
     #[test]
     fn time_domain_correlation_matches_naive() {
@@ -336,23 +261,19 @@ mod tests {
     }
 
     #[test]
-    fn single_sample_inputs_work_on_every_path() {
-        for search in ALL_LAG_SEARCHES {
-            assert_eq!(estimate_delay_with(&[1.0], &[1.0], 10, search).unwrap(), 0);
-        }
+    fn single_sample_inputs_work() {
+        assert_eq!(estimate_delay(&[1.0], &[1.0], 10).unwrap(), 0);
     }
 
     #[test]
-    fn delay_estimation_recovers_known_lag_on_every_path() {
+    fn delay_estimation_recovers_known_lag() {
         let mut rng = StdRng::seed_from_u64(11);
         let reference = gen::gaussian_noise(&mut rng, 1.0, 2_000);
-        for search in ALL_LAG_SEARCHES {
-            for lag in [0usize, 5, 160, 999] {
-                let mut delayed = vec![0.0f32; lag];
-                delayed.extend_from_slice(&reference);
-                let est = estimate_delay_with(&reference, &delayed, 1_000, search).unwrap();
-                assert_eq!(est, lag as isize, "{search:?} lag {lag}");
-            }
+        for lag in [0usize, 5, 160, 999] {
+            let mut delayed = vec![0.0f32; lag];
+            delayed.extend_from_slice(&reference);
+            let est = estimate_delay(&reference, &delayed, 1_000).unwrap();
+            assert_eq!(est, lag as isize, "lag {lag}");
         }
     }
 
@@ -364,10 +285,8 @@ mod tests {
             // `delayed` is the reference with its first `cut` samples
             // missing, i.e. it starts `cut` samples *early*.
             let reference = [vec![0.0f32; cut], delayed.clone()].concat();
-            for search in ALL_LAG_SEARCHES {
-                let est = estimate_delay_with(&reference, &delayed, 1_000, search).unwrap();
-                assert_eq!(est, -(cut as isize), "{search:?} cut {cut}");
-            }
+            let est = estimate_delay(&reference, &delayed, 1_000).unwrap();
+            assert_eq!(est, -(cut as isize), "cut {cut}");
         }
     }
 
@@ -381,16 +300,14 @@ mod tests {
         for (d, n) in delayed.iter_mut().zip(&noise) {
             *d += n;
         }
-        for search in ALL_LAG_SEARCHES {
-            let est = estimate_delay_with(&reference, &delayed, 3_200, search).unwrap();
-            assert!((est - 640).abs() <= 2, "{search:?} estimated {est}");
-        }
+        let est = estimate_delay(&reference, &delayed, 3_200).unwrap();
+        assert!((est - 640).abs() <= 2, "estimated {est}");
     }
 
     #[test]
     fn bounded_window_matches_full_correlation_slice() {
-        // The windowed paths must agree with slicing the same lags out
-        // of the full correlation — the legacy implementation.
+        // The windowed search must agree with slicing the same lags out
+        // of the full correlation.
         let mut rng = StdRng::seed_from_u64(29);
         let reference = gen::gaussian_noise(&mut rng, 1.0, 300);
         let delayed = gen::gaussian_noise(&mut rng, 1.0, 260);
@@ -401,18 +318,9 @@ mod tests {
             let hi = (zero + max_lag + 1).min(full.len());
             let legacy = lo + stats::argmax(&full[lo..hi]).unwrap();
             let want = legacy as isize - zero as isize;
-            for search in [LagSearch::TimeDomain, LagSearch::Fft] {
-                let est = estimate_delay_with(&reference, &delayed, max_lag, search).unwrap();
-                assert_eq!(est, want, "{search:?} max_lag {max_lag}");
-            }
+            let est = estimate_delay(&reference, &delayed, max_lag).unwrap();
+            assert_eq!(est, want, "max_lag {max_lag}");
         }
-    }
-
-    #[test]
-    fn auto_path_selection_covers_all_paths() {
-        assert_eq!(choose_lag_search(500, 500, 64), LagSearch::TimeDomain);
-        assert_eq!(choose_lag_search(4_000, 4_000, 2_048), LagSearch::Fft);
-        assert_eq!(choose_lag_search(16_000, 16_000, 8_001), LagSearch::Fft);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Scoring a trial aligns its recordings once (Eq. 5), however many
-//! methods score it: every `dsp::correlate::estimate_delay` call bumps
-//! exactly one of the `dsp.estimate_delay.path.{time,fft}` counters.
+//! methods score it: every `dsp::correlate::estimate_delay` call records
+//! one `dsp.estimate_delay` span.
 //!
-//! The counters live in the global obs registry and only count in
+//! Span statistics live in the global obs registry and only record in
 //! builds with the `thrubarrier-obs/obs` feature, so this file holds a
 //! single test that checks nothing in uninstrumented builds.
 
@@ -11,9 +11,10 @@ use thrubarrier_eval::runner::score_trial;
 use thrubarrier_eval::{Runner, RunnerConfig, TrialContext};
 
 fn delay_estimates() -> u64 {
-    let registry = thrubarrier_obs::registry();
-    registry.counter("dsp.estimate_delay.path.time").get()
-        + registry.counter("dsp.estimate_delay.path.fft").get()
+    thrubarrier_obs::registry()
+        .span("dsp.estimate_delay")
+        .durations()
+        .count()
 }
 
 #[test]

@@ -32,7 +32,7 @@
 //! loop, so the two agree bitwise. The forward is bitwise batch-size
 //! invariant: a sequence gets the same bits alone or inside any pack.
 
-use crate::act::{gates_fused, lstm_gates_backward_fused, tanh_slice};
+use crate::act::{lstm_gates_backward_fused, sigmoid_slice, tanh_slice};
 use crate::batch::{reset, BatchWorkspace, DirCache, PackedBatch};
 use crate::matrix::{GemmScratch, Matrix};
 use crate::param::Param;
@@ -63,7 +63,9 @@ pub struct Lstm {
 #[inline]
 fn lstm_cell(gates: &mut [f32], c: &mut [f32], h: &mut [f32], tanh_c: &mut [f32]) {
     let hl = h.len();
-    gates_fused(gates, hl);
+    sigmoid_slice(&mut gates[..2 * hl]);
+    tanh_slice(&mut gates[2 * hl..3 * hl]);
+    sigmoid_slice(&mut gates[3 * hl..]);
     let (gi, rest) = gates.split_at(hl);
     let (gf, rest) = rest.split_at(hl);
     let (gg, go) = rest.split_at(hl);

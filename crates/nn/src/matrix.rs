@@ -1,8 +1,10 @@
 //! Dense row-major matrix and the GEMM kernels the recurrent layers run on.
 //!
-//! One kernel family lives here. Its scalar, AVX2+FMA, AVX-512 and NEON
+//! One kernel family lives here. Its portable, AVX2+FMA and AVX-512
 //! bodies follow one pinned operation sequence, so every product is
-//! bitwise identical on every instruction set:
+//! bitwise identical on every instruction set. SIMD bodies exist for
+//! x86_64 only; every other target runs the portable bodies, which the
+//! tests pin on every host:
 //!
 //! * [`Matrix::matmul_nt_to`]: from 32 columns up, every output element
 //!   is a sixteen-lane fused multiply-add dot product folded through a
@@ -42,18 +44,37 @@ const ROW_BLOCK: usize = 64;
 /// adds, rather than the dot kernels' lane order. The 14-wide input
 /// projections take this path in training and inference alike.
 fn matmul_nt_narrow(data: &[f32], rows: usize, cols: usize, x: &[f32], out: &mut [f32], add: bool) {
-    let mut wt = vec![0.0f32; cols * rows];
-    for (r, row) in data.chunks_exact(cols).enumerate() {
-        for (c, &v) in row.iter().enumerate() {
-            wt[c * rows + r] = v;
-        }
-    }
+    let wt = transpose_panel(data, rows, cols);
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: guarded by the runtime AVX2 check above.
         unsafe { matmul_nt_narrow_avx2(&wt, rows, cols, x, out, add) };
         return;
     }
+    matmul_nt_narrow_portable(&wt, rows, cols, x, out, add);
+}
+
+/// The `cols × rows` transpose of a row-major `rows × cols` panel, so
+/// each input column's weights are contiguous.
+fn transpose_panel(data: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    let mut wt = vec![0.0f32; cols * rows];
+    for (r, row) in data.chunks_exact(cols).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            wt[c * rows + r] = v;
+        }
+    }
+    wt
+}
+
+/// Portable body of [`matmul_nt_narrow`] over the transposed panel `wt`.
+fn matmul_nt_narrow_portable(
+    wt: &[f32],
+    rows: usize,
+    cols: usize,
+    x: &[f32],
+    out: &mut [f32],
+    add: bool,
+) {
     for (xi, oi) in x.chunks_exact(cols).zip(out.chunks_exact_mut(rows)) {
         if !add {
             oi.iter_mut().for_each(|v| *v = 0.0);
@@ -174,8 +195,8 @@ unsafe fn transpose8_sum_avx2(m: [std::arch::x86_64::__m256; 8]) -> std::arch::x
 /// The *lane assignment*, not the vector width of the machine it runs
 /// on, defines the summation order: this portable implementation
 /// (`f32::mul_add` is a correctly rounded IEEE fma, identical to the
-/// hardware instruction) and the AVX2-FMA / AVX-512 / NEON kernels below
-/// are bitwise identical to each other, and the result is independent
+/// hardware instruction) and the AVX2-FMA / AVX-512 kernels below are
+/// bitwise identical to each other, and the result is independent
 /// of batch size and row position.
 #[inline]
 fn dot_fused_scalar(a: &[f32], b: &[f32]) -> f32 {
@@ -201,7 +222,7 @@ fn dot_fused_scalar(a: &[f32], b: &[f32]) -> f32 {
 /// Adds the sub-16 tail of a [`dot_fused_scalar`]-semantics dot
 /// product onto `s`, the already folded sixteen-lane body, as the
 /// sequential fused multiply-adds of the portable kernel.
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[cfg(target_arch = "x86_64")]
 #[inline]
 fn fused_tail(mut s: f32, row_tail: &[f32], x_tail: &[f32]) -> f32 {
     for (&xa, &xb) in row_tail.iter().zip(x_tail) {
@@ -476,52 +497,14 @@ unsafe fn dot8_fused_fma(rows8: &[f32], cols: usize, x: &[f32], out: &mut [f32],
     }
 }
 
-/// NEON single-row instantiation of [`dot_fused_scalar`]: accumulator
-/// lanes `4j..4j + 4` live in four-wide register `j` (`j < 4`), each
-/// updated with `vfmaq_f32` — the same correctly rounded IEEE fused
-/// multiply-add `f32::mul_add` lowers to on aarch64. The scalar fold
-/// `m[k] = acc[k] + acc[8 + k]` maps to the register adds
-/// `acc0 + acc2` (folded lanes 0..4) and `acc1 + acc3` (folded lanes
-/// 4..8), and the pairwise tree then runs over those eight lanes in the
-/// shared order, so every result is bitwise identical to the portable
-/// kernel.
-#[cfg(target_arch = "aarch64")]
-#[inline]
-#[target_feature(enable = "neon")]
-unsafe fn dot1_fused_neon(a: &[f32], b: &[f32]) -> f32 {
-    use std::arch::aarch64::{vaddq_f32, vdupq_n_f32, vfmaq_f32, vgetq_lane_f32, vld1q_f32};
-    let cols = a.len().min(b.len());
-    let body = cols / 16 * 16;
-    let mut acc = [vdupq_n_f32(0.0); 4];
-    let mut c = 0;
-    while c < body {
-        for (j, slot) in acc.iter_mut().enumerate() {
-            // SAFETY: `c + 16 <= body <= a.len(), b.len()`, so offsets
-            // `c + 4j..c + 4j + 4` for `j < 4` are in bounds.
-            let va = unsafe { vld1q_f32(a.as_ptr().add(c + 4 * j)) };
-            let vb = unsafe { vld1q_f32(b.as_ptr().add(c + 4 * j)) };
-            *slot = vfmaq_f32(*slot, va, vb);
-        }
-        c += 16;
-    }
-    let mlo = vaddq_f32(acc[0], acc[2]);
-    let mhi = vaddq_f32(acc[1], acc[3]);
-    let s = ((vgetq_lane_f32::<0>(mlo) + vgetq_lane_f32::<1>(mlo))
-        + (vgetq_lane_f32::<2>(mlo) + vgetq_lane_f32::<3>(mlo)))
-        + ((vgetq_lane_f32::<0>(mhi) + vgetq_lane_f32::<1>(mhi))
-            + (vgetq_lane_f32::<2>(mhi) + vgetq_lane_f32::<3>(mhi)));
-    fused_tail(s, &a[body..cols], &b[body..cols])
-}
-
 /// Blocked loop of [`Matrix::matmul_nt_to`] (`add` selects
 /// accumulation onto the existing contents of `out`): each
 /// [`ROW_BLOCK`]-row panel of weights is reused across every input row
 /// before moving on. Narrow inputs take the column-streaming
 /// [`matmul_nt_narrow`]. Wide ones dispatch once per call: to
-/// [`matmul_nt_fused_rows_x86`] on x86_64 with AVX-512 or AVX2+FMA, to
-/// [`matmul_nt_fused_rows_neon`] on aarch64, and otherwise to the
-/// portable [`dot_fused_scalar`] loop below. All are bitwise identical
-/// per element.
+/// [`matmul_nt_fused_rows_x86`] on x86_64 with AVX-512 or AVX2+FMA, and
+/// otherwise to [`matmul_nt_fused_rows_portable`]. Both are bitwise
+/// identical per element.
 #[inline]
 fn matmul_nt_fused_rows(
     data: &[f32],
@@ -547,12 +530,20 @@ fn matmul_nt_fused_rows(
             return;
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        // SAFETY: guarded by the runtime NEON check above.
-        unsafe { matmul_nt_fused_rows_neon(data, rows, cols, x, out, add) };
-        return;
-    }
+    matmul_nt_fused_rows_portable(data, rows, cols, x, out, add);
+}
+
+/// Portable body of [`matmul_nt_fused_rows`] for wide inputs: the
+/// [`dot_fused_scalar`] of every (input row, weight row) pair, walked
+/// one [`ROW_BLOCK`] panel at a time.
+fn matmul_nt_fused_rows_portable(
+    data: &[f32],
+    rows: usize,
+    cols: usize,
+    x: &[f32],
+    out: &mut [f32],
+    add: bool,
+) {
     let mut r0 = 0;
     while r0 < rows {
         let r1 = (r0 + ROW_BLOCK).min(rows);
@@ -666,42 +657,13 @@ unsafe fn matmul_nt_fused_rows_x86(
     }
 }
 
-/// NEON instantiation of [`matmul_nt_fused_rows`]'s fallback loop,
-/// dispatched once per call so [`dot1_fused_neon`] inlines into the
-/// panel walk. Element-for-element bitwise identical to the portable
-/// [`dot_fused_scalar`] path (and therefore to the x86_64 kernels).
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn matmul_nt_fused_rows_neon(
-    data: &[f32],
-    rows: usize,
-    cols: usize,
-    x: &[f32],
-    out: &mut [f32],
-    add: bool,
-) {
-    let mut r0 = 0;
-    while r0 < rows {
-        let r1 = (r0 + ROW_BLOCK).min(rows);
-        let panel = &data[r0 * cols..r1 * cols];
-        for (xi, oi) in x.chunks_exact(cols).zip(out.chunks_exact_mut(rows)) {
-            for (slot, row) in oi[r0..r1].iter_mut().zip(panel.chunks_exact(cols)) {
-                // SAFETY: the caller established NEON support.
-                let d = unsafe { dot1_fused_neon(row, xi) };
-                *slot = if add { *slot + d } else { d };
-            }
-        }
-        r0 = r1;
-    }
-}
-
 /// Register-tiled fused-FMA gradient accumulation `W += Aᵀ · B` — the
 /// backward counterpart of [`matmul_nt_fused_rows`]. Every output
 /// element `(r, c)` is a plain *sequential* fold over the `n` packed
 /// rows, `acc = fma(a[t·R + r], b[t·C + c], acc)`, finished by a single
 /// `+=` onto the existing value. No element ever crosses a reduction
 /// tree, so the summation order is the per-element time order on every
-/// instruction set: the scalar, AVX2+FMA, AVX-512 and NEON tiles below
+/// instruction set: the scalar, AVX2+FMA and AVX-512 tiles below
 /// assign whole output elements to vector lanes and therefore agree
 /// bitwise. The tiles keep a 4-row block of the accumulator in
 /// registers across the entire time loop, so the gradient matrix is
@@ -725,12 +687,6 @@ fn add_tn_rows(w: &mut [f32], rows: usize, cols: usize, a: &[f32], b: &[f32], n:
             unsafe { add_tn_rows_fma(w, rows, cols, a, b, n) };
             return;
         }
-    }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        // SAFETY: guarded by the runtime NEON check above.
-        unsafe { add_tn_rows_neon(w, rows, cols, a, b, n) };
-        return;
     }
     add_tn_rows_scalar(w, rows, cols, a, b, n, 0, rows);
 }
@@ -1062,94 +1018,6 @@ unsafe fn add_tn_rows_avx512(
     }
 }
 
-/// NEON tile of [`add_tn_rows`]: 4 rows × 8 columns in eight four-wide
-/// accumulators (`vfmaq_f32` is a correctly rounded IEEE fma, so lanes
-/// match the portable `mul_add` fold bitwise), narrowing to one 4-wide
-/// vector; sub-4 column tails and row remainders fall back to the
-/// portable scalar fold.
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn add_tn_rows_neon(
-    w: &mut [f32],
-    rows: usize,
-    cols: usize,
-    a: &[f32],
-    b: &[f32],
-    n: usize,
-) {
-    use std::arch::aarch64::{vaddq_f32, vdupq_n_f32, vfmaq_f32, vld1q_f32, vst1q_f32};
-    let mut r = 0;
-    while r + 4 <= rows {
-        let mut c = 0;
-        while c + 8 <= cols {
-            let mut acc = [vdupq_n_f32(0.0); 8];
-            for t in 0..n {
-                // SAFETY: `t < n`, `c + 8 <= cols` and `r + 4 <= rows`
-                // keep every offset below inside `a`/`b`.
-                unsafe {
-                    let bp = b.as_ptr().add(t * cols + c);
-                    let b0 = vld1q_f32(bp);
-                    let b1 = vld1q_f32(bp.add(4));
-                    let ap = a.as_ptr().add(t * rows + r);
-                    for j in 0..4 {
-                        let av = vdupq_n_f32(*ap.add(j));
-                        acc[2 * j] = vfmaq_f32(acc[2 * j], av, b0);
-                        acc[2 * j + 1] = vfmaq_f32(acc[2 * j + 1], av, b1);
-                    }
-                }
-            }
-            for j in 0..4 {
-                // SAFETY: `(r + j) * cols + c + 8 <= rows * cols`.
-                unsafe {
-                    let wp = w.as_mut_ptr().add((r + j) * cols + c);
-                    vst1q_f32(wp, vaddq_f32(vld1q_f32(wp), acc[2 * j]));
-                    let wp4 = wp.add(4);
-                    vst1q_f32(wp4, vaddq_f32(vld1q_f32(wp4), acc[2 * j + 1]));
-                }
-            }
-            c += 8;
-        }
-        while c + 4 <= cols {
-            let mut acc = [vdupq_n_f32(0.0); 4];
-            for t in 0..n {
-                // SAFETY: `c + 4 <= cols`, `r + 4 <= rows`.
-                unsafe {
-                    let b0 = vld1q_f32(b.as_ptr().add(t * cols + c));
-                    let ap = a.as_ptr().add(t * rows + r);
-                    for (j, slot) in acc.iter_mut().enumerate() {
-                        *slot = vfmaq_f32(*slot, vdupq_n_f32(*ap.add(j)), b0);
-                    }
-                }
-            }
-            for (j, &acc_j) in acc.iter().enumerate() {
-                // SAFETY: `(r + j) * cols + c + 4 <= rows * cols`.
-                unsafe {
-                    let wp = w.as_mut_ptr().add((r + j) * cols + c);
-                    vst1q_f32(wp, vaddq_f32(vld1q_f32(wp), acc_j));
-                }
-            }
-            c += 4;
-        }
-        for c in c..cols {
-            let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            for t in 0..n {
-                let bv = b[t * cols + c];
-                let ar = &a[t * rows + r..t * rows + r + 4];
-                s0 = ar[0].mul_add(bv, s0);
-                s1 = ar[1].mul_add(bv, s1);
-                s2 = ar[2].mul_add(bv, s2);
-                s3 = ar[3].mul_add(bv, s3);
-            }
-            w[r * cols + c] += s0;
-            w[(r + 1) * cols + c] += s1;
-            w[(r + 2) * cols + c] += s2;
-            w[(r + 3) * cols + c] += s3;
-        }
-        r += 4;
-    }
-    add_tn_rows_scalar(w, rows, cols, a, b, n, r, rows);
-}
-
 /// A dense row-major `f32` matrix.
 ///
 /// # Example
@@ -1283,9 +1151,8 @@ impl Matrix {
     /// 32 columns it is the plain left-to-right fold over columns with
     /// separate multiplies and adds, starting from zero or from the
     /// existing value. The portable path (`f32::mul_add` is a correctly
-    /// rounded IEEE fma), AVX2+FMA, AVX-512 and NEON kernels agree
-    /// bitwise, and a row's result does not depend on `n` or on the
-    /// other rows.
+    /// rounded IEEE fma), AVX2+FMA and AVX-512 kernels agree bitwise,
+    /// and a row's result does not depend on `n` or on the other rows.
     ///
     /// # Panics
     ///
@@ -1310,7 +1177,7 @@ impl Matrix {
     /// `add_tn_rows`. Each output element is one sequential
     /// fused-multiply-add fold over the `n` rows in row order followed
     /// by a single `+=`, bitwise identical across the
-    /// scalar/AVX2/AVX-512/NEON tiles (every lane owns a whole element —
+    /// scalar/AVX2/AVX-512 tiles (every lane owns a whole element —
     /// no cross-lane reduction exists to reassociate).
     ///
     /// # Panics
@@ -1461,8 +1328,9 @@ mod tests {
 
     #[test]
     fn fused_matmul_nt_is_bitwise_identical_to_scalar_fused_lanes() {
-        // Pins every GEMM body on whatever instruction set the
-        // dispatcher picks (AVX-512, AVX2+FMA, NEON or portable), and the
+        // Pins every GEMM body: the one the dispatcher picks (AVX-512,
+        // AVX2+FMA or portable), the portable narrow and wide loops
+        // directly (the only bodies non-x86_64 targets run), and the
         // AVX2+FMA row loop directly on hosts where AVX-512 wins the
         // dispatch. From 32 columns every element must be the portable
         // sixteen-lane `dot_fused_scalar` of its row (plus one add when
@@ -1490,7 +1358,14 @@ mod tests {
                 let base: Vec<f32> = (0..n * rows).map(|i| (i as f32 * 0.11).cos()).collect();
                 let mut out = base.clone();
                 m.matmul_nt_to(&x, n, &mut out, add);
-                let mut bodies = vec![("dispatched", out)];
+                let mut portable = base.clone();
+                if cols < NARROW_COLS {
+                    let wt = transpose_panel(m.data(), rows, cols);
+                    matmul_nt_narrow_portable(&wt, rows, cols, &x, &mut portable, add);
+                } else {
+                    matmul_nt_fused_rows_portable(m.data(), rows, cols, &x, &mut portable, add);
+                }
+                let mut bodies = vec![("dispatched", out), ("portable", portable)];
                 #[cfg(target_arch = "x86_64")]
                 if cols >= NARROW_COLS
                     && std::arch::is_x86_feature_detected!("avx2")
@@ -1633,9 +1508,9 @@ mod tests {
         // per-element sequential `mul_add` fold exactly on whatever
         // tile the dispatcher picks. Shapes straddle the 4-row block
         // and every column-tile boundary (16/8/masked on AVX2,
-        // 32/16/masked on AVX-512, 8/4/scalar on NEON), include the
-        // training shapes (256x14, 256x64, 2x128) and the empty batch,
-        // and accumulate onto non-zero initial values.
+        // 32/16/masked on AVX-512), include the training shapes
+        // (256x14, 256x64, 2x128) and the empty batch, and accumulate
+        // onto non-zero initial values.
         let mut rng = StdRng::seed_from_u64(21);
         for (rows, cols, n) in [
             (1, 1, 1),

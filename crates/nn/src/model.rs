@@ -337,7 +337,9 @@ impl<C: RecurrentCell> BrnnClassifier<C> {
     /// same labels here as from [`BrnnClassifier::predict`] alone.
     ///
     /// Non-finite features (e.g. MFCCs of audio loud enough to overflow
-    /// `f32`) do not panic: a frame with a NaN logit gets class 0.
+    /// `f32`) do not panic and give finite logits, because the gate
+    /// activations clamp NaN and infinite pre-activations; should a
+    /// logit still be NaN, its frame gets class 0.
     pub fn predict_batch(
         &self,
         seqs: &[&[Vec<f32>]],
@@ -690,11 +692,8 @@ mod tests {
     #[test]
     fn predict_batch_survives_non_finite_features() {
         // Audio loud enough to overflow f32 yields NaN or infinite MFCC
-        // rows; scoring them must label every frame, not panic. With 33
-        // units one lane runs in the activation kernels' scalar tail,
-        // which passes a NaN on, and the recurrence spreads it to every
-        // frame of its sequence: that sequence is all class 0, and a
-        // finite sequence packed beside it keeps its own labels.
+        // rows; scoring them must label every frame, not panic, and a
+        // finite sequence packed beside them keeps its own labels.
         let mut rng = StdRng::seed_from_u64(350);
         let model = BrnnClassifier::new(3, 33, 2, &mut rng);
         let clean = framewise_dataset(1, 6, 351).remove(0).0;
@@ -704,13 +703,41 @@ mod tests {
         let seqs: Vec<&[Vec<f32>]> = vec![&nan, &clean, &inf];
         let mut ws = BatchWorkspace::new();
         let labels = model.predict_batch(&seqs, &mut ws, &mut GemmScratch::new());
-        assert_eq!(labels[0], vec![0; nan.len()]);
+        assert_eq!(labels[0].len(), nan.len());
         assert_eq!(labels[1], model.predict(&clean));
         assert_eq!(labels[2].len(), inf.len());
         assert_eq!(model.predict(&nan), labels[0]);
         assert_eq!(argmax(&[f32::NAN, 1.0]), 0);
         assert_eq!(argmax(&[1.0, f32::NAN, 2.0]), 0);
         assert_eq!(argmax(&[0.5, 0.5]), 1, "ties go to the last index");
+    }
+
+    #[test]
+    fn non_finite_features_give_finite_logits_at_every_width() {
+        // NaN and infinite features reach the gates as NaN or infinite
+        // pre-activations. Every activation body clamps them alike, so
+        // the logits stay finite whether a unit's lane runs in the
+        // eight-wide body (8 units) or in the scalar remainder (9, 33).
+        let seq = vec![
+            vec![f32::NAN, 0.5, -0.5],
+            vec![f32::INFINITY, f32::NEG_INFINITY, 1.0],
+            vec![0.2, f32::NAN, f32::NEG_INFINITY],
+            vec![0.1, -0.3, 0.7],
+        ];
+        let mut rng = StdRng::seed_from_u64(370);
+        for hidden in [8, 9, 33] {
+            let model = BrnnClassifier::new(3, hidden, 2, &mut rng);
+            let logits = model.logits(&seq);
+            assert!(
+                logits.iter().flatten().all(|v| v.is_finite()),
+                "{hidden} units: {logits:?}"
+            );
+            let seqs: Vec<&[Vec<f32>]> = vec![&seq, &seq[1..3]];
+            let labels =
+                model.predict_batch(&seqs, &mut BatchWorkspace::new(), &mut GemmScratch::new());
+            assert_eq!(labels[0], model.predict(&seq), "{hidden} units");
+            assert_eq!(labels[1].len(), 2);
+        }
     }
 
     #[test]
