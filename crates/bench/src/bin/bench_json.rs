@@ -1,36 +1,34 @@
-//! Wall-clock pipeline benchmark with JSON output.
+//! Wall-clock pipeline benchmark that records each run in the run
+//! ledger.
 //!
-//! Measures the median time of each pipeline stage and writes (or merges
-//! into) `BENCH_pipeline.json` so the perf trajectory of the workspace is
-//! tracked in-repo. It is the workspace's in-process stage harness; the
-//! outside-in benchmark of whole operations lives in `perfbench/`.
+//! Measures the median time of each pipeline stage and appends one
+//! JSONL record (host, git revision, cargo profile, config fingerprint,
+//! per-stage medians, ROC AUC/EER of a small threaded eval, and the
+//! metrics snapshot) to the run ledger (`LEDGER_runs.jsonl` by default;
+//! `--no-ledger` skips the append), so the perf trajectory of the
+//! workspace is tracked in-repo. It is the workspace's in-process stage
+//! harness; the outside-in benchmark of whole operations lives in
+//! `perfbench/`.
 //!
-//! Usage: `bench_json [--label NAME] [--out FILE] [--iters N]
-//! [--best-of N] [--trace-out FILE] [--check] [--dry-run]
-//! [--ledger FILE] [--no-ledger] [--window N] [--k F]`
+//! Usage: `bench_json [--label NAME] [--iters N] [--best-of N]
+//! [--trace-out FILE] [--check] [--dry-run] [--ledger FILE]
+//! [--no-ledger] [--window N] [--k F]`
 //!
-//! Runs under an existing label are replaced; other labels are kept, so
-//! `--label pre` / `--label post` snapshots accumulate in one file.
+//! `--check` compares the fresh run against the same-host ledger
+//! history with the noise-aware regression sentinel and exits nonzero
+//! on perf or accuracy drift. `--dry-run` re-checks the ledger's own
+//! last record against its history without benching or writing
+//! anything — the CI smoke mode, meaningful on any host because both
+//! sides of the comparison come from the ledger. This binary is the
+//! workspace's only ledger gate; `obs_report` renders the history.
 //!
-//! Beyond the snapshot, every run appends one JSONL record (host, git
-//! revision, cargo profile, config fingerprint, per-stage medians, ROC
-//! AUC/EER of a small threaded eval, and the metrics snapshot) to the
-//! run ledger (`LEDGER_runs.jsonl` by default; `--no-ledger` skips the
-//! append). `--check` then compares the fresh run against the same-host
-//! ledger history with the noise-aware regression sentinel and exits
-//! nonzero on perf or accuracy drift. `--dry-run` re-checks the
-//! ledger's own last record against its history without benching or
-//! writing anything — the CI smoke mode, meaningful on any host because
-//! both sides of the comparison come from the ledger.
-//!
-//! When the workspace is built with `--features obs`, the output also
-//! embeds a `"metrics"` snapshot of the observability registry (cache
-//! hit rates, queue depths, batch-size and latency histograms) taken
-//! over the measured sweeps, and `--trace-out FILE` additionally writes
-//! a chrome://tracing JSON of every span in the final sweep (load it at
+//! When the workspace is built with `--features obs`, the record also
+//! carries a `metrics` snapshot of the observability registry (cache
+//! hit counts, span-latency histograms, the eval's AUC/EER gauges)
+//! taken over the measured sweeps, and `--trace-out FILE` writes a
+//! chrome://tracing JSON of every span in one extra sweep (load it at
 //! `chrome://tracing` or <https://ui.perfetto.dev>). Without the
-//! feature both are inert: the snapshot renders empty sections and the
-//! trace has no events.
+//! feature the record has no snapshot and the trace has no events.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -201,14 +199,10 @@ fn run_stages(iters: usize) -> SweepResult {
     // Acoustic scene rendering (the evaluation's dominant trial-build
     // cost): 2 s of source propagated through a thru-barrier path —
     // barrier curve, spreading loss + travel delay, room reverb, mic
-    // response and the noise tail — into a phone mic.
-    // `scene_record_2s` is the fused single-pass engine,
-    // `scene_record_2s_staged` the kept stage-by-stage oracle. The
-    // path carries no loudspeaker: the playback-device stage (a
-    // nonlinear front that both render paths execute identically, with
-    // its own `vibration_*`/`end_to_end_trial` coverage) would only
-    // add a fixed cost to both sides and blur what the render paths
-    // themselves cost.
+    // response and the noise tail — into a phone mic, on the fused
+    // single-pass engine. The path carries no loudspeaker: the
+    // playback-device stage has its own `vibration_*`/`end_to_end_trial`
+    // coverage and would only add a fixed cost here.
     let scene_src = gen::chirp(120.0, 3_000.0, 0.3, 16_000, 2.0);
     let scene_path = thrubarrier_acoustics::AcousticPath {
         room: thrubarrier_acoustics::Room::paper_room(thrubarrier_acoustics::RoomId::A),
@@ -224,33 +218,6 @@ fn run_stages(iters: usize) -> SweepResult {
             let mut rng = StdRng::seed_from_u64(9);
             black_box(scene_path.record(black_box(&scene_src), 16_000, &scene_mic, &mut rng));
         }),
-    );
-    let staged_scene_path = scene_path
-        .clone()
-        .with_render(thrubarrier_acoustics::RenderPath::Staged);
-    out.insert(
-        "scene_record_2s_staged",
-        median_ns(iters, || {
-            let mut rng = StdRng::seed_from_u64(9);
-            black_box(staged_scene_path.record(
-                black_box(&scene_src),
-                16_000,
-                &scene_mic,
-                &mut rng,
-            ));
-        }),
-    );
-
-    // Same asserted guard as the vibration engine: a scene-engine
-    // regression fails the bench run rather than recording a snapshot.
-    let (fused_ns, staged_ns) = (out["scene_record_2s"], out["scene_record_2s_staged"]);
-    assert!(
-        fused_ns <= staged_ns,
-        "scene_parity: fused path {fused_ns} ns slower than staged {staged_ns} ns at 2 s inputs"
-    );
-    out.insert(
-        "scene_parity_speedup_x1000",
-        staged_ns * 1_000 / fused_ns.max(1),
     );
 
     let mut pair_system = DefenseSystem::paper_default();
@@ -502,57 +469,6 @@ fn run_stages(iters: usize) -> SweepResult {
     }
 }
 
-/// Extracts `label -> stage -> ns` from a JSON file previously written by
-/// this binary (exact format match; not a general JSON parser). Only the
-/// `"runs"` section is read: brace depth is tracked relative to it so
-/// sibling objects (the `"metrics"` snapshot with its nested histogram
-/// objects) can never be mistaken for run labels.
-fn parse_existing(text: &str) -> BTreeMap<String, BTreeMap<String, u64>> {
-    let mut runs: BTreeMap<String, BTreeMap<String, u64>> = BTreeMap::new();
-    let mut label: Option<String> = None;
-    // 0 = outside "runs"; 1 = among labels; 2 = inside one label.
-    let mut depth = 0u32;
-    for line in text.lines() {
-        let t = line.trim();
-        if depth == 0 {
-            if let Some(rest) = t.strip_prefix("\"runs\"") {
-                if rest.trim_start_matches(':').trim().starts_with('{') {
-                    depth = 1;
-                }
-            }
-            continue;
-        }
-        if let Some(rest) = t.strip_prefix('"') {
-            if let Some((name, tail)) = rest.split_once('"') {
-                let tail = tail.trim_start_matches(':').trim();
-                if tail.starts_with('{') {
-                    if depth == 1 {
-                        label = Some(name.to_string());
-                    }
-                    depth += 1;
-                } else if depth == 2 {
-                    if let Some(l) = &label {
-                        let value = tail.trim_end_matches(',').trim();
-                        if let Ok(ns) = value.parse::<u64>() {
-                            runs.entry(l.clone())
-                                .or_default()
-                                .insert(name.to_string(), ns);
-                        }
-                    }
-                }
-            }
-        } else if t.starts_with('}') {
-            depth -= 1;
-            match depth {
-                1 => label = None,
-                0 => break,
-                _ => {}
-            }
-        }
-    }
-    runs
-}
-
 /// A one-line fingerprint of the machine the numbers were taken on —
 /// CPU model plus logical core count. Committed next to the figures so
 /// a pre/post comparison across different hosts (where every stage
@@ -608,37 +524,6 @@ fn cargo_profile() -> &'static str {
     }
 }
 
-fn render(
-    runs: &BTreeMap<String, BTreeMap<String, u64>>,
-    git_rev: &str,
-    profile: &str,
-    snapshot: &str,
-) -> String {
-    // The metrics snapshot describes *this* process's sweeps; a stale
-    // section from the existing file is deliberately not carried over.
-    let mut s = format!(
-        "{{\n  \"unit\": \"ns_median\",\n  \"host\": \"{}\",\n  \"git_rev\": \"{}\",\n  \
-         \"profile\": \"{}\",\n  \"metrics\": {},\n  \"runs\": {{\n",
-        host_fingerprint(),
-        git_rev,
-        profile,
-        snapshot
-    );
-    let n_labels = runs.len();
-    for (li, (label, stages)) in runs.iter().enumerate() {
-        s.push_str(&format!("    \"{label}\": {{\n"));
-        let n = stages.len();
-        for (i, (name, ns)) in stages.iter().enumerate() {
-            let comma = if i + 1 < n { "," } else { "" };
-            s.push_str(&format!("      \"{name}\": {ns}{comma}\n"));
-        }
-        let comma = if li + 1 < n_labels { "," } else { "" };
-        s.push_str(&format!("    }}{comma}\n"));
-    }
-    s.push_str("  }\n}\n");
-    s
-}
-
 /// Reads the ledger, warning (to stderr) about corrupt or
 /// newer-schema lines rather than failing — the history that *is*
 /// readable stays usable.
@@ -675,7 +560,7 @@ fn run_check(current: &RunRecord, history: &[RunRecord], cfg: &sentinel::CheckCo
     report.pass()
 }
 
-const USAGE: &str = "usage: bench_json [--label NAME] [--out FILE] [--iters N] [--best-of N] \
+const USAGE: &str = "usage: bench_json [--label NAME] [--iters N] [--best-of N] \
                      [--trace-out FILE] [--check] [--dry-run] [--ledger FILE] [--no-ledger] \
                      [--window N] [--k F]";
 
@@ -706,7 +591,6 @@ where
 
 fn main() {
     let mut label = "post".to_string();
-    let mut out_path = "BENCH_pipeline.json".to_string();
     let mut iters = 15usize;
     let mut best_of = 1usize;
     let mut trace_out: Option<String> = None;
@@ -719,7 +603,6 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--label" => label = value_arg("--label", args.next()),
-            "--out" => out_path = value_arg("--out", args.next()),
             "--iters" => iters = positive_arg("--iters", args.next()),
             "--best-of" => best_of = positive_arg("--best-of", args.next()),
             "--trace-out" => trace_out = Some(value_arg("--trace-out", args.next())),
@@ -789,25 +672,20 @@ fn main() {
         sweep.auc, sweep.eer
     );
 
-    // One snapshot serves both artifacts: the BENCH json embeds it
-    // structurally, the ledger record carries it as a string field.
-    let snapshot = thrubarrier_obs::snapshot_json("  ");
-    let rev = git_rev();
-    let profile = cargo_profile();
     let record = RunRecord {
         schema: thrubarrier_obs::ledger::SCHEMA,
         ts_unix: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map_or(0, |d| d.as_secs()),
-        label: label.clone(),
+        label,
         host: host_fingerprint(),
-        git_rev: rev.clone(),
-        profile: profile.to_string(),
+        git_rev: git_rev(),
+        profile: cargo_profile().to_string(),
         config: format!("bench_json;v1;iters={iters};best_of={best_of};warmup={WARMUP_ITERS}"),
         stages_ns: stages.iter().map(|(&k, &v)| (k.to_string(), v)).collect(),
         auc: Some(sweep.auc),
         eer: Some(sweep.eer),
-        metrics: thrubarrier_obs::COMPILED.then(|| snapshot.clone()),
+        metrics: thrubarrier_obs::COMPILED.then(thrubarrier_obs::snapshot_json),
     };
 
     // Check before appending so the fresh record never baselines itself.
@@ -825,19 +703,6 @@ fn main() {
         eprintln!("appended run record to {ledger_path}");
     }
 
-    let mut runs = std::fs::read_to_string(&out_path)
-        .map(|t| parse_existing(&t))
-        .unwrap_or_default();
-    runs.insert(
-        label.clone(),
-        stages
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    );
-    std::fs::write(&out_path, render(&runs, &rev, profile, &snapshot))
-        .expect("write benchmark JSON");
-    eprintln!("wrote {out_path} (label \"{label}\")");
     if !pass {
         std::process::exit(1);
     }

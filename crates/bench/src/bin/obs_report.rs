@@ -7,12 +7,11 @@
 //! embedded metrics snapshots — per-span p50/p90/p99 deltas between the
 //! last two instrumented records.
 //!
-//! Usage: `obs_report [--ledger FILE] [--window N] [--k F] [--check]`
+//! Usage: `obs_report [--ledger FILE]`
 //!
-//! Without `--check` the exit code is always 0 (it is a report, not a
-//! gate); with it, the binary exits nonzero when the most recent record
-//! regresses against its same-host history — the same comparison
-//! `bench_json --dry-run` makes.
+//! It is a report, not a gate: a readable ledger always exits 0. The
+//! gate is `bench_json --check` (`--dry-run` makes the same comparison
+//! this report shows).
 
 use std::fmt::Write as _;
 use thrubarrier_bench::sentinel;
@@ -92,34 +91,24 @@ fn render_span_deltas(records: &[RunRecord]) -> String {
     s
 }
 
+/// Prints `message` and the usage line, then exits with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    eprintln!("usage: obs_report [--ledger FILE]");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut ledger_path = "LEDGER_runs.jsonl".to_string();
-    let mut check = false;
-    let mut cfg = sentinel::CheckConfig::default();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--ledger" => ledger_path = args.next().expect("--ledger needs a value"),
-            "--window" => {
-                cfg.window = args
+            "--ledger" => {
+                ledger_path = args
                     .next()
-                    .expect("--window needs a value")
-                    .parse()
-                    .expect("--window must be an integer")
+                    .unwrap_or_else(|| usage_error("--ledger needs a value"))
             }
-            "--k" => {
-                cfg.k = args
-                    .next()
-                    .expect("--k needs a value")
-                    .parse()
-                    .expect("--k must be a number")
-            }
-            "--check" => check = true,
-            other => {
-                eprintln!("unknown argument {other}");
-                eprintln!("usage: obs_report [--ledger FILE] [--window N] [--k F] [--check]");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument {other}")),
         }
     }
 
@@ -147,13 +136,9 @@ fn main() {
         "latest: label \"{}\", host \"{}\", rev {}, profile {}, ts {}",
         current.label, current.host, current.git_rev, current.profile, current.ts_unix
     );
-    let report = sentinel::check_record(&current, &records, &cfg);
+    let report = sentinel::check_record(&current, &records, &sentinel::CheckConfig::default());
     print!("{}", sentinel::render_report(&report));
 
     records.push(current);
     print!("{}", render_span_deltas(&records));
-
-    if check && !report.pass() {
-        std::process::exit(1);
-    }
 }

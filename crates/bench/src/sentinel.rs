@@ -15,9 +15,9 @@
 //!   (`rel_floor · median`, protecting stages whose history happens to
 //!   be eerily flat) and an absolute term (`abs_floor_ns`, protecting
 //!   micro-stages at timer granularity);
-//! * **knows which direction is bad**: `_speedup_x1000` ratio stages
-//!   regress *downward*, accuracy regresses when AUC falls or EER
-//!   rises — improvements are reported but never fail the check;
+//! * **knows which direction is bad**: stage times regress upward,
+//!   accuracy regresses when AUC falls or EER rises — improvements are
+//!   reported but never fail the check;
 //! * **refuses to guess without history**: fewer than `min_runs`
 //!   same-host baselines yields a passing `NoBaseline` verdict, so the
 //!   first runs on a fresh machine can seed the ledger without failing
@@ -41,14 +41,8 @@ pub struct CheckConfig {
     /// Minimum baseline runs before any verdict other than
     /// [`Verdict::NoBaseline`] is issued.
     pub min_runs: usize,
-    /// Relative noise floor as a fraction of the baseline median, for
-    /// nanosecond perf stages.
+    /// Relative noise floor as a fraction of the baseline median.
     pub rel_floor: f64,
-    /// Relative noise floor for `_speedup_x1000` ratio stages. Ratios
-    /// divide two medians, so their run-to-run noise is smaller than
-    /// either stage's — and a halved speedup must clear the gate with
-    /// margin, so this floor is tighter than `rel_floor`.
-    pub ratio_rel_floor: f64,
     /// Absolute noise floor in nanoseconds (shields timer-granularity
     /// stages such as `obs_disabled_span_1k`).
     pub abs_floor_ns: f64,
@@ -65,15 +59,12 @@ impl Default for CheckConfig {
         // ledger: on a shared 1-core cloud host, clean re-runs of
         // sub-millisecond stages swing up to ~1.4× around their
         // median, while the regressions worth failing on (a fusion or
-        // cache break) shift stages 2-10×. Ratio stages are quieter
-        // (a quotient of two medians), so their floor sits at 8%
-        // (gate at −32%), keeping a halved speedup clearly outside.
+        // cache break) shift stages 2-10×.
         CheckConfig {
             window: 8,
             k: 4.0,
             min_runs: 3,
             rel_floor: 0.125,
-            ratio_rel_floor: 0.08,
             abs_floor_ns: 10_000.0,
             acc_floor: 0.02,
         }
@@ -107,8 +98,7 @@ pub struct StageCheck {
     pub limit: f64,
     /// Baseline values, oldest first (for trend rendering).
     pub history: Vec<f64>,
-    /// Whether smaller values are better (false for `_speedup_x1000`
-    /// ratio stages and AUC).
+    /// Whether smaller values are better (false only for AUC).
     pub lower_is_better: bool,
     /// The verdict.
     pub verdict: Verdict,
@@ -123,7 +113,7 @@ pub struct CheckReport {
     pub label: String,
     /// Baseline runs found in the window.
     pub baseline_runs: usize,
-    /// Per-stage results (bench stages, ns or ratio units).
+    /// Per-stage results (bench stages, nanoseconds).
     pub stages: Vec<StageCheck>,
     /// Accuracy results (`roc_auc`, `eer`).
     pub accuracy: Vec<StageCheck>,
@@ -178,12 +168,6 @@ pub fn median(values: &[f64]) -> f64 {
 pub fn mad(values: &[f64], center: f64) -> f64 {
     let devs: Vec<f64> = values.iter().map(|v| (v - center).abs()).collect();
     median(&devs)
-}
-
-/// Ratio stages carry this suffix in the ledger; for them *larger* is
-/// better.
-fn is_ratio_stage(name: &str) -> bool {
-    name.ends_with("_speedup_x1000")
 }
 
 /// The baseline slice for `current`: records with the same host and
@@ -266,18 +250,8 @@ pub fn check_record(current: &RunRecord, history: &[RunRecord], cfg: &CheckConfi
             .iter()
             .filter_map(|r| r.stages_ns.get(name).map(|&v| v as f64))
             .collect();
-        let ratio = is_ratio_stage(name);
-        // Ratio stages are unitless thousandths, so the nanosecond
-        // absolute floor does not apply to them — only their relative
-        // floor (with one count as the granularity floor).
-        let floor = move |med: f64| {
-            if ratio {
-                (cfg.ratio_rel_floor * med).max(1.0)
-            } else {
-                (cfg.rel_floor * med).max(cfg.abs_floor_ns)
-            }
-        };
-        stages.push(judge(name, ns as f64, hist, !ratio, floor, cfg));
+        let floor = |med: f64| (cfg.rel_floor * med).max(cfg.abs_floor_ns);
+        stages.push(judge(name, ns as f64, hist, true, floor, cfg));
     }
     let acc_floor = |_med: f64| cfg.acc_floor / cfg.k;
     let mut accuracy = Vec::new();
@@ -349,9 +323,7 @@ pub fn sparkline(values: &[f64]) -> String {
 }
 
 fn fmt_value(name: &str, v: f64) -> String {
-    if is_ratio_stage(name) {
-        format!("{:.2}x", v / 1_000.0)
-    } else if name == "roc_auc" || name == "eer" {
+    if name == "roc_auc" || name == "eer" {
         format!("{v:.4}")
     } else {
         format!("{:.3}ms", v / 1e6)
@@ -458,13 +430,13 @@ mod tests {
     fn history(n: usize) -> Vec<RunRecord> {
         (0..n)
             .map(|i| {
-                // ±1% jitter around 10 ms, ratio stage around 2.4×.
+                // ±1% jitter around 10 ms and around 1.2 ms.
                 let jit = 1.0 + 0.01 * ((i % 3) as f64 - 1.0);
                 record(
                     "hostA",
                     &[
                         ("end_to_end_trial", (10_000_000.0 * jit) as u64),
-                        ("xcorr_parity_speedup_x1000", (2_400.0 * jit) as u64),
+                        ("mfcc_1s_audio", (1_200_000.0 * jit) as u64),
                     ],
                     0.973,
                     0.042,
@@ -480,7 +452,7 @@ mod tests {
             "hostA",
             &[
                 ("end_to_end_trial", 10_050_000),
-                ("xcorr_parity_speedup_x1000", 2_380),
+                ("mfcc_1s_audio", 1_190_000),
             ],
             0.973,
             0.042,
@@ -497,7 +469,7 @@ mod tests {
             "hostA",
             &[
                 ("end_to_end_trial", 20_000_000),
-                ("xcorr_parity_speedup_x1000", 2_400),
+                ("mfcc_1s_audio", 1_200_000),
             ],
             0.973,
             0.042,
@@ -505,27 +477,6 @@ mod tests {
         let report = check_record(&current, &hist, &CheckConfig::default());
         assert!(!report.pass());
         assert_eq!(report.regressions(), vec!["end_to_end_trial"]);
-    }
-
-    #[test]
-    fn ratio_stages_regress_downward_only() {
-        let hist = history(6);
-        let cfg_stage = |speedup: u64| {
-            let current = record(
-                "hostA",
-                &[
-                    ("end_to_end_trial", 10_000_000),
-                    ("xcorr_parity_speedup_x1000", speedup),
-                ],
-                0.973,
-                0.042,
-            );
-            check_record(&current, &hist, &CheckConfig::default())
-        };
-        let halved = cfg_stage(1_200);
-        assert_eq!(halved.regressions(), vec!["xcorr_parity_speedup_x1000"]);
-        let doubled = cfg_stage(4_800);
-        assert!(doubled.pass(), "faster must not fail");
     }
 
     #[test]
@@ -582,10 +533,7 @@ mod tests {
         let current = record("hostA", &[("end_to_end_trial", 10_000_000)], 0.973, 0.042);
         let report = check_record(&current, &hist, &CheckConfig::default());
         assert!(report.pass());
-        assert_eq!(
-            report.missing_stages,
-            vec!["xcorr_parity_speedup_x1000".to_string()]
-        );
+        assert_eq!(report.missing_stages, vec!["mfcc_1s_audio".to_string()]);
     }
 
     #[test]

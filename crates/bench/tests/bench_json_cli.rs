@@ -1,11 +1,12 @@
-//! Command-line contract of the `bench_json` binary: a bad count is a
-//! usage error, reported before any stage runs.
+//! Command-line contract of the `bench_json` binary: a bad count, a
+//! missing value or an unknown flag is a usage error, reported before
+//! any stage runs.
 
 use std::process::Command;
 
 fn run(args: &[&str]) -> (Option<i32>, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_bench_json"))
-        .args(["--no-ledger", "--out", "/dev/null"])
+        .arg("--no-ledger")
         .args(args)
         .output()
         .expect("spawn bench_json");
@@ -19,7 +20,10 @@ fn run(args: &[&str]) -> (Option<i32>, String) {
 fn zero_iters_is_a_usage_error() {
     let (code, stderr) = run(&["--iters", "0"]);
     assert_eq!(code, Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("--iters"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("--iters must be a positive number, got \"0\""),
+        "stderr: {stderr}"
+    );
     assert!(stderr.contains("usage: bench_json"), "stderr: {stderr}");
 }
 
@@ -27,8 +31,10 @@ fn zero_iters_is_a_usage_error() {
 fn non_numeric_iters_is_a_usage_error() {
     let (code, stderr) = run(&["--iters", "abc"]);
     assert_eq!(code, Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("--iters"), "stderr: {stderr}");
-    assert!(stderr.contains("\"abc\""), "stderr: {stderr}");
+    assert!(
+        stderr.contains("--iters must be a positive number, got \"abc\""),
+        "stderr: {stderr}"
+    );
 }
 
 #[test]
@@ -36,6 +42,22 @@ fn missing_count_is_a_usage_error() {
     for flag in ["--best-of", "--window", "--k"] {
         let (code, stderr) = run(&[flag]);
         assert_eq!(code, Some(2), "{flag}: stderr: {stderr}");
-        assert!(stderr.contains(flag), "stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} needs a value")),
+            "stderr: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn unknown_argument_is_a_usage_error() {
+    for flag in ["--out", "--no-such-flag"] {
+        let (code, stderr) = run(&[flag, "x"]);
+        assert_eq!(code, Some(2), "{flag}: stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown argument {flag}")),
+            "stderr: {stderr}"
+        );
+        assert!(stderr.contains("usage: bench_json"), "stderr: {stderr}");
     }
 }

@@ -4,8 +4,8 @@
 //! This is the proof the regression gate actually gates: the fixture's
 //! own last record must pass cleanly against its history, and the same
 //! record with an injected 2× stage slowdown, a +0.05 EER shift, a
-//! −0.05 AUC drop, a halved speedup ratio, or a label with no
-//! same-host history must each be flagged.
+//! −0.05 AUC drop, or a label with no same-host history must each be
+//! flagged.
 //! `bench_json --check --dry-run --ledger <fixture>` performs the
 //! first comparison as the CI smoke step; these tests pin all the
 //! injected variants as well.
@@ -73,29 +73,6 @@ fn injected_auc_drop_is_flagged() {
     let report = check_record(&current, &history, &CheckConfig::default());
     assert!(!report.pass());
     assert!(report.regressions().contains(&"roc_auc"));
-}
-
-#[test]
-fn halved_speedup_ratio_is_flagged_doubled_is_not() {
-    let (current, history) = fixture();
-    let ratio = current.stages_ns["xcorr_parity_speedup_x1000"];
-
-    let mut halved = current.clone();
-    halved
-        .stages_ns
-        .insert("xcorr_parity_speedup_x1000".to_string(), ratio / 2);
-    let report = check_record(&halved, &history, &CheckConfig::default());
-    assert!(report.regressions().contains(&"xcorr_parity_speedup_x1000"));
-
-    let mut doubled = current.clone();
-    doubled
-        .stages_ns
-        .insert("xcorr_parity_speedup_x1000".to_string(), ratio * 2);
-    let report = check_record(&doubled, &history, &CheckConfig::default());
-    assert!(
-        !report.regressions().contains(&"xcorr_parity_speedup_x1000"),
-        "getting faster must never fail the gate"
-    );
 }
 
 #[test]

@@ -1,35 +1,8 @@
-//! Result serialization: CSV writers for scores, ROC curves and metric
-//! summaries, so external tooling (plots, notebooks) can consume every
-//! experiment's output.
+//! Result serialization: the ROC-curve CSV writer behind `repro --csv`,
+//! so external tooling (plots, notebooks) can consume the curves.
 
 use crate::metrics::RocCurve;
-use crate::runner::ScorePool;
 use std::io::{self, Write};
-
-/// One score record as written to CSV.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScoreRecord {
-    /// `legitimate` or the attack-kind name.
-    pub class: String,
-    /// The detector's similarity score.
-    pub score: f32,
-}
-
-/// Writes a score pool as CSV (`class,score`). Accepts `&mut W`.
-///
-/// # Errors
-///
-/// Propagates writer errors.
-pub fn write_scores_csv<W: Write>(mut w: W, pool: &ScorePool) -> io::Result<()> {
-    writeln!(w, "class,score")?;
-    for &s in &pool.legitimate {
-        writeln!(w, "legitimate,{s}")?;
-    }
-    for &(kind, s) in &pool.attacks {
-        writeln!(w, "{},{s}", kind.name().replace(' ', "_"))?;
-    }
-    Ok(())
-}
 
 /// Writes a ROC curve as CSV (`threshold,fdr,tdr`).
 ///
@@ -44,50 +17,9 @@ pub fn write_roc_csv<W: Write>(mut w: W, roc: &RocCurve) -> io::Result<()> {
     Ok(())
 }
 
-/// Formats a fixed-width text table from a header and rows — used by
-/// drivers that print matrices of conditions.
-pub fn text_table(header: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let mut out = String::new();
-    for (i, h) in header.iter().enumerate() {
-        out.push_str(&format!("{:<w$}  ", h, w = widths[i]));
-    }
-    out.push('\n');
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            out.push_str(&format!("{:<w$}  ", cell, w = widths[i]));
-        }
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::RocCurve;
-    use thrubarrier_attack::AttackKind;
-
-    #[test]
-    fn scores_csv_has_all_rows() {
-        let pool = ScorePool {
-            legitimate: vec![0.9, 0.8],
-            attacks: vec![(AttackKind::Replay, 0.1)],
-        };
-        let mut bytes = Vec::new();
-        write_scores_csv(&mut bytes, &pool).unwrap();
-        let text = String::from_utf8(bytes).unwrap();
-        assert_eq!(text.lines().count(), 4);
-        assert!(text.contains("legitimate,0.9"));
-        assert!(text.contains("replay_attack,0.1"));
-    }
 
     #[test]
     fn roc_csv_has_101_points() {
@@ -97,22 +29,5 @@ mod tests {
         let text = String::from_utf8(bytes).unwrap();
         assert_eq!(text.lines().count(), 102);
         assert!(text.starts_with("threshold,fdr,tdr"));
-    }
-
-    #[test]
-    fn text_table_aligns_columns() {
-        let t = text_table(
-            &["name", "value"],
-            &[
-                vec!["a".into(), "1".into()],
-                vec!["longer".into(), "2".into()],
-            ],
-        );
-        let lines: Vec<&str> = t.lines().collect();
-        assert_eq!(lines.len(), 3);
-        // The "value" column starts at the same offset in every line.
-        let col = lines[0].find("value").unwrap();
-        assert_eq!(&lines[1][col..col + 1], "1");
-        assert_eq!(&lines[2][col..col + 1], "2");
     }
 }

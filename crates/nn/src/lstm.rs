@@ -131,25 +131,6 @@ impl Lstm {
         })
     }
 
-    /// Assembles an LSTM from *per-gate* weight blocks in `[i, f, g, o]`
-    /// order — the legacy four-matrix layout. Each `w[g]` is `H x D`,
-    /// each `u[g]` is `H x H`, each `b[g]` is `H x 1`; they are stacked
-    /// into the fused `4H x *` matrices this engine computes with.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the stacked shapes are inconsistent.
-    pub fn from_gate_weights(
-        w: [Matrix; 4],
-        u: [Matrix; 4],
-        b: [Matrix; 4],
-    ) -> Result<Self, String> {
-        let fused_w = Matrix::vstack(&[&w[0], &w[1], &w[2], &w[3]]);
-        let fused_u = Matrix::vstack(&[&u[0], &u[1], &u[2], &u[3]]);
-        let fused_b = Matrix::vstack(&[&b[0], &b[1], &b[2], &b[3]]);
-        Lstm::from_weights(fused_w, fused_u, fused_b)
-    }
-
     /// Input dimension.
     pub fn input_size(&self) -> usize {
         self.input_size
@@ -563,26 +544,6 @@ mod tests {
         let b1 = large.forward_batch(&[&xs_large], &mut ws, &mut scratch);
         assert_eq!(a1[0], bi_forward(&small, &xs_small));
         assert_eq!(b1[0], bi_forward(&large, &xs_large));
-    }
-
-    #[test]
-    fn from_gate_weights_stacks_fused_layout() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let reference = Lstm::new(3, 2, &mut rng);
-        let slice_gate = |m: &Matrix, g: usize| {
-            let h = 2;
-            let rows: Vec<&[f32]> = (g * h..(g + 1) * h).map(|r| m.row(r)).collect();
-            Matrix::from_rows(&rows)
-        };
-        let w = std::array::from_fn(|g| slice_gate(&reference.w.value, g));
-        let u = std::array::from_fn(|g| slice_gate(&reference.u.value, g));
-        let b = std::array::from_fn(|g| slice_gate(&reference.b.value, g));
-        let rebuilt = Lstm::from_gate_weights(w, u, b).unwrap();
-        assert_eq!(rebuilt.w.value, reference.w.value);
-        assert_eq!(rebuilt.u.value, reference.u.value);
-        assert_eq!(rebuilt.b.value, reference.b.value);
-        let xs = toy_inputs(5, 3, 24);
-        assert_eq!(dir_forward(&rebuilt, &xs), dir_forward(&reference, &xs));
     }
 
     /// Finite-difference gradient check for one LSTM direction through

@@ -72,10 +72,8 @@ fn histogram_json(h: &Histogram) -> String {
 
 /// The structured metrics snapshot as a JSON object (no trailing
 /// newline): counters, gauges, histograms (with log2-bucket quantiles)
-/// and span totals. `indent` is prepended to every line after the
-/// first, so the object can be embedded at any nesting depth of a
-/// hand-rendered document (e.g. `BENCH_pipeline.json`).
-pub fn snapshot_json(indent: &str) -> String {
+/// and span totals, one entry per line.
+pub fn snapshot_json() -> String {
     let r = registry();
     let mut s = String::from("{\n");
     let sections: [(&str, Vec<(&'static str, String)>); 4] = [
@@ -110,83 +108,18 @@ pub fn snapshot_json(indent: &str) -> String {
     ];
     let n_sections = sections.len();
     for (si, (section, entries)) in sections.into_iter().enumerate() {
-        let _ = write!(s, "{indent}  \"{section}\": {{");
+        let _ = write!(s, "  \"{section}\": {{");
         let n = entries.len();
         for (i, (name, value)) in entries.into_iter().enumerate() {
             let comma = if i + 1 < n { "," } else { "" };
-            let _ = write!(s, "\n{indent}    \"{}\": {value}{comma}", esc(name));
+            let _ = write!(s, "\n    \"{}\": {value}{comma}", esc(name));
         }
         if n > 0 {
-            let _ = write!(s, "\n{indent}  ");
+            s.push_str("\n  ");
         }
         let comma = if si + 1 < n_sections { "," } else { "" };
         let _ = writeln!(s, "}}{comma}");
     }
-    let _ = write!(s, "{indent}}}");
-    s
-}
-
-/// A plain-text report of every registered metric, for diagnostic
-/// binaries and examples.
-pub fn render_text() -> String {
-    let r = registry();
-    let mut s = String::from("== obs report ==\n");
-    let counters = r.counters();
-    if !counters.is_empty() {
-        s.push_str("counters:\n");
-        for (name, c) in counters {
-            let _ = writeln!(s, "  {name:<40} {}", c.get());
-        }
-    }
-    let gauges = r.gauges();
-    if !gauges.is_empty() {
-        s.push_str("gauges:\n");
-        for (name, g) in gauges {
-            let _ = writeln!(s, "  {name:<40} {}", g.get());
-        }
-    }
-    let histograms = r.histograms();
-    if !histograms.is_empty() {
-        s.push_str("histograms:\n");
-        for (name, h) in histograms {
-            let _ = writeln!(
-                s,
-                "  {name:<40} n={} mean={:.1} p50={} p99={} max={}",
-                h.count(),
-                h.mean(),
-                h.quantile(0.5),
-                h.quantile(0.99),
-                h.max()
-            );
-        }
-    }
-    // Spans are the profiling payload: order them by total time
-    // descending (the registry hands them back name-sorted) and give
-    // each the full latency shape, so the hot stage tops the report and
-    // tail behaviour is readable without the JSON snapshot.
-    let mut spans = r.spans();
-    spans.sort_by_key(|(_, sp)| std::cmp::Reverse(sp.durations().sum()));
-    if !spans.is_empty() {
-        s.push_str("spans (by total time):\n");
-        let _ = writeln!(
-            s,
-            "  {:<40} {:>8} {:>12} {:>10} {:>10} {:>10} {:>10}",
-            "name", "n", "total_ms", "mean_ms", "p50_ms", "p90_ms", "p99_ms"
-        );
-        for (name, sp) in spans {
-            let h = sp.durations();
-            let ms = |ns: u64| ns as f64 / 1e6;
-            let _ = writeln!(
-                s,
-                "  {name:<40} {:>8} {:>12.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
-                h.count(),
-                ms(h.sum()),
-                h.mean() / 1e6,
-                ms(h.quantile(0.5)),
-                ms(h.quantile(0.9)),
-                ms(h.quantile(0.99)),
-            );
-        }
-    }
+    s.push('}');
     s
 }

@@ -101,6 +101,7 @@ impl Counter {
 
     /// The sink all macro call sites collapse to in uninstrumented
     /// builds ([`crate::COMPILED`] = `false`); never registered.
+    #[inline]
     pub fn noop() -> &'static Counter {
         static NOOP: Counter = Counter::new();
         &NOOP
@@ -159,6 +160,7 @@ impl Gauge {
     }
 
     /// See [`Counter::noop`].
+    #[inline]
     pub fn noop() -> &'static Gauge {
         static NOOP: Gauge = Gauge::new();
         &NOOP
@@ -341,13 +343,16 @@ impl Histogram {
     }
 
     /// See [`Counter::noop`].
+    #[inline]
     pub fn noop() -> &'static Histogram {
         static NOOP: Histogram = Histogram::new();
         &NOOP
     }
 }
 
-#[cfg(test)]
+// These tests check recorded arithmetic, so they need recording on:
+// the instrumented pass of the test suite runs them.
+#[cfg(all(test, feature = "obs"))]
 mod tests {
     use super::*;
 

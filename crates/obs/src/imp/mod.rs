@@ -1,11 +1,12 @@
-//! The instrumented implementation (compiled with the `obs` feature).
+//! The implementation. It is always compiled; without the `obs`
+//! feature [`enabled`] is the constant `false` and recording folds away.
 
 mod export;
 mod metrics;
 mod registry;
 mod span;
 
-pub use export::{render_text, snapshot_json};
+pub use export::snapshot_json;
 pub use metrics::{Counter, Gauge, Histogram};
 pub use registry::{registry, reset, Registry};
 pub use span::{
@@ -15,14 +16,15 @@ pub use span::{
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Process-wide recording switch; one relaxed load on every hot-path
-/// record. Defaults to on — building with `--features obs` is itself
-/// the opt-in.
+/// record of an instrumented build. Defaults to on — building with
+/// `--features obs` is itself the opt-in.
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Whether recording is currently on (single relaxed atomic load).
+/// Whether recording is currently on: always `false` without the `obs`
+/// feature (a constant the compiler folds), else one relaxed load.
 #[inline(always)]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    crate::COMPILED && ENABLED.load(Ordering::Relaxed)
 }
 
 /// Turns recording on or off process-wide. Off, an instrumented binary

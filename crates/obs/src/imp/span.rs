@@ -65,7 +65,11 @@ fn tid() -> u32 {
 }
 
 /// Names this thread's track in exported traces (e.g. `worker-3`).
+/// Returns at once in uninstrumented builds, which never trace.
 pub fn label_thread(label: &str) {
+    if !crate::COMPILED {
+        return;
+    }
     thread_labels()
         .lock()
         .expect("obs thread labels poisoned")
@@ -136,8 +140,12 @@ fn epoch() -> Instant {
 
 /// Opens a trace collection window: spans that *end* between here and
 /// [`finish_trace`] become chrome-trace slices. Discards events from
-/// any earlier window.
+/// any earlier window. Returns at once in uninstrumented builds, whose
+/// spans never record.
 pub fn start_trace() {
+    if !crate::COMPILED {
+        return;
+    }
     epoch(); // pin the time origin before the first event
     trace_sink()
         .lock()
@@ -184,7 +192,7 @@ struct ActiveSpan {
 
 impl SpanGuard {
     /// The inert guard every `span!` site folds to in uninstrumented
-    /// builds.
+    /// builds, and [`span_enter`] returns while recording is off.
     #[inline(always)]
     pub fn noop() -> SpanGuard {
         SpanGuard { active: None }
@@ -215,7 +223,14 @@ pub fn span_enter(stat: &'static SpanStat) -> SpanGuard {
 }
 
 impl Drop for SpanGuard {
+    // Inlined so an inert guard's drop folds away at call sites in
+    // other crates. Uninstrumented builds never open a span, and testing
+    // `COMPILED` first lets every drop fold there, unwind paths included.
+    #[inline]
     fn drop(&mut self) {
+        if !crate::COMPILED {
+            return;
+        }
         let Some(span) = self.active.take() else {
             return;
         };

@@ -7,9 +7,9 @@
 //! cargo profile, a config+seed fingerprint, the per-stage wall-clock
 //! medians, the detection-accuracy summary (ROC AUC / EER) and the full
 //! obs metrics snapshot. The regression sentinel
-//! (`bench_json --check`, `obs_report`) reads the ledger back and
-//! compares the newest run against same-host baselines with noise-aware
-//! thresholds.
+//! (`bench_json --check`) reads the ledger back and compares the newest
+//! run against same-host baselines with noise-aware thresholds;
+//! `obs_report` renders the same comparison as a longitudinal report.
 //!
 //! Design points:
 //!
@@ -31,9 +31,9 @@
 //!   hand-rendered and hand-parsed; the small recursive-descent JSON
 //!   reader in this module ([`Json`]) is shared with the report tools.
 //!
-//! This module is deliberately **not** feature-gated: reading a ledger
-//! and checking thresholds must work in uninstrumented builds (the CI
-//! smoke step runs `bench_json --check --dry-run` without `obs`).
+//! Nothing here depends on the `obs` feature: reading a ledger and
+//! checking thresholds work in uninstrumented builds (the CI smoke step
+//! runs `bench_json --check --dry-run` without `obs`).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -364,8 +364,7 @@ pub struct RunRecord {
     /// seeds); [`fingerprint`] of this string keys config-compatible
     /// baselines.
     pub config: String,
-    /// Median wall-clock nanoseconds per bench stage (ratio stages use
-    /// the `_x1000` suffix convention of `BENCH_pipeline.json`).
+    /// Median wall-clock nanoseconds per bench stage.
     pub stages_ns: BTreeMap<String, u64>,
     /// Full-method ROC AUC on the fixed-seed eval, when measured.
     pub auc: Option<f64>,
@@ -373,7 +372,7 @@ pub struct RunRecord {
     pub eer: Option<f64>,
     /// The obs metrics snapshot (`snapshot_json`) taken over the run,
     /// stored verbatim as a string so span/histogram quantiles can be
-    /// compared across runs. Empty in uninstrumented builds.
+    /// compared across runs. `None` in uninstrumented builds.
     pub metrics: Option<String>,
 }
 
@@ -571,7 +570,7 @@ mod tests {
     fn record_line_round_trips() {
         let mut stages = BTreeMap::new();
         stages.insert("end_to_end_trial".to_string(), 17_900_000u64);
-        stages.insert("xcorr_parity_speedup_x1000".to_string(), 2_400u64);
+        stages.insert("mfcc_1s_audio".to_string(), 1_150_000u64);
         let rec = RunRecord {
             schema: SCHEMA,
             ts_unix: 1_723_300_000,

@@ -2,10 +2,13 @@
 //!
 //! Everything the workspace records at runtime flows through this crate:
 //!
-//! * **Counters** and **gauges** — single relaxed atomics (cache
-//!   hit/miss tallies, the scoring-service queue depth).
-//! * **Histograms** — 64 log2 buckets plus count/sum/max, all atomic
-//!   (coalesced batch sizes, request latencies).
+//! * **Counters** — relaxed atomics sharded over per-thread stripes
+//!   (FFT-plan and response-curve cache hit/miss tallies, rejection
+//!   reasons).
+//! * **Gauges** — one relaxed atomic each (the eval run's AUC/EER,
+//!   scaled to millionths).
+//! * **Histograms** — 64 log2 buckets plus count/sum/max, sharded like
+//!   the counters (span latencies).
 //! * **Spans** — RAII wall-clock timers ([`span!`]) that feed a latency
 //!   histogram per span name and maintain a thread-local span stack, so
 //!   nested stage timings keep their parent relationship.
@@ -17,55 +20,43 @@
 //!
 //! # Feature gating
 //!
-//! The whole layer compiles to **true no-ops** unless the `obs` cargo
-//! feature is on: every type becomes zero-sized, every method an empty
-//! inline function, and the macros fold to constants (they branch on
-//! [`COMPILED`], a `const bool`, so the instrumented arm is removed at
-//! compile time). With the feature on, recording is additionally gated
-//! by one process-wide flag read with a single relaxed atomic load
-//! ([`enabled`]); [`set_enabled`]`(false)` turns an instrumented binary
-//! back into (almost) the uninstrumented one at runtime.
+//! There is one implementation; the `obs` cargo feature only sets
+//! [`COMPILED`]. Recording is gated by [`enabled`]: `COMPILED` and one
+//! process-wide flag read with a relaxed load. Without the feature
+//! that is the constant `false`, so every record call, [`span_enter`]
+//! and span drop folds away at compile time, and the macros resolve to
+//! the never-registered `noop()` sinks. With the feature,
+//! [`set_enabled`]`(false)` turns an instrumented binary back into
+//! (almost) the uninstrumented one at runtime: one relaxed load and a
+//! branch per call site. [`label_thread`] and [`start_trace`] also
+//! return at once in uninstrumented builds.
 //!
 //! # Exporters
 //!
 //! * [`snapshot_json`] — a structured metrics snapshot (counters,
-//!   gauges, histogram quantiles, span totals) for embedding in bench
-//!   artifacts such as `BENCH_pipeline.json`.
+//!   gauges, histogram quantiles, span totals), stored in each run
+//!   ledger record.
 //! * [`start_trace`] / [`finish_trace`] — a chrome://tracing /
 //!   [Perfetto](https://ui.perfetto.dev) JSON trace of every span that
 //!   ends while tracing is active, with one track per thread
 //!   (labelled via [`label_thread`]).
-//! * [`render_text`] — a plain-text report for diagnostics binaries.
 //!
 //! # Longitudinal telemetry
 //!
-//! The [`ledger`] module persists one record per bench/eval run to an
+//! The [`ledger`] module persists one record per bench run to an
 //! append-only JSONL store (host fingerprint, git revision, config
 //! fingerprint, per-stage medians, ROC AUC/EER, the metrics snapshot),
 //! so perf and accuracy drift is detected **across** runs and PRs
-//! rather than within one process. It is deliberately not feature
-//! gated: reading history and checking thresholds works in
-//! uninstrumented builds too (the regression sentinel in
-//! `thrubarrier-bench` rides on it).
+//! rather than within one process. Reading history and checking
+//! thresholds work in uninstrumented builds too (the regression
+//! sentinel in `thrubarrier-bench` rides on it).
 
 pub mod ledger;
 
-#[cfg(feature = "obs")]
 mod imp;
-#[cfg(feature = "obs")]
 pub use imp::{
-    enabled, finish_trace, label_thread, registry, render_text, reset, set_enabled, snapshot_json,
-    span_enter, start_trace, trace_active, Counter, Gauge, Histogram, Registry, SpanGuard,
-    SpanStat,
-};
-
-#[cfg(not(feature = "obs"))]
-mod noop;
-#[cfg(not(feature = "obs"))]
-pub use noop::{
-    enabled, finish_trace, label_thread, registry, render_text, reset, set_enabled, snapshot_json,
-    span_enter, start_trace, trace_active, Counter, Gauge, Histogram, Registry, SpanGuard,
-    SpanStat,
+    enabled, finish_trace, label_thread, registry, reset, set_enabled, snapshot_json, span_enter,
+    start_trace, trace_active, Counter, Gauge, Histogram, Registry, SpanGuard, SpanStat,
 };
 
 /// `true` when the crate was built with the `obs` feature. A `const`, so

@@ -131,7 +131,7 @@ fn snapshot_json_has_all_sections_and_balanced_braces() {
     obs::set_enabled(true);
     obs::counter!("test.snapshot.counter").incr();
     obs::histogram!("test.snapshot.hist").record(1000);
-    let json = obs::snapshot_json("  ");
+    let json = obs::snapshot_json();
     for section in ["\"counters\"", "\"gauges\"", "\"histograms\"", "\"spans\""] {
         assert!(json.contains(section), "missing {section} in {json}");
     }
