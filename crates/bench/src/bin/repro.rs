@@ -1,7 +1,7 @@
 //! `repro` — regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro [--quick|--full] [--scale X] [--seed N] [--csv DIR] [--trace-out FILE] <experiment>...
+//! repro [--quick|--full] [--scale X] [--seed N] [--results FILE] [--trace-out FILE] <experiment>...
 //!
 //! experiments:
 //!   table1 table2 fig3 fig4 fig6 fig7 fig9 fig10
@@ -9,43 +9,33 @@
 //!   ablation extensions architectures naive-baseline all
 //! ```
 //!
+//! Every experiment yields rows of one record ([`report::Row`]); `repro`
+//! prints them through [`report::render`] and, with `--results`, writes
+//! them as JSON lines (one object per row, plus the run's `scale`).
+//!
 //! Every argument is checked before any experiment runs: an unknown
-//! experiment name prints the valid names, and a flag with a missing or
-//! bad value (a non-integer seed, a scale that is not a finite positive
-//! number) prints the usage line; both exit with status 2.
+//! experiment name prints the valid names, and an unknown option or a
+//! flag with a missing or bad value (a non-integer seed, a scale that is
+//! not a finite positive number) prints the usage line; both exit with
+//! status 2.
 
 use std::env;
+use std::io::Write as _;
 use thrubarrier_attack::AttackKind;
 use thrubarrier_bench::ReproPreset;
 use thrubarrier_eval::experiments::{
     ablation, architectures, extensions, fig11, fig3, fig4, fig6, fig7, fig9, naive_baseline,
     phoneme_detection, table1, table2,
 };
+use thrubarrier_eval::report::{self, Row};
 use thrubarrier_eval::runner::{Runner, RunnerConfig, SelectorChoice};
 
 /// Every experiment `repro` runs, in the order `all` runs them.
-const EXPERIMENTS: [&str; 17] = [
-    "table1",
-    "table2",
-    "fig3",
-    "fig4",
-    "fig6",
-    "fig7",
-    "fig9",
-    "fig10",
-    "fig11a",
-    "fig11b",
-    "fig11c",
-    "fig11d",
-    "phoneme-detection",
-    "ablation",
-    "extensions",
-    "architectures",
-    "naive-baseline",
-];
+const EXPERIMENTS: &str = "table1 table2 fig3 fig4 fig6 fig7 fig9 fig10 fig11a fig11b fig11c \
+                           fig11d phoneme-detection ablation extensions architectures naive-baseline";
 
 const USAGE: &str =
-    "usage: repro [--quick|--full] [--scale X] [--seed N] [--csv DIR] [--trace-out FILE] <experiment>...";
+    "usage: repro [--quick|--full] [--scale X] [--seed N] [--results FILE] [--trace-out FILE] <experiment>...";
 
 /// Prints `message` and the usage line, then exits with status 2.
 fn usage_error(message: &str) -> ! {
@@ -65,7 +55,7 @@ fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
     let mut preset = ReproPreset::default_preset();
     let mut seed: Option<u64> = None;
-    let mut csv_dir: Option<std::path::PathBuf> = None;
+    let mut results: Option<std::path::PathBuf> = None;
     let mut trace_out: Option<std::path::PathBuf> = None;
     let mut experiments: Vec<String> = Vec::new();
     let mut iter = args.iter();
@@ -88,25 +78,25 @@ fn main() {
                     usage_error(&format!("--seed must be an unsigned integer, got {v:?}"))
                 }));
             }
-            "--csv" => csv_dir = Some(value_arg("--csv", iter.next()).into()),
+            "--results" => results = Some(value_arg("--results", iter.next()).into()),
             "--trace-out" => trace_out = Some(value_arg("--trace-out", iter.next()).into()),
             "--help" | "-h" => {
                 print_help();
                 return;
             }
+            other if other.starts_with('-') => usage_error(&format!("unknown option {other}")),
             other => experiments.push(other.to_string()),
         }
     }
     let unknown: Vec<&str> = experiments
         .iter()
         .map(String::as_str)
-        .filter(|e| *e != "all" && !EXPERIMENTS.contains(e))
+        .filter(|e| *e != "all" && !EXPERIMENTS.split(' ').any(|x| x == *e))
         .collect();
     if !unknown.is_empty() {
         eprintln!(
-            "unknown experiment: {}\nvalid experiments: {} all",
-            unknown.join(", "),
-            EXPERIMENTS.join(" ")
+            "unknown experiment: {}\nvalid experiments: {EXPERIMENTS} all",
+            unknown.join(", ")
         );
         std::process::exit(2);
     }
@@ -114,11 +104,15 @@ fn main() {
         print_help();
         return;
     }
-    if let Some(dir) = &csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv output directory");
-    }
+    let mut results = results.map(|path| {
+        let file = std::fs::File::create(&path).unwrap_or_else(|e| {
+            eprintln!("cannot create {}: {e}", path.display());
+            std::process::exit(1);
+        });
+        std::io::BufWriter::new(file)
+    });
     if experiments.iter().any(|e| e == "all") {
-        experiments = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
+        experiments = EXPERIMENTS.split(' ').map(String::from).collect();
     }
     if trace_out.is_some() {
         if !thrubarrier_obs::COMPILED {
@@ -132,8 +126,13 @@ fn main() {
     }
     for exp in &experiments {
         println!("================ {exp} ================");
-        run_experiment(exp, &preset, seed, csv_dir.as_deref());
-        println!();
+        let rows = run_experiment(exp, &preset, seed);
+        println!("{}", report::render(&rows));
+        if let Some(w) = &mut results {
+            report::write_jsonl(&mut *w, &rows, preset.scale)
+                .and_then(|()| w.flush())
+                .expect("write --results file");
+        }
     }
     if let Some(path) = &trace_out {
         // Every experiment's worker scope has joined by now, so the
@@ -148,66 +147,59 @@ fn print_help() {
     println!(
         "repro — regenerate the paper's tables and figures\n\n\
          {USAGE}\n\n\
-         experiments: table1 table2 fig3 fig4 fig6 fig7 fig9 fig10\n\
-                      fig11a fig11b fig11c fig11d phoneme-detection\n\
-                      ablation extensions architectures naive-baseline all\n\n\
+         experiments: {EXPERIMENTS} all\n\n\
          --quick  small trial counts + energy selector (fast sanity pass)\n\
          --full   paper-scale trial counts + 64-unit BRNN (hours)\n\
          --scale  override the trial-count scale (1.0 = paper scale)\n\
          --seed   override the master seed\n\
-         --csv    directory to write ROC CURVES as CSV (fig9/fig10)\n\
+         --results  write every result row as a JSON line to FILE\n\
          --trace-out  write a chrome://tracing JSON of the whole run\n\
                       (spans only exist when built with --features obs)"
     );
 }
 
-fn run_experiment(
-    name: &str,
-    preset: &ReproPreset,
-    seed: Option<u64>,
-    csv_dir: Option<&std::path::Path>,
-) {
+/// Runs one experiment and returns its rows. `--seed` overrides each
+/// config's own default seed.
+fn run_experiment(name: &str, preset: &ReproPreset, seed: Option<u64>) -> Vec<Row> {
+    let brnn = match preset.selector {
+        SelectorChoice::Brnn {
+            corpus_size,
+            epochs,
+            hidden,
+        } => Some((corpus_size, epochs, hidden)),
+        SelectorChoice::Energy => None,
+    };
     match name {
         "table1" => {
             let mut cfg = table1::AttackStudyConfig::default();
-            if let Some(s) = seed {
-                cfg.seed = s;
-            }
-            println!("{}", table1::run(&cfg).render_text());
+            cfg.seed = seed.unwrap_or(cfg.seed);
+            table1::run(&cfg).rows()
         }
         "table2" => {
             let mut cfg = table2::SelectionStudyConfig::default();
-            if let Some(s) = seed {
-                cfg.seed = s;
-            }
+            cfg.seed = seed.unwrap_or(cfg.seed);
             cfg.samples_per_phoneme = ((100.0 * preset.scale.max(0.12)) as usize).clamp(12, 100);
-            println!("{}", table2::run(&cfg).render_text());
+            table2::run(&cfg).rows()
         }
         "fig3" | "fig4" => {
             let mut cfg = fig3::BarrierEffectConfig::default();
-            if let Some(s) = seed {
-                cfg.seed = s;
-            }
+            cfg.seed = seed.unwrap_or(cfg.seed);
             cfg.samples_per_phoneme = ((100.0 * preset.scale.max(0.1)) as usize).clamp(10, 100);
             if name == "fig3" {
-                println!("{}", fig3::run(&cfg).render_text());
+                fig3::run(&cfg).rows()
             } else {
-                println!("{}", fig4::run(&cfg).render_text());
+                fig4::run(&cfg).rows()
             }
         }
         "fig6" => {
             let mut cfg = fig6::CriteriaDemoConfig::default();
-            if let Some(s) = seed {
-                cfg.seed = s;
-            }
-            println!("{}", fig6::run(&cfg).render_text());
+            cfg.seed = seed.unwrap_or(cfg.seed);
+            fig6::run(&cfg).rows()
         }
         "fig7" => {
             let mut cfg = fig7::ChirpStudyConfig::default();
-            if let Some(s) = seed {
-                cfg.seed = s;
-            }
-            println!("{}", fig7::run(&cfg).render_text());
+            cfg.seed = seed.unwrap_or(cfg.seed);
+            fig7::run(&cfg).rows()
         }
         "fig9" | "fig10" => {
             let mut cfg = fig9::DetectionStudyConfig {
@@ -215,9 +207,7 @@ fn run_experiment(
                 selector: preset.selector,
                 ..Default::default()
             };
-            if let Some(s) = seed {
-                cfg.seed = s;
-            }
+            cfg.seed = seed.unwrap_or(cfg.seed);
             cfg.attacks = if name == "fig9" {
                 vec![
                     AttackKind::Random,
@@ -227,24 +217,7 @@ fn run_experiment(
             } else {
                 vec![AttackKind::HiddenVoice]
             };
-            let study = fig9::run(&cfg);
-            println!("{}", study.render_text());
-            if let Some(dir) = csv_dir {
-                for row in &study.rows {
-                    for (method, metrics) in &row.methods {
-                        let slug =
-                            format!("{name}_{}_{method:?}", row.attack.name().replace(' ', "_"));
-                        let path = dir.join(format!("{slug}_roc.csv"));
-                        let file = std::fs::File::create(&path).expect("create roc csv");
-                        thrubarrier_eval::report::write_roc_csv(
-                            std::io::BufWriter::new(file),
-                            &metrics.roc,
-                        )
-                        .expect("write roc csv");
-                        println!("wrote {}", path.display());
-                    }
-                }
-            }
+            fig9::run(&cfg).rows()
         }
         "fig11a" | "fig11b" | "fig11c" | "fig11d" => {
             let mut cfg = fig11::ImpactStudyConfig {
@@ -252,9 +225,7 @@ fn run_experiment(
                 selector: preset.selector,
                 ..Default::default()
             };
-            if let Some(s) = seed {
-                cfg.seed = s;
-            }
+            cfg.seed = seed.unwrap_or(cfg.seed);
             // Build the (possibly trained) selector once.
             let runner = Runner::new(RunnerConfig {
                 selector: cfg.selector,
@@ -268,66 +239,42 @@ fn run_experiment(
                 "fig11c" => fig11::run_fig11c(&cfg, selector),
                 _ => fig11::run_fig11d(&cfg, selector),
             };
-            println!("{}", panel.render_text());
+            panel.rows()
         }
         "phoneme-detection" => {
             let mut cfg = phoneme_detection::DetectionAccuracyConfig::default();
-            if let Some(s) = seed {
-                cfg.seed = s;
-            }
-            if let SelectorChoice::Brnn {
-                corpus_size,
-                epochs,
-                hidden,
-            } = preset.selector
-            {
-                cfg.corpus_size = corpus_size;
-                cfg.epochs = epochs;
-                cfg.hidden = hidden;
+            cfg.seed = seed.unwrap_or(cfg.seed);
+            if let Some((corpus_size, epochs, hidden)) = brnn {
+                (cfg.corpus_size, cfg.epochs, cfg.hidden) = (corpus_size, epochs, hidden);
             }
             cfg.samples_per_phoneme = ((100.0 * preset.scale.max(0.08)) as usize).clamp(8, 100);
-            println!("{}", phoneme_detection::run(&cfg).render_text());
+            phoneme_detection::run(&cfg).rows()
         }
         "ablation" => {
             let mut cfg = ablation::AblationConfig::default();
-            if let Some(s) = seed {
-                cfg.seed = s;
-            }
+            cfg.seed = seed.unwrap_or(cfg.seed);
             cfg.trials = ((800.0 * preset.scale) as usize).clamp(16, 800);
-            println!("{}", ablation::run(&cfg).render_text());
+            ablation::run(&cfg).rows()
         }
         "architectures" => {
             let mut cfg = architectures::ArchitectureStudyConfig::default();
-            if let Some(s) = seed {
-                cfg.seed = s;
+            cfg.seed = seed.unwrap_or(cfg.seed);
+            if let Some((corpus_size, epochs, hidden)) = brnn {
+                (cfg.corpus_size, cfg.epochs, cfg.hidden) = (corpus_size, epochs, hidden);
             }
-            if let SelectorChoice::Brnn {
-                corpus_size,
-                epochs,
-                hidden,
-            } = preset.selector
-            {
-                cfg.corpus_size = corpus_size;
-                cfg.epochs = epochs;
-                cfg.hidden = hidden;
-            }
-            println!("{}", architectures::run(&cfg).render_text());
+            architectures::run(&cfg).rows()
         }
         "naive-baseline" => {
             let mut cfg = naive_baseline::NaiveBaselineConfig::default();
-            if let Some(s) = seed {
-                cfg.seed = s;
-            }
+            cfg.seed = seed.unwrap_or(cfg.seed);
             cfg.trials = ((1_200.0 * preset.scale) as usize).clamp(24, 1_200);
-            println!("{}", naive_baseline::run(&cfg).render_text());
+            naive_baseline::run(&cfg).rows()
         }
         "extensions" => {
             let mut cfg = extensions::ExtensionConfig::default();
-            if let Some(s) = seed {
-                cfg.seed = s;
-            }
+            cfg.seed = seed.unwrap_or(cfg.seed);
             cfg.trials = ((600.0 * preset.scale) as usize).clamp(12, 600);
-            println!("{}", extensions::render_all(&cfg));
+            extensions::rows(&cfg)
         }
         other => unreachable!("experiment {other} was validated in main"),
     }

@@ -15,8 +15,9 @@
 //! * **no noise injection** — without level-dependent readout noise,
 //!   attack conversions stay clean and detection collapses.
 
+use crate::experiments::common::full_score;
 use crate::metrics::DetectionMetrics;
-use crate::runner::score_trial;
+use crate::report::Row;
 use crate::scenario::{TrialContext, TrialSettings};
 use thrubarrier_attack::AttackKind;
 use thrubarrier_defense::{DefenseMethod, DefenseSystem};
@@ -57,6 +58,10 @@ pub struct AblationRow {
 pub struct AblationStudy {
     /// All variants, reference first.
     pub rows: Vec<AblationRow>,
+    /// Legitimate (and attack) trials per variant.
+    pub trials: usize,
+    /// Master seed of the run.
+    pub seed: u64,
 }
 
 fn variant_system(name: &str) -> DefenseSystem {
@@ -113,11 +118,7 @@ pub fn run(cfg: &AblationConfig) -> AblationStudy {
             let mut legit = Vec::new();
             let mut attack = Vec::new();
             for (trial, is_attack, seed) in &trials {
-                let scores = score_trial(trial, cfg.seed ^ seed, &system);
-                let s = scores[DefenseMethod::all()
-                    .iter()
-                    .position(|m| *m == DefenseMethod::Full)
-                    .expect("full method present")];
+                let s = full_score(trial, cfg.seed ^ seed, &system);
                 if *is_attack {
                     attack.push(s);
                 } else {
@@ -130,32 +131,24 @@ pub fn run(cfg: &AblationConfig) -> AblationStudy {
             }
         })
         .collect();
-    AblationStudy { rows }
+    AblationStudy {
+        rows,
+        trials: cfg.trials,
+        seed: cfg.seed,
+    }
 }
 
 impl AblationStudy {
-    /// The reference (un-ablated) row.
-    pub fn reference(&self) -> &AblationRow {
-        &self.rows[0]
-    }
-
-    /// A named variant's row.
-    pub fn variant(&self, name: &str) -> Option<&AblationRow> {
-        self.rows.iter().find(|r| r.name == name)
-    }
-
-    /// Renders the study.
-    pub fn render_text(&self) -> String {
-        let mut out = String::from("Ablation study (replay attack, full pipeline)\n");
+    /// `auc` and `eer` rows of the full method per variant.
+    pub fn rows(&self) -> Vec<Row> {
+        let mut rows = Vec::new();
         for row in &self.rows {
-            out.push_str(&format!(
-                "  {:<26} AUC {:.3}   EER {:.1}%\n",
-                row.name,
-                row.metrics.auc,
-                row.metrics.eer * 100.0
-            ));
+            let base = Row::new("ablation", self.seed, row.name, DefenseMethod::Full.label())
+                .trials(self.trials, self.trials);
+            rows.push(base.metric("auc", row.metrics.auc));
+            rows.push(base.metric("eer", row.metrics.eer));
         }
-        out
+        rows
     }
 }
 
@@ -163,14 +156,20 @@ impl AblationStudy {
 mod tests {
     use super::*;
 
+    /// The full method's AUC under a named variant.
+    fn auc(study: &AblationStudy, name: &str) -> f32 {
+        let row = study.rows.iter().find(|r| r.name == name);
+        row.expect("variant present").metrics.auc
+    }
+
     #[test]
     fn noise_injection_is_the_load_bearing_mechanism() {
         let study = run(&AblationConfig {
             trials: 16,
             ..Default::default()
         });
-        let reference = study.reference().metrics.auc;
-        let no_noise = study.variant("no noise injection").unwrap().metrics.auc;
+        let reference = auc(&study, "reference");
+        let no_noise = auc(&study, "no noise injection");
         // Mic noise and room ambience still decorrelate some attacks,
         // so the collapse is partial at this scale — but it must be
         // clearly measurable.
@@ -186,8 +185,8 @@ mod tests {
             trials: 16,
             ..Default::default()
         });
-        let reference = study.reference().metrics.auc;
-        let anti_aliased = study.variant("anti-aliased ADC").unwrap().metrics.auc;
+        let reference = auc(&study, "reference");
+        let anti_aliased = auc(&study, "anti-aliased ADC");
         assert!(
             reference >= anti_aliased,
             "reference {reference} vs anti-aliased {anti_aliased}"
@@ -195,14 +194,14 @@ mod tests {
     }
 
     #[test]
-    fn all_variants_render() {
+    fn all_variants_have_rows() {
         let study = run(&AblationConfig {
             trials: 8,
             ..Default::default()
         });
-        let text = study.render_text();
+        let rows = study.rows();
         for name in VARIANTS {
-            assert!(text.contains(name), "{name} missing");
+            assert!(rows.iter().any(|r| r.condition == *name), "{name} missing");
         }
     }
 }

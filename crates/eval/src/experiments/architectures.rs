@@ -7,6 +7,7 @@
 //! ([`BrnnClassifier::train_step`]) and reports frame accuracy —
 //! reproducing that design-choice check within the workspace.
 
+use crate::report::Row;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -63,6 +64,8 @@ pub struct ArchitectureRow {
 pub struct ArchitectureStudy {
     /// One row per architecture.
     pub rows: Vec<ArchitectureRow>,
+    /// Master seed of the run.
+    pub seed: u64,
 }
 
 type Labelled = Vec<(Vec<Vec<f32>>, Vec<usize>)>;
@@ -162,22 +165,21 @@ pub fn run(cfg: &ArchitectureStudyConfig) -> ArchitectureStudy {
     let gru_row = study_row("BiGRU", gru, parameters, &study, &mut rng);
     ArchitectureStudy {
         rows: vec![lstm_row, gru_row],
+        seed: cfg.seed,
     }
 }
 
 impl ArchitectureStudy {
-    /// Renders the comparison.
-    pub fn render_text(&self) -> String {
-        let mut out = String::from("Detector architecture comparison (held-out frame accuracy)\n");
+    /// Held-out frame `accuracy` and recurrent `parameters` per
+    /// architecture.
+    pub fn rows(&self) -> Vec<Row> {
+        let mut rows = Vec::new();
         for r in &self.rows {
-            out.push_str(&format!(
-                "  {:<8} accuracy {:.1}%   ({} recurrent parameters)\n",
-                r.name,
-                r.accuracy * 100.0,
-                r.parameters
-            ));
+            let base = Row::new("architectures", self.seed, r.name, "");
+            rows.push(base.metric("accuracy", r.accuracy));
+            rows.push(base.metric("parameters", r.parameters as f64));
         }
-        out
+        rows
     }
 }
 
@@ -202,6 +204,9 @@ mod tests {
         let lstm = &study.rows[0];
         let gru = &study.rows[1];
         assert!(gru.parameters < lstm.parameters);
-        assert!(study.render_text().contains("BiGRU"));
+        let rows = study.rows();
+        assert!(rows
+            .iter()
+            .any(|r| r.condition == "BiGRU" && r.metric == "accuracy"));
     }
 }

@@ -1,7 +1,9 @@
 //! Shared helpers for the experiment drivers.
 
-use crate::scenario::TrialSettings;
+use crate::runner::score_trial;
+use crate::scenario::{Trial, TrialSettings};
 use thrubarrier_acoustics::room::{Room, RoomId};
+use thrubarrier_defense::{DefenseMethod, DefenseSystem};
 
 /// The standard evaluation matrix pooled over "different physical
 /// settings" (paper Sec. VII-A): all four rooms, three user-to-VA
@@ -29,9 +31,12 @@ pub fn scaled(base: usize, scale: f32) -> usize {
     ((base as f32 * scale).round() as usize).max(1)
 }
 
-/// Formats a fraction as a percentage with one decimal.
-pub fn pct(x: f32) -> String {
-    format!("{:.1}%", x * 100.0)
+/// The full method's score of one trial (see [`score_trial`]).
+pub fn full_score(trial: &Trial, seed: u64, system: &DefenseSystem) -> f32 {
+    let full = DefenseMethod::all()
+        .iter()
+        .position(|m| *m == DefenseMethod::Full);
+    score_trial(trial, seed, system)[full.expect("full method present")]
 }
 
 #[cfg(test)]

@@ -10,14 +10,25 @@
 //! * **Brick-wall infeasibility** — the paper argues brick absorbs too
 //!   much for the attack to work at all; this study measures how much
 //!   attack energy actually reaches the VA per material.
+//! * **Repeated-attack campaigns** — how often an adversary who repeats
+//!   a replay attack gets at least one attempt past the defense.
 
+use crate::experiments::common::full_score;
 use crate::metrics::DetectionMetrics;
-use crate::runner::score_trial;
-use crate::scenario::{TrialContext, TrialSettings};
+use crate::report::Row;
+use crate::scenario::{TrialContext, TrialSettings, AUDIO_RATE};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use thrubarrier_acoustics::barrier::{Barrier, BarrierMaterial};
+use thrubarrier_acoustics::mic::Microphone;
+use thrubarrier_acoustics::propagation::spl_to_rms;
 use thrubarrier_acoustics::room::{Room, RoomId};
-use thrubarrier_attack::AttackKind;
+use thrubarrier_acoustics::scene::AcousticPath;
+use thrubarrier_attack::{AttackGenerator, AttackKind};
 use thrubarrier_defense::{DefenseMethod, DefenseSystem};
+use thrubarrier_dsp::stats::rms;
+use thrubarrier_phoneme::command::CommandBank;
+use thrubarrier_phoneme::speaker::SpeakerProfile;
 use thrubarrier_vibration::motion::BodyMotion;
 use thrubarrier_vibration::Wearable;
 
@@ -57,12 +68,8 @@ fn evaluate_with_system(cfg: &ExtensionConfig, system: &DefenseSystem) -> Detect
         ctx.settings.user_to_va_m = [1.0, 2.0, 3.0][i % 3];
         let l = ctx.legitimate_trial();
         let a = ctx.attack_trial(AttackKind::Replay);
-        let full = DefenseMethod::all()
-            .iter()
-            .position(|m| *m == DefenseMethod::Full)
-            .expect("full present");
-        legit.push(score_trial(&l, cfg.seed ^ (i as u64), system)[full]);
-        attack.push(score_trial(&a, cfg.seed ^ (0x8000 + i as u64), system)[full]);
+        legit.push(full_score(&l, cfg.seed ^ (i as u64), system));
+        attack.push(full_score(&a, cfg.seed ^ (0x8000 + i as u64), system));
     }
     DetectionMetrics::from_scores(&legit, &attack)
 }
@@ -105,39 +112,38 @@ pub fn run_body_motion_study(cfg: &ExtensionConfig) -> Vec<ConditionRow> {
 }
 
 /// Attack level actually reaching the VA per barrier material, relative
-/// to the level without any barrier (dB).
+/// to the level without any barrier (dB): one replayed command,
+/// calibrated to 75 dB as attack trials are, recorded by the VA's
+/// microphone through two paths that differ only in crossing the
+/// barrier.
 pub fn run_material_feasibility(cfg: &ExtensionConfig) -> Vec<(BarrierMaterial, f32)> {
-    let materials = [
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let victim = SpeakerProfile::random(&mut rng);
+    let bank = CommandBank::standard();
+    let command = &bank.commands()[rng.gen_range(0..bank.len())];
+    let generator = AttackGenerator::new(AUDIO_RATE);
+    let sound = generator.generate(AttackKind::Replay, command, &victim, &victim, &mut rng);
+    let gain = spl_to_rms(75.0) / rms(&sound.samples).max(1e-9);
+    let source: Vec<f32> = sound.samples.iter().map(|&v| v * gain).collect();
+    let mic = Microphone::phone();
+    [
         BarrierMaterial::GlassWindow,
         BarrierMaterial::GlassWall,
         BarrierMaterial::WoodenDoor,
         BarrierMaterial::BrickWall,
-    ];
-    materials
-        .into_iter()
-        .map(|material| {
-            let mut ctx = TrialContext::seeded(cfg.seed);
-            let mut room = Room::paper_room(RoomId::A);
-            room.barrier = Barrier::new(material);
-            ctx.settings = TrialSettings {
-                room,
-                attack_spl_db: 75.0,
-                ..Default::default()
-            };
-            let through = ctx.attack_trial(AttackKind::Replay);
-            // The same attack without a barrier (direct path).
-            let mut ctx_direct = TrialContext::seeded(cfg.seed);
-            ctx_direct.settings.attack_spl_db = 75.0;
-            let mut direct_trial = ctx_direct.attack_trial(AttackKind::Replay);
-            // Rebuild the direct reference by re-recording without the
-            // barrier: approximate by the legitimate path at the same
-            // distance (loudspeaker differences are second-order here).
-            direct_trial.va_recording = ctx_direct.legitimate_trial().va_recording;
-            let drop_db = 20.0
-                * (through.va_recording.rms() / direct_trial.va_recording.rms().max(1e-9)).log10();
-            (material, drop_db)
-        })
-        .collect()
+    ]
+    .into_iter()
+    .map(|material| {
+        let mut room = Room::paper_room(RoomId::A);
+        room.barrier = Barrier::new(material);
+        let distance = TrialSettings::default().barrier_to_va_m;
+        let mut path = AcousticPath::thru_barrier(room, distance, generator.loudspeaker);
+        let through = path.record(&source, AUDIO_RATE, &mic, &mut rng).rms();
+        path.through_barrier = false;
+        let direct = path.record(&source, AUDIO_RATE, &mic, &mut rng).rms();
+        (material, 20.0 * (through / direct.max(1e-9)).log10())
+    })
+    .collect()
 }
 
 /// Success probability of a k-attempt attack campaign: the paper notes
@@ -149,62 +155,59 @@ pub fn run_repeated_attack_study(cfg: &ExtensionConfig, attempts: &[usize]) -> V
     let mut ctx = TrialContext::seeded(cfg.seed ^ 0x5EB);
     // Per-attempt bypass indicator stream.
     let mut bypasses = Vec::new();
-    for i in 0..cfg.trials.max(20) * attempts.iter().max().copied().unwrap_or(1) {
+    for i in 0..campaign_attempts(cfg, attempts) {
         ctx.settings.attack_spl_db = [65.0, 75.0, 85.0][i % 3];
         let t = ctx.attack_trial(AttackKind::Replay);
-        let full = DefenseMethod::all()
-            .iter()
-            .position(|m| *m == DefenseMethod::Full)
-            .expect("full present");
-        let score = score_trial(&t, cfg.seed ^ (0x9999 + i as u64), &system)[full];
+        let score = full_score(&t, cfg.seed ^ (0x9999 + i as u64), &system);
         bypasses.push(!system.is_attack(score));
     }
     attempts
         .iter()
         .map(|&k| {
             // Group consecutive attempts into campaigns of size k.
-            let campaigns = bypasses.chunks(k).filter(|c| c.len() == k);
-            let (mut wins, mut total) = (0usize, 0usize);
-            for c in campaigns {
-                total += 1;
-                if c.iter().any(|&b| b) {
-                    wins += 1;
-                }
-            }
+            let campaigns = bypasses.chunks_exact(k);
+            let total = campaigns.len();
+            let wins = campaigns.filter(|c| c.contains(&true)).count();
             (k, wins as f32 / total.max(1) as f32)
         })
         .collect()
 }
 
-/// Renders the three extension studies.
-pub fn render_all(cfg: &ExtensionConfig) -> String {
-    let mut out = String::from("Extension studies\n\nDevice comparison (replay attack):\n");
-    for row in run_device_comparison(cfg) {
-        out.push_str(&format!(
-            "  {:<14} AUC {:.3}  EER {:.1}%\n",
-            row.label,
-            row.metrics.auc,
-            row.metrics.eer * 100.0
-        ));
+/// Attempts the repeated-attack study scores: campaigns of each size
+/// are cut from one stream this long.
+fn campaign_attempts(cfg: &ExtensionConfig, attempts: &[usize]) -> usize {
+    cfg.trials.max(20) * attempts.iter().max().copied().unwrap_or(1)
+}
+
+/// Runs the four extension studies and returns their rows: `auc`/`eer`
+/// per wearable and per body motion, `db_vs_no_barrier` per barrier
+/// material, and the share of 1-, 2- and 3-attempt campaigns that
+/// bypass the defense at its default threshold (`bypass@0.50`).
+pub fn rows(cfg: &ExtensionConfig) -> Vec<Row> {
+    let row = |condition: String, method: &str| Row::new("extensions", cfg.seed, condition, method);
+    let full = DefenseMethod::Full.label();
+    let mut rows = Vec::new();
+    for (prefix, study) in [
+        ("device", run_device_comparison(cfg)),
+        ("motion", run_body_motion_study(cfg)),
+    ] {
+        for r in study {
+            let base = row(format!("{prefix}: {}", r.label), full).trials(cfg.trials, cfg.trials);
+            rows.push(base.metric("auc", r.metrics.auc));
+            rows.push(base.metric("eer", r.metrics.eer));
+        }
     }
-    out.push_str("\nBody-motion robustness (replay attack):\n");
-    for row in run_body_motion_study(cfg) {
-        out.push_str(&format!(
-            "  {:<14} AUC {:.3}  EER {:.1}%\n",
-            row.label,
-            row.metrics.auc,
-            row.metrics.eer * 100.0
-        ));
+    for (material, db) in run_material_feasibility(cfg) {
+        rows.push(row(format!("barrier: {}", material.name()), "").metric("db_vs_no_barrier", db));
     }
-    out.push_str("\nAttack level reaching the VA relative to no barrier:\n");
-    for (material, drop_db) in run_material_feasibility(cfg) {
-        out.push_str(&format!("  {:<14} {:+.1} dB\n", material.name(), drop_db));
+    let attempts = [1, 2, 3];
+    let total = campaign_attempts(cfg, &attempts);
+    let threshold = DefenseSystem::paper_default().detector.threshold;
+    for (k, p) in run_repeated_attack_study(cfg, &attempts) {
+        let campaign = row(format!("campaign: {k} attempt(s)"), full).trials(0, total / k);
+        rows.push(campaign.metric(format!("bypass@{threshold:.2}"), p));
     }
-    out.push_str("\nRepeated-attack campaigns bypassing the defense (threshold 0.5):\n");
-    for (k, p) in run_repeated_attack_study(cfg, &[1, 2, 3]) {
-        out.push_str(&format!("  {k} attempt(s): {:.1}%\n", p * 100.0));
-    }
-    out
+    rows
 }
 
 #[cfg(test)]
@@ -256,5 +259,12 @@ mod tests {
             .unwrap()
             .1;
         assert!(brick < glass - 8.0, "glass {glass} dB vs brick {brick} dB");
+    }
+
+    #[test]
+    fn every_barrier_lowers_the_attack_level() {
+        for (material, db) in run_material_feasibility(&tiny()) {
+            assert!(db < 0.0, "{material:?}: {db:+.1} dB");
+        }
     }
 }

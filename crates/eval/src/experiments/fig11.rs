@@ -10,7 +10,8 @@
 //! * **11d** — EER by room {A, B, C, D} × 4 attacks (paper: < 5 %;
 //!   hidden voice near 0 %).
 
-use crate::experiments::common::{pct, scaled};
+use crate::experiments::common::scaled;
+use crate::report::Row;
 use crate::runner::{Runner, RunnerConfig, SelectorChoice};
 use crate::scenario::TrialSettings;
 use std::sync::Arc;
@@ -47,11 +48,13 @@ impl Default for ImpactStudyConfig {
     }
 }
 
-/// One labelled series of EER values.
+/// One series of EER values: one attack kind scored by one method.
 #[derive(Debug, Clone)]
 pub struct EerSeries {
-    /// Series label (method or attack kind).
-    pub label: String,
+    /// The attack kind scored.
+    pub attack: AttackKind,
+    /// The method scoring it.
+    pub method: DefenseMethod,
     /// `(condition label, EER)` pairs.
     pub points: Vec<(String, f32)>,
 }
@@ -59,24 +62,34 @@ pub struct EerSeries {
 /// Result of one Fig. 11 panel.
 #[derive(Debug, Clone)]
 pub struct ImpactPanel {
-    /// Panel title.
-    pub title: String,
+    /// The `repro` experiment name (`"fig11a"` … `"fig11d"`).
+    pub experiment: &'static str,
     /// The series.
     pub series: Vec<EerSeries>,
+    /// Legitimate trials scored per condition.
+    pub n_legitimate: usize,
+    /// Attack trials scored per kind and condition.
+    pub n_attacks_per_kind: usize,
+    /// Master seed of the run.
+    pub seed: u64,
 }
 
 impl ImpactPanel {
-    /// Renders the panel as text rows.
-    pub fn render_text(&self) -> String {
-        let mut out = format!("{}\n", self.title);
+    /// One `eer` row per series and condition; the row's condition
+    /// names the attack kind and the panel's condition.
+    pub fn rows(&self) -> Vec<Row> {
+        let mut rows = Vec::new();
         for s in &self.series {
-            out.push_str(&format!("  {:<28}", s.label));
             for (cond, eer) in &s.points {
-                out.push_str(&format!(" {}={}", cond, pct(*eer)));
+                let condition = format!("{}, {cond}", s.attack.name());
+                rows.push(
+                    Row::new(self.experiment, self.seed, condition, s.method.label())
+                        .trials(self.n_legitimate, self.n_attacks_per_kind)
+                        .metric("eer", *eer),
+                );
             }
-            out.push('\n');
         }
-        out
+        rows
     }
 }
 
@@ -118,55 +131,59 @@ fn all_rooms_settings(f: impl Fn(&mut TrialSettings)) -> Vec<TrialSettings> {
 
 /// Fig. 11a: replay-attack EER vs. attack volume, one series per method.
 pub fn run_fig11a(cfg: &ImpactStudyConfig, selector: Arc<dyn SegmentSelector>) -> ImpactPanel {
-    let mut series: Vec<EerSeries> = DefenseMethod::all()
+    let conditions = [65.0f32, 75.0, 85.0]
         .into_iter()
-        .map(|m| EerSeries {
-            label: m.label().to_string(),
-            points: Vec::new(),
+        .map(|spl| {
+            let settings = all_rooms_settings(|t| t.attack_spl_db = spl);
+            (format!("{spl:.0}dB"), settings)
         })
         .collect();
-    for spl in [65.0f32, 75.0, 85.0] {
-        let settings = all_rooms_settings(|t| t.attack_spl_db = spl);
-        let runner = Runner::new(base_runner(cfg, settings, vec![AttackKind::Replay]));
-        let outcome = runner.run_with_selector(selector.clone(), Vec::new());
-        for (i, m) in DefenseMethod::all().into_iter().enumerate() {
-            let eer = outcome.pool(m).metrics_of(AttackKind::Replay).eer;
-            series[i].points.push((format!("{spl:.0}dB"), eer));
-        }
-    }
-    ImpactPanel {
-        title: "Fig. 11a — EER vs attack sound volume (replay attack)".into(),
-        series,
-    }
+    let series = DefenseMethod::all().map(|m| (AttackKind::Replay, m));
+    panel(cfg, selector, "fig11a", &series, conditions)
 }
 
-/// Helper for panels 11b–d: EER per attack kind under a set of named
-/// conditions.
-fn attack_kind_panel(
+/// Every attack kind scored by the full method (the series of 11b–d).
+fn full_per_kind() -> [(AttackKind, DefenseMethod); 4] {
+    AttackKind::all().map(|k| (k, DefenseMethod::Full))
+}
+
+/// One panel: the EER of each `(attack, method)` series under each
+/// named condition.
+fn panel(
     cfg: &ImpactStudyConfig,
     selector: Arc<dyn SegmentSelector>,
-    title: &str,
+    experiment: &'static str,
+    series: &[(AttackKind, DefenseMethod)],
     conditions: Vec<(String, Vec<TrialSettings>)>,
 ) -> ImpactPanel {
-    let kinds = AttackKind::all().to_vec();
-    let mut series: Vec<EerSeries> = kinds
+    let mut kinds: Vec<AttackKind> = series.iter().map(|&(k, _)| k).collect();
+    kinds.dedup();
+    let mut series: Vec<EerSeries> = series
         .iter()
-        .map(|k| EerSeries {
-            label: k.name().to_string(),
+        .map(|&(attack, method)| EerSeries {
+            attack,
+            method,
             points: Vec::new(),
         })
         .collect();
+    let mut n_legitimate = 0;
+    let mut n_attacks_per_kind = 0;
     for (cond, settings) in conditions {
-        let runner = Runner::new(base_runner(cfg, settings, kinds.clone()));
-        let outcome = runner.run_with_selector(selector.clone(), Vec::new());
-        for (i, &kind) in kinds.iter().enumerate() {
-            let eer = outcome.pool(DefenseMethod::Full).metrics_of(kind).eer;
-            series[i].points.push((cond.clone(), eer));
+        let runner_cfg = base_runner(cfg, settings, kinds.clone());
+        n_attacks_per_kind = runner_cfg.attacks_per_kind;
+        let outcome = Runner::new(runner_cfg).run_with_selector(selector.clone(), Vec::new());
+        n_legitimate = outcome.pool(DefenseMethod::Full).legitimate.len();
+        for s in &mut series {
+            let eer = outcome.pool(s.method).metrics_of(s.attack).eer;
+            s.points.push((cond.clone(), eer));
         }
     }
     ImpactPanel {
-        title: title.into(),
+        experiment,
         series,
+        n_legitimate,
+        n_attacks_per_kind,
+        seed: cfg.seed,
     }
 }
 
@@ -181,12 +198,8 @@ pub fn run_fig11b(cfg: &ImpactStudyConfig, selector: Arc<dyn SegmentSelector>) -
         .into_iter()
         .filter(|t| t.room.barrier.material.is_glass())
         .collect();
-    attack_kind_panel(
-        cfg,
-        selector,
-        "Fig. 11b — EER by barrier material (full system)",
-        vec![("Wood".into(), wood), ("Glass".into(), glass)],
-    )
+    let conditions = vec![("Wood".into(), wood), ("Glass".into(), glass)];
+    panel(cfg, selector, "fig11b", &full_per_kind(), conditions)
 }
 
 /// Fig. 11c: EER by barrier-to-VA distance (3, 4, 5 m;
@@ -205,12 +218,7 @@ pub fn run_fig11c(cfg: &ImpactStudyConfig, selector: Arc<dyn SegmentSelector>) -
             (format!("{d:.0}m"), settings)
         })
         .collect();
-    attack_kind_panel(
-        cfg,
-        selector,
-        "Fig. 11c — EER by barrier-to-VA distance (full system)",
-        conditions,
-    )
+    panel(cfg, selector, "fig11c", &full_per_kind(), conditions)
 }
 
 /// Fig. 11d: EER by room environment.
@@ -225,12 +233,7 @@ pub fn run_fig11d(cfg: &ImpactStudyConfig, selector: Arc<dyn SegmentSelector>) -
             (room.to_string(), settings)
         })
         .collect();
-    attack_kind_panel(
-        cfg,
-        selector,
-        "Fig. 11d — EER by room environment (full system)",
-        conditions,
-    )
+    panel(cfg, selector, "fig11d", &full_per_kind(), conditions)
 }
 
 #[cfg(test)]
@@ -255,7 +258,12 @@ mod tests {
             assert_eq!(s.points.len(), 3);
             assert!(s.points.iter().all(|(_, e)| (0.0..=1.0).contains(e)));
         }
-        assert!(panel.render_text().contains("65dB"));
+        let rows = panel.rows();
+        assert_eq!(rows.len(), 9);
+        assert!(rows
+            .iter()
+            .all(|r| r.experiment == "fig11a" && r.metric == "eer"));
+        assert!(rows.iter().any(|r| r.condition == "replay attack, 65dB"));
     }
 
     #[test]

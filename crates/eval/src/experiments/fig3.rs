@@ -7,6 +7,7 @@
 //! like the pre-barrier consonant — which is why the *audio* domain
 //! cannot carry the defense.
 
+use crate::report::Row;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use thrubarrier_acoustics::loudspeaker::Loudspeaker;
@@ -14,7 +15,7 @@ use thrubarrier_acoustics::mic::Microphone;
 use thrubarrier_acoustics::propagation::speech_gain_for_spl;
 use thrubarrier_acoustics::room::{Room, RoomId};
 use thrubarrier_acoustics::scene::AcousticPath;
-use thrubarrier_dsp::fft;
+use thrubarrier_dsp::{fft, AudioBuffer};
 use thrubarrier_phoneme::corpus::{phoneme_samples, speaker_panel};
 use thrubarrier_phoneme::inventory::Inventory;
 use thrubarrier_phoneme::synth::Synthesizer;
@@ -68,7 +69,9 @@ impl MagnitudeCurves {
     }
 }
 
-fn band_mean(freqs: &[f32], mags: &[f32], lo: f32, hi: f32) -> f32 {
+/// Mean of `mags` over the bins whose frequency lies in `[lo, hi)` Hz
+/// (0 for an empty band).
+pub(crate) fn band_mean(freqs: &[f32], mags: &[f32], lo: f32, hi: f32) -> f32 {
     let vals: Vec<f32> = freqs
         .iter()
         .zip(mags)
@@ -87,6 +90,8 @@ fn band_mean(freqs: &[f32], mags: &[f32], lo: f32, hi: f32) -> f32 {
 pub struct BarrierEffectStudy {
     /// One curve pair per requested phoneme.
     pub curves: Vec<MagnitudeCurves>,
+    /// Master seed of the run.
+    pub seed: u64,
 }
 
 /// Runs the Fig. 3 experiment (audio domain).
@@ -96,9 +101,6 @@ pub fn run(cfg: &BarrierEffectConfig) -> BarrierEffectStudy {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let panel = speaker_panel(5, 5, &mut rng);
     let synth = Synthesizer::new(fs);
-    let room = Room::paper_room(RoomId::A);
-    let mic = Microphone::wearable();
-    let speaker_device = Loudspeaker::sound_bar();
     let gain = speech_gain_for_spl(cfg.spl_db);
     let curves = cfg
         .phonemes
@@ -110,23 +112,7 @@ pub fn run(cfg: &BarrierEffectConfig) -> BarrierEffectStudy {
             let mut after_acc = vec![0.0f32; n_fft / 2 + 1];
             for sound in &sounds {
                 let calibrated: Vec<f32> = sound.iter().map(|&x| x * gain).collect();
-                // "Before" microphone: in front of the barrier.
-                let before_path = AcousticPath {
-                    room: room.clone(),
-                    through_barrier: false,
-                    distance_m: 0.5,
-                    loudspeaker: Some(speaker_device),
-                    render: Default::default(),
-                };
-                let after_path = AcousticPath {
-                    room: room.clone(),
-                    through_barrier: true,
-                    distance_m: 2.0,
-                    loudspeaker: Some(speaker_device),
-                    render: Default::default(),
-                };
-                let before = before_path.record(&calibrated, fs, &mic, &mut rng);
-                let after = after_path.record(&calibrated, fs, &mic, &mut rng);
+                let (before, after) = record_before_after(&calibrated, &mut rng);
                 accumulate_padded_magnitude(&mut before_acc, before.samples(), n_fft);
                 accumulate_padded_magnitude(&mut after_acc, after.samples(), n_fft);
             }
@@ -142,7 +128,26 @@ pub fn run(cfg: &BarrierEffectConfig) -> BarrierEffectStudy {
             }
         })
         .collect();
-    BarrierEffectStudy { curves }
+    BarrierEffectStudy {
+        curves,
+        seed: cfg.seed,
+    }
+}
+
+/// Records `source` with the wearable's microphone 0.5 m in front of
+/// room A's barrier ("before") and 2 m behind it ("after"), both played
+/// through the sound bar.
+pub(crate) fn record_before_after(source: &[f32], rng: &mut StdRng) -> (AudioBuffer, AudioBuffer) {
+    let after =
+        AcousticPath::thru_barrier(Room::paper_room(RoomId::A), 2.0, Loudspeaker::sound_bar());
+    let before = AcousticPath {
+        through_barrier: false,
+        distance_m: 0.5,
+        ..after.clone()
+    };
+    let mic = Microphone::wearable();
+    let before = before.record(source, 16_000, &mic, rng);
+    (before, after.record(source, 16_000, &mic, rng))
 }
 
 fn accumulate_padded_magnitude(acc: &mut [f32], signal: &[f32], n_fft: usize) {
@@ -159,39 +164,25 @@ fn accumulate_padded_magnitude(acc: &mut [f32], signal: &[f32], n_fft: usize) {
 }
 
 impl BarrierEffectStudy {
-    /// Renders band summaries plus a coarse curve table.
-    pub fn render_text(&self) -> String {
-        let mut out = String::from("Fig. 3 — audio-domain FFT magnitude before/after barrier\n");
+    /// One row pair (before/after barrier) of mean magnitude per band
+    /// and phoneme: the 0.05–0.5 and 0.5–3 kHz summary bands, then
+    /// 500 Hz bands from 0 to 3 kHz.
+    pub fn rows(&self) -> Vec<Row> {
+        let bands = [(50.0, 500.0), (500.0, 3_000.0)].into_iter().chain(
+            (0..3_000)
+                .step_by(500)
+                .map(|f| (f as f32, f as f32 + 500.0)),
+        );
+        let mut rows = Vec::new();
         for c in &self.curves {
-            out.push_str(&format!(
-                "/{}/: <500 Hz before {:.4} after {:.4}  |  0.5-3 kHz before {:.4} after {:.4}\n",
-                c.symbol,
-                c.before_band_mean(50.0, 500.0),
-                c.after_band_mean(50.0, 500.0),
-                c.before_band_mean(500.0, 3_000.0),
-                c.after_band_mean(500.0, 3_000.0),
-            ));
-            out.push_str("  f(Hz):  ");
-            for f in (0..3_000).step_by(500) {
-                out.push_str(&format!("{f:>8}"));
+            for (lo, hi) in bands.clone() {
+                let condition = format!("/{}/ {}–{} kHz", c.symbol, lo / 1e3, hi / 1e3);
+                let row = |method| Row::new("fig3", self.seed, condition.clone(), method);
+                rows.push(row("before barrier").metric("magnitude", c.before_band_mean(lo, hi)));
+                rows.push(row("after barrier").metric("magnitude", c.after_band_mean(lo, hi)));
             }
-            out.push_str("\n  before:");
-            for f in (0..3_000).step_by(500) {
-                out.push_str(&format!(
-                    "{:>9.4}",
-                    c.before_band_mean(f as f32, f as f32 + 500.0)
-                ));
-            }
-            out.push_str("\n  after: ");
-            for f in (0..3_000).step_by(500) {
-                out.push_str(&format!(
-                    "{:>9.4}",
-                    c.after_band_mean(f as f32, f as f32 + 500.0)
-                ));
-            }
-            out.push('\n');
         }
-        out
+        rows
     }
 }
 
@@ -253,9 +244,9 @@ mod tests {
     }
 
     #[test]
-    fn render_contains_both_phonemes() {
-        let text = quick().render_text();
-        assert!(text.contains("/ae/"));
-        assert!(text.contains("/v/"));
+    fn rows_cover_both_phonemes() {
+        let rows = quick().rows();
+        assert!(rows.iter().any(|r| r.condition.starts_with("/ae/")));
+        assert!(rows.iter().any(|r| r.condition.starts_with("/v/")));
     }
 }

@@ -7,14 +7,11 @@
 //! and aliases in the high-frequency band only the *user-side* sound
 //! still has.
 
-use crate::experiments::fig3::{BarrierEffectConfig, MagnitudeCurves};
+use crate::experiments::fig3::{record_before_after, BarrierEffectConfig, MagnitudeCurves};
+use crate::report::Row;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use thrubarrier_acoustics::loudspeaker::Loudspeaker;
-use thrubarrier_acoustics::mic::Microphone;
 use thrubarrier_acoustics::propagation::speech_gain_for_spl;
-use thrubarrier_acoustics::room::{Room, RoomId};
-use thrubarrier_acoustics::scene::AcousticPath;
 use thrubarrier_defense::selection::vibration_magnitude_spectrum;
 use thrubarrier_phoneme::corpus::{phoneme_samples, speaker_panel};
 use thrubarrier_phoneme::inventory::Inventory;
@@ -26,6 +23,8 @@ use thrubarrier_vibration::Wearable;
 pub struct VibrationEffectStudy {
     /// One curve pair per phoneme (frequency axis: 0–100 Hz).
     pub curves: Vec<MagnitudeCurves>,
+    /// Master seed of the run.
+    pub seed: u64,
 }
 
 /// Runs the Fig. 4 experiment (vibration domain, Fossil Gen 5).
@@ -36,9 +35,6 @@ pub fn run(cfg: &BarrierEffectConfig) -> VibrationEffectStudy {
     let panel = speaker_panel(5, 5, &mut rng);
     let synth = Synthesizer::new(fs);
     let wearable = Wearable::fossil_gen_5();
-    let room = Room::paper_room(RoomId::A);
-    let mic = Microphone::wearable();
-    let speaker_device = Loudspeaker::sound_bar();
     let gain = speech_gain_for_spl(cfg.spl_db);
     let min_samples = (0.32 * fs as f32) as usize;
     let curves = cfg
@@ -55,22 +51,7 @@ pub fn run(cfg: &BarrierEffectConfig) -> VibrationEffectStudy {
                     seg.extend_from_slice(s);
                 }
                 let calibrated: Vec<f32> = seg.iter().map(|&x| x * gain).collect();
-                let before_path = AcousticPath {
-                    room: room.clone(),
-                    through_barrier: false,
-                    distance_m: 0.5,
-                    loudspeaker: Some(speaker_device),
-                    render: Default::default(),
-                };
-                let after_path = AcousticPath {
-                    room: room.clone(),
-                    through_barrier: true,
-                    distance_m: 2.0,
-                    loudspeaker: Some(speaker_device),
-                    render: Default::default(),
-                };
-                let before = before_path.record(&calibrated, fs, &mic, &mut rng);
-                let after = after_path.record(&calibrated, fs, &mic, &mut rng);
+                let (before, after) = record_before_after(&calibrated, &mut rng);
                 let vib_before = wearable.convert(before.samples(), fs, &mut rng);
                 let vib_after = wearable.convert(after.samples(), fs, &mut rng);
                 for (a, m) in before_acc
@@ -99,57 +80,47 @@ pub fn run(cfg: &BarrierEffectConfig) -> VibrationEffectStudy {
             }
         })
         .collect();
-    VibrationEffectStudy { curves }
+    VibrationEffectStudy {
+        curves,
+        seed: cfg.seed,
+    }
 }
 
 impl VibrationEffectStudy {
-    /// Renders the 20–80 Hz band the paper plots.
-    pub fn render_text(&self) -> String {
-        let mut out =
-            String::from("Fig. 4 — vibration-domain FFT magnitude before/after barrier\n");
+    /// One row pair (before/after barrier) of magnitude per phoneme
+    /// and every other bin of the 20–80 Hz band the paper plots.
+    pub fn rows(&self) -> Vec<Row> {
+        let mut rows = Vec::new();
         for c in &self.curves {
-            out.push_str(&format!("/{}/:\n  f(Hz): ", c.symbol));
             for (b, f) in c.frequencies.iter().enumerate() {
-                if (20.0..=80.0).contains(f) && b % 2 == 0 {
-                    out.push_str(&format!("{f:>8.1}"));
+                if !(20.0..=80.0).contains(f) || b % 2 == 1 {
+                    continue;
                 }
+                let condition = format!("/{}/ {f} Hz", c.symbol);
+                let row = |method| Row::new("fig4", self.seed, condition.clone(), method);
+                rows.push(row("before barrier").metric("magnitude", c.before[b]));
+                rows.push(row("after barrier").metric("magnitude", c.after[b]));
             }
-            out.push_str("\n  before:");
-            for (b, f) in c.frequencies.iter().enumerate() {
-                if (20.0..=80.0).contains(f) && b % 2 == 0 {
-                    out.push_str(&format!("{:>8.4}", c.before[b]));
-                }
-            }
-            out.push_str("\n  after: ");
-            for (b, f) in c.frequencies.iter().enumerate() {
-                if (20.0..=80.0).contains(f) && b % 2 == 0 {
-                    out.push_str(&format!("{:>8.4}", c.after[b]));
-                }
-            }
-            out.push('\n');
         }
-        out
-    }
-
-    /// Mean 20–80 Hz magnitude of a curve (`before = true` selects the
-    /// no-barrier condition).
-    pub fn band_mean(&self, symbol: &str, before: bool) -> f32 {
-        let c = self
-            .curves
-            .iter()
-            .find(|c| c.symbol == symbol)
-            .expect("phoneme present");
-        if before {
-            c.before_band_mean(20.0, 80.0)
-        } else {
-            c.after_band_mean(20.0, 80.0)
-        }
+        rows
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Mean 20–80 Hz magnitude of a curve (`before = true` selects the
+    /// no-barrier condition).
+    fn band_mean(study: &VibrationEffectStudy, symbol: &str, before: bool) -> f32 {
+        let c = study.curves.iter().find(|c| c.symbol == symbol);
+        let c = c.expect("phoneme present");
+        if before {
+            c.before_band_mean(20.0, 80.0)
+        } else {
+            c.after_band_mean(20.0, 80.0)
+        }
+    }
 
     fn quick() -> VibrationEffectStudy {
         run(&BarrierEffectConfig {
@@ -164,8 +135,8 @@ mod tests {
         // clearly WEAKER than /v/-before-barrier (they were confusable
         // in the audio domain).
         let study = quick();
-        let ae_after = study.band_mean("ae", false);
-        let v_before = study.band_mean("v", true);
+        let ae_after = band_mean(&study, "ae", false);
+        let v_before = band_mean(&study, "v", true);
         assert!(
             v_before > 1.5 * ae_after,
             "v-before {v_before} vs ae-after {ae_after}"
@@ -175,8 +146,8 @@ mod tests {
     #[test]
     fn conversion_suppresses_post_barrier_vowel() {
         let study = quick();
-        let ae_before = study.band_mean("ae", true);
-        let ae_after = study.band_mean("ae", false);
+        let ae_before = band_mean(&study, "ae", true);
+        let ae_after = band_mean(&study, "ae", false);
         assert!(
             ae_before > 3.0 * ae_after,
             "before {ae_before} after {ae_after}"
@@ -184,7 +155,9 @@ mod tests {
     }
 
     #[test]
-    fn render_mentions_frequencies() {
-        assert!(quick().render_text().contains("f(Hz)"));
+    fn rows_name_their_frequency_bins() {
+        let rows = quick().rows();
+        assert!(!rows.is_empty());
+        assert!(rows.iter().all(|r| r.condition.ends_with(" Hz")));
     }
 }

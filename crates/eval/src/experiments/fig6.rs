@@ -5,6 +5,7 @@
 //! post-barrier curve must stay entirely *below* α (Criterion I) and the
 //! no-barrier curve entirely *above* it (Criterion II).
 
+use crate::report::Row;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use thrubarrier_defense::selection::{run_selection, PhonemeStats, SelectionConfig};
@@ -41,6 +42,8 @@ pub struct CriteriaDemo {
     pub frequencies: Vec<f32>,
     /// The threshold α.
     pub alpha: f32,
+    /// Master seed of the run.
+    pub seed: u64,
 }
 
 /// Runs the Fig. 6 demonstration.
@@ -60,31 +63,31 @@ pub fn run(cfg: &CriteriaDemoConfig) -> CriteriaDemo {
         stats,
         frequencies: selection.bin_frequencies,
         alpha: selection.alpha,
+        seed: cfg.seed,
     }
 }
 
 impl CriteriaDemo {
-    /// Renders the two Q3 curves against α.
-    pub fn render_text(&self) -> String {
-        let mut out = format!(
-            "Fig. 6 — Q3 vibration FFT magnitude of /{}/ vs alpha = {}\n",
-            self.stats.symbol, self.alpha
-        );
-        out.push_str("  f(Hz)    with barrier   without barrier\n");
+    /// One row pair of Q3 magnitude per other bin from 6 Hz up (after
+    /// barrier = the adversary side, before barrier = the user side),
+    /// then α and the two criteria (1 = passed).
+    pub fn rows(&self) -> Vec<Row> {
+        let symbol = self.stats.symbol;
+        let mut rows = Vec::new();
         for (b, f) in self.frequencies.iter().enumerate() {
             if *f < 6.0 || b % 2 == 1 {
                 continue; // skip the artifact band and thin the table
             }
-            out.push_str(&format!(
-                "  {f:>6.2}   {:>12.5}   {:>15.5}\n",
-                self.stats.q3_adv[b], self.stats.q3_user[b]
-            ));
+            let condition = format!("/{symbol}/ {f} Hz");
+            let row = |method| Row::new("fig6", self.seed, condition.clone(), method);
+            rows.push(row("after barrier").metric("q3", self.stats.q3_adv[b]));
+            rows.push(row("before barrier").metric("q3", self.stats.q3_user[b]));
         }
-        out.push_str(&format!(
-            "criterion I (max adv < alpha): {}\ncriterion II (min user > alpha): {}\n",
-            self.stats.passes_criterion_1, self.stats.passes_criterion_2
-        ));
-        out
+        let criteria = Row::new("fig6", self.seed, format!("/{symbol}/ criteria"), "");
+        rows.push(criteria.metric("alpha", self.alpha));
+        rows.push(criteria.metric("criterion_1", u8::from(self.stats.passes_criterion_1)));
+        rows.push(criteria.metric("criterion_2", u8::from(self.stats.passes_criterion_2)));
+        rows
     }
 }
 
@@ -101,7 +104,10 @@ mod tests {
         assert!(demo.stats.passes_criterion_1, "criterion I");
         assert!(demo.stats.passes_criterion_2, "criterion II");
         assert!((demo.alpha - 0.015).abs() < 1e-6);
-        let text = demo.render_text();
-        assert!(text.contains("/er/"));
+        let rows = demo.rows();
+        assert!(rows.iter().all(|r| r.condition.starts_with("/er/")));
+        assert!(rows
+            .iter()
+            .any(|r| r.metric == "criterion_1" && r.value == 1.0));
     }
 }

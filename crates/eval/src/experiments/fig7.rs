@@ -2,6 +2,8 @@
 //! 500–2500 Hz audio chirp — the strong 0–5 Hz sensitivity artifact that
 //! motivates the spectrogram crop.
 
+use crate::experiments::fig3::band_mean;
+use crate::report::Row;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use thrubarrier_vibration::chirp::{chirp_response, ChirpResponse};
@@ -39,6 +41,8 @@ impl Default for ChirpStudyConfig {
 pub struct ChirpStudy {
     /// The captured response.
     pub response: ChirpResponse,
+    /// Master seed of the run.
+    pub seed: u64,
 }
 
 /// Runs the Fig. 7 experiment on a Fossil Gen 5.
@@ -53,23 +57,30 @@ pub fn run(cfg: &ChirpStudyConfig) -> ChirpStudy {
         cfg.amplitude,
         &mut rng,
     );
-    ChirpStudy { response }
+    ChirpStudy {
+        response,
+        seed: cfg.seed,
+    }
 }
 
 impl ChirpStudy {
-    /// Renders the band powers and a per-band spectrogram summary.
-    pub fn render_text(&self) -> String {
+    /// Rows of the response's mean band power (0–5 and 5–100 Hz) and
+    /// their ratio, then the spectrogram's mean power per band.
+    pub fn rows(&self) -> Vec<Row> {
         let r = &self.response;
-        let mut out = format!(
-            "Fig. 7 — accelerometer response to a 500-2500 Hz chirp\n\
-             mean power 0-5 Hz: {:.6}\nmean power 5-100 Hz: {:.6}\nratio: {:.1}x\n",
-            r.low_band_power,
-            r.rest_band_power,
-            r.low_band_power / r.rest_band_power.max(1e-12)
-        );
-        out.push_str("per-band mean power: ");
-        let spec = &r.spectrogram;
-        let mean = spec.mean_per_bin();
+        let row = |condition: &str| Row::new("fig7", self.seed, condition, "");
+        let mut rows = vec![
+            row("0–5 Hz").metric("power", r.low_band_power),
+            row("5–100 Hz").metric("power", r.rest_band_power),
+            row("0–5 Hz over 5–100 Hz").metric(
+                "power_ratio",
+                r.low_band_power / r.rest_band_power.max(1e-12),
+            ),
+        ];
+        let mean = r.spectrogram.mean_per_bin();
+        let freqs: Vec<f32> = (0..mean.len())
+            .map(|b| r.spectrogram.bin_frequency(b))
+            .collect();
         for (lo, hi) in [
             (0.0, 5.0),
             (5.0, 25.0),
@@ -77,20 +88,10 @@ impl ChirpStudy {
             (50.0, 75.0),
             (75.0, 100.1),
         ] {
-            let vals: Vec<f32> = mean
-                .iter()
-                .enumerate()
-                .filter(|(b, _)| {
-                    let f = spec.bin_frequency(*b);
-                    f >= lo && f < hi
-                })
-                .map(|(_, &v)| v)
-                .collect();
-            let avg = vals.iter().sum::<f32>() / vals.len().max(1) as f32;
-            out.push_str(&format!("[{lo:.0}-{hi:.0} Hz]={avg:.6} "));
+            let avg = band_mean(&freqs, &mean, lo, hi);
+            rows.push(row(&format!("{lo:.0}–{hi:.0} Hz")).metric("spectrogram_power", avg));
         }
-        out.push('\n');
-        out
+        rows
     }
 }
 
@@ -107,6 +108,6 @@ mod tests {
             study.response.low_band_power,
             study.response.rest_band_power
         );
-        assert!(study.render_text().contains("ratio"));
+        assert!(study.rows().iter().any(|r| r.metric == "power_ratio"));
     }
 }

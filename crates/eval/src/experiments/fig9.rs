@@ -9,8 +9,9 @@
 //! | synthesis (9c) | 0.662 | 0.830 | 0.990 | 3.9 % |
 //! | hidden (10) | 0.742 | 0.883 | 1.000 | 6 %  |
 
-use crate::experiments::common::{pct, scaled, standard_settings};
+use crate::experiments::common::{scaled, standard_settings};
 use crate::metrics::DetectionMetrics;
+use crate::report::Row;
 use crate::runner::{Runner, RunnerConfig, SelectorChoice};
 use thrubarrier_attack::AttackKind;
 use thrubarrier_defense::DefenseMethod;
@@ -70,6 +71,8 @@ pub struct DetectionStudy {
     pub n_legitimate: usize,
     /// Number of attack trials scored per kind.
     pub n_attacks_per_kind: usize,
+    /// Master seed of the run.
+    pub seed: u64,
 }
 
 /// Runs the Fig. 9 / Fig. 10 experiment.
@@ -108,55 +111,36 @@ pub fn run(cfg: &DetectionStudyConfig) -> DetectionStudy {
         rows,
         n_legitimate,
         n_attacks_per_kind: attacks_per_kind,
+        seed: cfg.seed,
     }
 }
 
 impl DetectionStudy {
-    /// Metrics of one attack/method cell.
-    pub fn metrics(&self, attack: AttackKind, method: DefenseMethod) -> Option<&DetectionMetrics> {
-        self.rows
-            .iter()
-            .find(|r| r.attack == attack)?
-            .methods
-            .iter()
-            .find(|(m, _)| *m == method)
-            .map(|(_, metrics)| metrics)
-    }
-
-    /// Renders the figure data as text (one block per attack kind).
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "Detection study: {} legitimate trials, {} attacks per kind\n",
-            self.n_legitimate, self.n_attacks_per_kind
-        ));
+    /// `auc` and `eer` rows per attack kind and method, plus the full
+    /// method's 11-point ROC sketch as `tdr@t`/`fdr@t` at thresholds
+    /// 0.0, 0.1, …, 1.0. Hidden-voice rows belong to `fig10`, the other
+    /// kinds to `fig9`.
+    pub fn rows(&self) -> Vec<Row> {
+        let mut rows = Vec::new();
         for row in &self.rows {
-            let fig = match row.attack {
-                AttackKind::Random => "Fig. 9a",
-                AttackKind::Replay => "Fig. 9b",
-                AttackKind::VoiceSynthesis => "Fig. 9c",
-                AttackKind::HiddenVoice => "Fig. 10",
+            let experiment = match row.attack {
+                AttackKind::HiddenVoice => "fig10",
+                _ => "fig9",
             };
-            out.push_str(&format!("\n{fig} — {}:\n", row.attack));
             for (method, m) in &row.methods {
-                out.push_str(&format!(
-                    "  {:<28} AUC {:.3}   EER {}\n",
-                    method.label(),
-                    m.auc,
-                    pct(m.eer)
-                ));
-            }
-            // A 11-point ROC sketch for the full system.
-            if let Some((_, m)) = row.methods.iter().find(|(m, _)| *m == DefenseMethod::Full) {
-                out.push_str("  ROC (full system), FDR -> TDR: ");
-                for i in (0..=10).map(|i| i * 10) {
-                    let p = &m.roc.points[i];
-                    out.push_str(&format!("({:.2},{:.2}) ", p.fdr, p.tdr));
+                let base = Row::new(experiment, self.seed, row.attack.name(), method.label())
+                    .trials(self.n_legitimate, self.n_attacks_per_kind);
+                rows.push(base.metric("auc", m.auc));
+                rows.push(base.metric("eer", m.eer));
+                if *method == DefenseMethod::Full {
+                    for p in m.roc.points.iter().step_by(10) {
+                        rows.push(base.metric(format!("tdr@{:.2}", p.threshold), p.tdr));
+                        rows.push(base.metric(format!("fdr@{:.2}", p.threshold), p.fdr));
+                    }
                 }
-                out.push('\n');
             }
         }
-        out
+        rows
     }
 }
 
@@ -174,12 +158,20 @@ mod tests {
         };
         let study = run(&cfg);
         assert_eq!(study.rows.len(), 1);
-        let m = study
-            .metrics(AttackKind::Replay, DefenseMethod::Full)
+        let (_, m) = study.rows[0]
+            .methods
+            .iter()
+            .find(|(m, _)| *m == DefenseMethod::Full)
             .unwrap();
         assert!(m.auc > 0.5, "auc {}", m.auc);
-        let text = study.render_text();
-        assert!(text.contains("Fig. 9b"));
-        assert!(text.contains("AUC"));
+        let rows = study.rows();
+        assert!(rows.iter().all(|r| r.experiment == "fig9"));
+        assert!(rows
+            .iter()
+            .any(|r| r.metric == "auc" && r.method == DefenseMethod::Full.label()));
+        assert_eq!(
+            rows.iter().filter(|r| r.metric.starts_with("tdr@")).count(),
+            11
+        );
     }
 }

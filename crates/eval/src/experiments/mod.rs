@@ -1,9 +1,10 @@
 //! One driver per table/figure of the paper's evaluation.
 //!
-//! Every driver follows the same shape: a `*Config` with a `scale` knob
-//! (1.0 ≈ paper-scale trial counts; the defaults are smaller for laptop
-//! runtimes), a `run` function returning a structured result, and a
-//! `render_text` method producing the rows/series the paper reports.
+//! Every driver follows the same shape: a `*Config` with a seed (and a
+//! trial-count knob; the defaults are smaller than the paper's for
+//! laptop runtimes), a `run` function returning a structured result,
+//! and a `rows` method turning that result into [`crate::report::Row`]s
+//! — the one results record that `repro` prints and writes.
 
 pub mod ablation;
 pub mod architectures;

@@ -12,6 +12,7 @@
 //! legitimate commands whose phonemes are inherently low-frequency.
 
 use crate::metrics::DetectionMetrics;
+use crate::report::Row;
 use crate::scenario::TrialContext;
 use thrubarrier_attack::AttackKind;
 use thrubarrier_dsp::features::high_band_energy_ratio;
@@ -49,6 +50,10 @@ pub struct NaiveBaselineStudy {
     /// The lowest-scoring legitimate trials' ratios (the false-detection
     /// tail the paper warns about).
     pub legit_low_tail: Vec<f32>,
+    /// Trials per class.
+    pub trials: usize,
+    /// Master seed of the run.
+    pub seed: u64,
 }
 
 /// Runs the naive-detector study on replay attacks.
@@ -81,28 +86,32 @@ pub fn run(cfg: &NaiveBaselineConfig) -> NaiveBaselineStudy {
         legit_mean_ratio: mean(&legit),
         attack_mean_ratio: mean(&attack),
         legit_low_tail: sorted.into_iter().take(5).collect(),
+        trials: cfg.trials,
+        seed: cfg.seed,
     }
 }
 
 impl NaiveBaselineStudy {
-    /// Renders the study.
-    pub fn render_text(&self) -> String {
-        format!(
-            "Naive high-frequency-energy detector (paper Sec. I):\n\
-             mean >500 Hz energy share: legitimate {:.3}, attack {:.3}\n\
-             AUC {:.3}   EER {:.1}%\n\
-             lowest legitimate ratios (false-detection tail): {:?}\n\
-             The detector works on average but its EER is far above the\n\
-             full system's: low-frequency-heavy commands look like attacks.\n",
-            self.legit_mean_ratio,
-            self.attack_mean_ratio,
-            self.metrics.auc,
-            self.metrics.eer * 100.0,
-            self.legit_low_tail
-                .iter()
-                .map(|v| (v * 1000.0).round() / 1000.0)
-                .collect::<Vec<_>>()
-        )
+    /// The detector's `auc` and `eer` on replay attacks, then each
+    /// class's mean >500 Hz energy share and the legitimate low tail
+    /// (`lowest_1` is the lowest ratio).
+    pub fn rows(&self) -> Vec<Row> {
+        let row = |condition: &str, method: &str| {
+            Row::new("naive-baseline", self.seed, condition, method)
+        };
+        let detector =
+            row("replay attack", "high-band energy share").trials(self.trials, self.trials);
+        let legitimate = row("legitimate", "");
+        let mut rows = vec![
+            detector.metric("auc", self.metrics.auc),
+            detector.metric("eer", self.metrics.eer),
+            legitimate.metric("mean_high_band_share", self.legit_mean_ratio),
+        ];
+        for (i, v) in self.legit_low_tail.iter().enumerate() {
+            rows.push(legitimate.metric(format!("lowest_{}", i + 1), *v));
+        }
+        rows.push(row("attack", "").metric("mean_high_band_share", self.attack_mean_ratio));
+        rows
     }
 }
 
@@ -127,6 +136,7 @@ mod tests {
         // ...but the paper's point stands: it is not a usable defense
         // (the full system reaches a few percent; this does not).
         assert!(study.metrics.eer > 0.02, "eer {}", study.metrics.eer);
-        assert!(study.render_text().contains("AUC"));
+        let rows = study.rows();
+        assert!(rows.iter().any(|r| r.metric == "auc" && r.n_attack == 24));
     }
 }

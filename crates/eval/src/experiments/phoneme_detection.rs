@@ -1,6 +1,7 @@
 //! Sec. V-B study: BRNN phoneme-detection accuracy on phoneme segments
 //! that did / did not pass the barrier (paper: 94 % / 91 %).
 
+use crate::report::Row;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
@@ -56,6 +57,8 @@ pub struct DetectionAccuracy {
     pub n_segments: usize,
     /// Number of phonemes the detector treats as sensitive.
     pub n_sensitive: usize,
+    /// Master seed of the run.
+    pub seed: u64,
 }
 
 /// Runs the study: trains the BRNN as the pipeline does, then classifies
@@ -85,9 +88,13 @@ pub fn run(cfg: &DetectionAccuracyConfig) -> DetectionAccuracy {
     let detector = PhonemeDetector::train(&sensitive, &corpus, &train_cfg, &mut rng);
 
     // Evaluate on propagated phoneme segments.
-    let room = Room::paper_room(RoomId::A);
     let mic = Microphone::wearable();
-    let speaker_device = Loudspeaker::sound_bar();
+    let barrier_path =
+        AcousticPath::thru_barrier(Room::paper_room(RoomId::A), 2.0, Loudspeaker::sound_bar());
+    let clear_path = AcousticPath {
+        through_barrier: false,
+        ..barrier_path.clone()
+    };
     let gain = speech_gain_for_spl(75.0);
     let mut n = 0usize;
     let mut correct_clear = 0usize;
@@ -97,22 +104,6 @@ pub fn run(cfg: &DetectionAccuracyConfig) -> DetectionAccuracy {
         let sounds = phoneme_samples(&synth, common.id, cfg.samples_per_phoneme, &panel, &mut rng);
         for s in &sounds {
             let calibrated: Vec<f32> = s.iter().map(|&x| x * gain).collect();
-            // The paper drops segments whose recorded magnitude is too
-            // low to trigger the VA at all.
-            let clear_path = AcousticPath {
-                room: room.clone(),
-                through_barrier: false,
-                distance_m: 2.0,
-                loudspeaker: Some(speaker_device),
-                render: Default::default(),
-            };
-            let barrier_path = AcousticPath {
-                room: room.clone(),
-                through_barrier: true,
-                distance_m: 2.0,
-                loudspeaker: Some(speaker_device),
-                render: Default::default(),
-            };
             let clear = clear_path.record(&calibrated, fs, &mic, &mut rng);
             let through = barrier_path.record(&calibrated, fs, &mic, &mut rng);
             n += 1;
@@ -129,6 +120,7 @@ pub fn run(cfg: &DetectionAccuracyConfig) -> DetectionAccuracy {
         accuracy_barrier: correct_barrier as f32 / n.max(1) as f32,
         n_segments: n,
         n_sensitive: sensitive.len(),
+        seed: cfg.seed,
     }
 }
 
@@ -142,17 +134,21 @@ fn classify_segment(detector: &PhonemeDetector, audio: &[f32]) -> bool {
 }
 
 impl DetectionAccuracy {
-    /// Renders the study summary.
-    pub fn render_text(&self) -> String {
-        format!(
-            "Phoneme detection accuracy (Sec. V-B; paper: 94% clear / 91% barrier)\n\
-             segments per condition: {}\nsensitive phonemes: {}\n\
-             accuracy without barrier: {:.1}%\naccuracy through barrier:  {:.1}%\n",
-            self.n_segments,
-            self.n_sensitive,
-            self.accuracy_clear * 100.0,
-            self.accuracy_barrier * 100.0
-        )
+    /// Segment `accuracy` and `segments` without and through the
+    /// barrier, then the number of phonemes the detector treats as
+    /// sensitive.
+    pub fn rows(&self) -> Vec<Row> {
+        let row = |condition: &str| Row::new("phoneme-detection", self.seed, condition, "");
+        let mut rows = Vec::new();
+        for (condition, accuracy) in [
+            ("without barrier", self.accuracy_clear),
+            ("through barrier", self.accuracy_barrier),
+        ] {
+            rows.push(row(condition).metric("accuracy", accuracy));
+            rows.push(row(condition).metric("segments", self.n_segments as f64));
+        }
+        rows.push(row("label set").metric("sensitive_phonemes", self.n_sensitive as f64));
+        rows
     }
 }
 
@@ -179,6 +175,7 @@ mod tests {
             "barrier {}",
             result.accuracy_barrier
         );
-        assert!(result.render_text().contains("accuracy"));
+        let rows = result.rows();
+        assert_eq!(rows.iter().filter(|r| r.metric == "accuracy").count(), 2);
     }
 }

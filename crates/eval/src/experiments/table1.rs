@@ -7,6 +7,7 @@
 //! (speaker verification rejects unknown voices — the paper marks them
 //! "-"), and the hidden-voice row exists only for Google Home.
 
+use crate::report::Row;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use thrubarrier_acoustics::barrier::BarrierMaterial;
@@ -66,6 +67,8 @@ pub struct AttackStudy {
     pub attempts: usize,
     /// SPL levels evaluated.
     pub spl_levels: Vec<f32>,
+    /// Master seed of the run.
+    pub seed: u64,
 }
 
 /// Runs the Table I study.
@@ -171,68 +174,47 @@ pub fn run(cfg: &AttackStudyConfig) -> AttackStudy {
         cells,
         attempts: cfg.attempts,
         spl_levels: cfg.spl_levels.clone(),
+        seed: cfg.seed,
     }
 }
 
 impl AttackStudy {
-    /// Looks up one cell.
-    pub fn cell(
-        &self,
-        device: VaModel,
-        barrier: BarrierMaterial,
-        attack: AttackKind,
-    ) -> Option<&AttackCell> {
-        self.cells
-            .iter()
-            .find(|c| c.device == device && c.barrier == barrier && c.attack == attack)
-    }
-
-    /// Renders Table I.
-    pub fn render_text(&self) -> String {
-        let mut out = format!(
-            "Table I — attack success out of {} attempts ({})\n",
-            self.attempts,
-            self.spl_levels
-                .iter()
-                .map(|s| format!("{s:.0} dB"))
-                .collect::<Vec<_>>()
-                .join("; ")
-        );
-        for model in VaModel::all() {
-            out.push_str(&format!(
-                "\n{} (wake word: \"{}\")\n",
-                model.name(),
-                model.wake_word()
-            ));
-            for barrier in [BarrierMaterial::GlassWindow, BarrierMaterial::WoodenDoor] {
-                out.push_str(&format!("  {}:\n", barrier.name()));
-                for attack in AttackKind::all() {
-                    if let Some(cell) = self.cell(model, barrier, attack) {
-                        let counts = cell
-                            .successes
-                            .iter()
-                            .map(|s| format!("{s}/{}", self.attempts))
-                            .collect::<Vec<_>>()
-                            .join("; ");
-                        if cell.in_paper {
-                            out.push_str(&format!("    {:<24} {counts}\n", attack.name()));
-                        } else {
-                            out.push_str(&format!(
-                                "    {:<24} -  (measured: {counts})\n",
-                                attack.name()
-                            ));
-                        }
-                    }
-                }
+    /// One row per cell: its success count at each SPL level and
+    /// `in_paper` (0 where the paper prints "-").
+    pub fn rows(&self) -> Vec<Row> {
+        let mut rows = Vec::new();
+        for cell in &self.cells {
+            let condition = format!(
+                "{}, {}, {}",
+                cell.device.name(),
+                cell.barrier.name(),
+                cell.attack.name()
+            );
+            let base = Row::new("table1", self.seed, condition, "").trials(0, self.attempts);
+            for (spl, &hits) in self.spl_levels.iter().zip(&cell.successes) {
+                rows.push(base.metric(format!("successes@{spl:.0}dB"), hits as f64));
             }
+            rows.push(base.metric("in_paper", u8::from(cell.in_paper)));
         }
-        out
+        rows
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn cell(
+        study: &AttackStudy,
+        device: VaModel,
+        barrier: BarrierMaterial,
+        attack: AttackKind,
+    ) -> &AttackCell {
+        let mut cells = study.cells.iter();
+        let found =
+            cells.find(|c| c.device == device && c.barrier == barrier && c.attack == attack);
+        found.expect("cell present")
+    }
 
     fn quick() -> AttackStudy {
         run(&AttackStudyConfig {
@@ -287,12 +269,8 @@ mod tests {
         // Speaker verification rejects the adversary's own voice.
         let study = quick();
         for barrier in [BarrierMaterial::GlassWindow, BarrierMaterial::WoodenDoor] {
-            let random = study
-                .cell(VaModel::MacBookPro, barrier, AttackKind::Random)
-                .unwrap();
-            let replay = study
-                .cell(VaModel::MacBookPro, barrier, AttackKind::Replay)
-                .unwrap();
+            let random = cell(&study, VaModel::MacBookPro, barrier, AttackKind::Random);
+            let replay = cell(&study, VaModel::MacBookPro, barrier, AttackKind::Replay);
             assert!(
                 replay.successes.iter().sum::<usize>() >= random.successes.iter().sum::<usize>()
             );
@@ -301,9 +279,11 @@ mod tests {
     }
 
     #[test]
-    fn render_marks_untested_cells() {
-        let text = quick().render_text();
-        assert!(text.contains("-  (measured"));
-        assert!(text.contains("Google Home"));
+    fn rows_mark_untested_cells() {
+        let rows = quick().rows();
+        assert!(rows
+            .iter()
+            .any(|r| r.metric == "in_paper" && r.value == 0.0));
+        assert!(rows.iter().any(|r| r.condition.starts_with("Google Home")));
     }
 }

@@ -2,6 +2,7 @@
 //! them the offline screening marks barrier-effect sensitive (31 in the
 //! paper; /s/, /z/ and the over-loud /aa/, /ao/ named as rejected).
 
+use crate::report::Row;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use thrubarrier_defense::selection::{run_selection, PhonemeSelection, SelectionConfig};
@@ -32,6 +33,8 @@ impl Default for SelectionStudyConfig {
 pub struct SelectionStudy {
     /// The full selection result (Q3 curves, criteria).
     pub selection: PhonemeSelection,
+    /// Master seed of the run.
+    pub seed: u64,
 }
 
 /// Runs the selection with the paper's setup (5 male + 5 female
@@ -44,36 +47,29 @@ pub fn run(cfg: &SelectionStudyConfig) -> SelectionStudy {
         ..Default::default()
     };
     let selection = run_selection(&sel_cfg, &Wearable::fossil_gen_5(), &panel, &mut rng);
-    SelectionStudy { selection }
+    SelectionStudy {
+        selection,
+        seed: cfg.seed,
+    }
 }
 
 impl SelectionStudy {
-    /// Renders Table II: symbol, count, and `*` markers on the selected
-    /// (bold in the paper) phonemes.
-    pub fn render_text(&self) -> String {
+    /// One row per common phoneme: `selected` (1 for the bold,
+    /// barrier-sensitive ones) and its appearance `count`; then a
+    /// `total` row with the number `selected` out of `phonemes`.
+    pub fn rows(&self) -> Vec<Row> {
         let commons = common_phonemes();
-        let selected: std::collections::HashSet<&str> =
-            self.selection.selected_symbols().into_iter().collect();
-        let mut out =
-            String::from("Table II — common phonemes (*(bold) = selected barrier-sensitive)\n");
-        for row in commons.chunks(6) {
-            for c in row {
-                let mark = if selected.contains(c.symbol) {
-                    "*"
-                } else {
-                    " "
-                };
-                out.push_str(&format!("{mark}{:<4}{:>4}   ", c.symbol, c.count));
-            }
-            out.push('\n');
+        let selected = self.selection.selected_symbols();
+        let mut rows = Vec::new();
+        for c in &commons {
+            let base = Row::new("table2", self.seed, format!("/{}/", c.symbol), "");
+            rows.push(base.metric("selected", u8::from(selected.contains(&c.symbol))));
+            rows.push(base.metric("count", c.count));
         }
-        out.push_str(&format!(
-            "\nselected: {} of {}\nrejected: {}\n",
-            selected.len(),
-            commons.len(),
-            self.selection.rejected_symbols().join(", ")
-        ));
-        out
+        let total = Row::new("table2", self.seed, "total", "");
+        rows.push(total.metric("selected", selected.len() as f64));
+        rows.push(total.metric("phonemes", commons.len() as f64));
+        rows
     }
 }
 
@@ -99,7 +95,13 @@ mod tests {
                 "{must} not rejected: {rejected:?}"
             );
         }
-        let text = study.render_text();
-        assert!(text.contains("selected: 31 of 37"));
+        let rows = study.rows();
+        let total = |metric: &str| {
+            rows.iter()
+                .find(|r| r.condition == "total" && r.metric == metric)
+                .map(|r| r.value)
+        };
+        assert_eq!(total("selected"), Some(31.0));
+        assert_eq!(total("phonemes"), Some(37.0));
     }
 }

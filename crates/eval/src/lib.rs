@@ -11,8 +11,10 @@
 //! * [`experiments`] — drivers that regenerate **every table and figure**
 //!   of the paper's evaluation (Table I, Table II, Figs. 3, 4, 6, 7,
 //!   9a–c, 10, 11a–d, plus the Sec. V-B phoneme-detection accuracy
-//!   study). Each driver returns a structured result with a
-//!   plain-text rendering used by the `repro` binary.
+//!   study). Each driver returns a structured result that yields
+//!   [`report::Row`]s.
+//! * [`report`] — the results record: one row type, one text renderer
+//!   and one JSON-lines writer for every experiment.
 
 #![warn(missing_docs)]
 

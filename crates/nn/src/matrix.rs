@@ -1209,23 +1209,6 @@ impl Matrix {
         }
     }
 
-    /// Stacks matrices vertically (all must share a column count). Used
-    /// to assemble the fused `4H x I` gate layout from per-gate blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the blocks disagree on column count.
-    pub fn vstack(blocks: &[&Matrix]) -> Matrix {
-        let cols = blocks.first().map_or(0, |m| m.cols);
-        let rows = blocks.iter().map(|m| m.rows).sum();
-        let mut data = Vec::with_capacity(rows * cols);
-        for m in blocks {
-            assert_eq!(m.cols, cols, "vstack column mismatch");
-            data.extend_from_slice(&m.data);
-        }
-        Matrix { rows, cols, data }
-    }
-
     /// Sets all elements to zero.
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|v| *v = 0.0);
@@ -1468,24 +1451,6 @@ mod tests {
         let mut m = Matrix::from_rows(&[&[1.0], &[2.0]]);
         m.fill_zero();
         assert_eq!(m.data(), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn vstack_concatenates_rows() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let b = Matrix::from_rows(&[&[3.0, 4.0], &[5.0, 6.0]]);
-        let s = Matrix::vstack(&[&a, &b]);
-        assert_eq!(s.rows(), 3);
-        assert_eq!(s.cols(), 2);
-        assert_eq!(s.data(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "vstack column mismatch")]
-    fn vstack_rejects_mismatched_columns() {
-        let a = Matrix::zeros(1, 2);
-        let b = Matrix::zeros(1, 3);
-        Matrix::vstack(&[&a, &b]);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use super::metrics::Histogram;
 use std::cell::{Cell, RefCell};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -155,7 +156,8 @@ pub fn start_trace() {
 }
 
 /// Closes the trace window and renders the collected events as
-/// chrome://tracing JSON (load in `chrome://tracing` or Perfetto).
+/// chrome://tracing JSON (load in `chrome://tracing` or Perfetto). Only
+/// threads with an event in the window get a `thread_name` entry.
 ///
 /// Threads still running keep up to one unflushed buffer chunk; join
 /// workers before calling this (the exporters in this workspace do).
@@ -166,10 +168,16 @@ pub fn finish_trace() -> String {
         flush_into_sink(&mut buf.events);
     });
     let events = std::mem::take(&mut *trace_sink().lock().expect("obs trace sink poisoned"));
-    let labels = thread_labels()
+    // Name only the threads that recorded in this window: labels of
+    // threads that ended before it would be empty tracks.
+    let tids: HashSet<u32> = events.iter().map(|e| e.tid).collect();
+    let labels: Vec<(u32, String)> = thread_labels()
         .lock()
         .expect("obs thread labels poisoned")
-        .clone();
+        .iter()
+        .filter(|(tid, _)| tids.contains(tid))
+        .cloned()
+        .collect();
     super::export::chrome_trace_json(&events, &labels)
 }
 

@@ -191,6 +191,25 @@ fn trace_window_scopes_event_collection() {
     assert!(!obs::trace_active());
 }
 
+#[cfg(feature = "obs")]
+#[test]
+fn trace_names_only_threads_seen_in_its_window() {
+    let _x = exclusive();
+    obs::set_enabled(true);
+    // Labelled before the window opens, as `repro` labels its main thread.
+    obs::label_thread("test.window.main");
+    std::thread::spawn(|| obs::label_thread("test.window.ended_before"))
+        .join()
+        .unwrap();
+    obs::start_trace();
+    {
+        let _span = obs::span!("test.trace.window_main");
+    }
+    let trace = obs::finish_trace();
+    assert!(trace.contains("\"test.window.main\""), "{trace}");
+    assert!(!trace.contains("test.window.ended_before"), "{trace}");
+}
+
 #[test]
 fn reset_zeroes_registered_metrics() {
     let _x = exclusive();

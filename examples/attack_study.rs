@@ -6,6 +6,7 @@
 //! ```
 
 use thrubarrier::eval::experiments::table1::{run, AttackStudyConfig};
+use thrubarrier::eval::report;
 
 fn main() {
     let cfg = AttackStudyConfig {
@@ -13,7 +14,7 @@ fn main() {
         ..Default::default()
     };
     let study = run(&cfg);
-    println!("{}", study.render_text());
+    println!("{}", report::render(&study.rows()));
     println!(
         "Observations to compare with the paper:\n\
          - smart speakers (far-field mics) trigger far more easily than the iPhone;\n\
