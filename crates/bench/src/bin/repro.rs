@@ -178,7 +178,10 @@ fn run_experiment(name: &str, preset: &ReproPreset, seed: Option<u64>) -> Vec<Ro
         "table2" => {
             let mut cfg = table2::SelectionStudyConfig::default();
             cfg.seed = seed.unwrap_or(cfg.seed);
-            cfg.samples_per_phoneme = ((100.0 * preset.scale.max(0.12)) as usize).clamp(12, 100);
+            // Never below the study's own default (24): fewer segments
+            // per phoneme make the Q3 screen reject more phonemes.
+            cfg.samples_per_phoneme =
+                ((100.0 * preset.scale) as usize).clamp(cfg.samples_per_phoneme, 100);
             table2::run(&cfg).rows()
         }
         "fig3" | "fig4" => {

@@ -203,6 +203,9 @@ impl PhonemeDetector {
                 model.train_step(&batch, &train_cfg);
             }
         }
+        // The detector is deployed as a fixed model from here on:
+        // inference never reads the training workspace.
+        model.release_training_buffers();
         PhonemeDetector {
             model,
             mfcc,

@@ -237,19 +237,27 @@ pub fn run_selection<R: Rng + ?Sized>(
             // passage at `spl`, not this phoneme individually.
             let gain = speech_gain_for_spl(spl);
             let calibrated: Vec<f32> = sound.iter().map(|&x| x * gain).collect();
+            // Both paths replay the segment through the same sound bar.
+            // `play` draws no RNG, so playing it once and rendering the
+            // played signal on loudspeaker-free paths records the same
+            // samples as playing it per path.
+            let played = speaker_device.play(&calibrated, fs);
 
-            let adv_path = AcousticPath::thru_barrier(room.clone(), cfg.distance_m, speaker_device);
-            let adv_rec = adv_path.record(&calibrated, fs, &mic, rng);
+            let adv_path = AcousticPath {
+                room: room.clone(),
+                through_barrier: true,
+                distance_m: cfg.distance_m,
+                loudspeaker: None,
+                render: Default::default(),
+            };
+            let adv_rec = adv_path.record(&played, fs, &mic, rng);
             adv_vibs.push(wearable.convert(adv_rec.samples(), fs, rng));
 
             let user_path = AcousticPath {
-                room: room.clone(),
                 through_barrier: false,
-                distance_m: cfg.distance_m,
-                loudspeaker: Some(speaker_device),
-                render: Default::default(),
+                ..adv_path
             };
-            let user_rec = user_path.record(&calibrated, fs, &mic, rng);
+            let user_rec = user_path.record(&played, fs, &mic, rng);
             user_vibs.push(wearable.convert(user_rec.samples(), fs, rng));
         }
         let q3_adv = q3_per_bin(&adv_vibs, cfg.n_fft);

@@ -89,8 +89,14 @@ pub fn run(cfg: &DetectionAccuracyConfig) -> DetectionAccuracy {
 
     // Evaluate on propagated phoneme segments.
     let mic = Microphone::wearable();
-    let barrier_path =
-        AcousticPath::thru_barrier(Room::paper_room(RoomId::A), 2.0, Loudspeaker::sound_bar());
+    let speaker_device = Loudspeaker::sound_bar();
+    let barrier_path = AcousticPath {
+        room: Room::paper_room(RoomId::A),
+        through_barrier: true,
+        distance_m: 2.0,
+        loudspeaker: None,
+        render: Default::default(),
+    };
     let clear_path = AcousticPath {
         through_barrier: false,
         ..barrier_path.clone()
@@ -104,8 +110,12 @@ pub fn run(cfg: &DetectionAccuracyConfig) -> DetectionAccuracy {
         let sounds = phoneme_samples(&synth, common.id, cfg.samples_per_phoneme, &panel, &mut rng);
         for s in &sounds {
             let calibrated: Vec<f32> = s.iter().map(|&x| x * gain).collect();
-            let clear = clear_path.record(&calibrated, fs, &mic, &mut rng);
-            let through = barrier_path.record(&calibrated, fs, &mic, &mut rng);
+            // Both paths replay the segment through the same sound bar;
+            // `play` draws no RNG, so one playback rendered on both
+            // loudspeaker-free paths records what two playbacks would.
+            let played = speaker_device.play(&calibrated, fs);
+            let clear = clear_path.record(&played, fs, &mic, &mut rng);
+            let through = barrier_path.record(&played, fs, &mic, &mut rng);
             n += 1;
             if classify_segment(&detector, clear.samples()) == truth {
                 correct_clear += 1;

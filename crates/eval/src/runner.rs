@@ -55,7 +55,8 @@ pub struct RunnerConfig {
     pub settings: Vec<TrialSettings>,
     /// Segment selector for the full method.
     pub selector: SelectorChoice,
-    /// Worker threads.
+    /// Threads scoring trials: the calling thread plus `threads - 1`
+    /// spawned workers.
     pub threads: usize,
     /// Trials scored per minibatch inside each worker: their
     /// sensitive-frame masks are computed in one batched BRNN pass
@@ -221,55 +222,33 @@ impl Runner {
         let system = DefenseSystem::with_selector(Wearable::fossil_gen_5(), selector);
         let chunks: Vec<Vec<TrialPlan>> = split_round_robin(&plans, n_threads);
         let utterances = &*self.utterances;
-        let results: Vec<Vec<(TrialPlan, [f32; 3])>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .enumerate()
-                .map(|(worker, chunk)| {
-                    let system = &system;
-                    let utterances = &utterances;
-                    scope.spawn(move || {
-                        thrubarrier_obs::label_thread(&format!("worker-{worker}"));
-                        let generator = TrialGenerator::new();
-                        let bank = CommandBank::standard();
-                        let mut out = Vec::with_capacity(chunk.len());
-                        // Trials are scored in minibatches: every group's
-                        // sensitive-frame masks come from one batched BRNN
-                        // pass, then each trial reuses its precomputed mask.
-                        for group in chunk.chunks(cfg.batch_size.max(1)) {
-                            let trials: Vec<(Trial, u64)> = {
-                                let _span = thrubarrier_obs::span!("eval.build_trials");
-                                group
-                                    .iter()
-                                    .map(|plan| {
-                                        build_trial(plan, cfg, &generator, &bank, utterances)
-                                    })
-                                    .collect()
-                            };
-                            let recordings: Vec<&[f32]> = trials
-                                .iter()
-                                .map(|(t, _)| t.va_recording.samples())
-                                .collect();
-                            let masks = system
-                                .selector()
-                                .sensitive_frames_batch(&recordings, crate::scenario::AUDIO_RATE);
-                            for ((plan, (trial, seed)), mask) in
-                                group.iter().zip(&trials).zip(&masks)
-                            {
-                                let _span = thrubarrier_obs::span!("eval.trial");
-                                let scores = verify_trial(trial, *seed, system, Some(mask));
-                                out.push((plan.clone(), scores));
-                            }
-                        }
-                        out
+        // Chunk 0 runs on the calling thread, so a one-thread run spawns
+        // nothing and keeps the caller's thread-local FFT plans, scene
+        // and conversion engines and malloc arena; only chunks 1 and up
+        // get a worker.
+        let results: Vec<Vec<(TrialPlan, [f32; 3])>> = match chunks.split_first() {
+            None => Vec::new(),
+            Some((first, rest)) => std::thread::scope(|scope| {
+                let system = &system;
+                let handles: Vec<_> = rest
+                    .iter()
+                    .enumerate()
+                    .map(|(i, chunk)| {
+                        scope.spawn(move || {
+                            thrubarrier_obs::label_thread(&format!("worker-{}", i + 1));
+                            score_chunk(chunk, cfg, system, utterances)
+                        })
                     })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
+                    .collect();
+                let mut results = vec![score_chunk(first, cfg, system, utterances)];
+                results.extend(
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("worker panicked")),
+                );
+                results
+            }),
+        };
         let mut pools: Vec<(DefenseMethod, ScorePool)> = DefenseMethod::all()
             .into_iter()
             .map(|m| (m, ScorePool::default()))
@@ -433,6 +412,42 @@ impl UtteranceCache {
         let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(map.entry(key).or_insert(audio))
     }
+}
+
+/// Builds and scores one chunk of planned trials in minibatches: every
+/// group's sensitive-frame masks come from one batched BRNN pass, then
+/// each trial reuses its precomputed mask.
+fn score_chunk(
+    chunk: &[TrialPlan],
+    cfg: &RunnerConfig,
+    system: &DefenseSystem,
+    utterances: &UtteranceCache,
+) -> Vec<(TrialPlan, [f32; 3])> {
+    let generator = TrialGenerator::new();
+    let bank = CommandBank::standard();
+    let mut out = Vec::with_capacity(chunk.len());
+    for group in chunk.chunks(cfg.batch_size.max(1)) {
+        let trials: Vec<(Trial, u64)> = {
+            let _span = thrubarrier_obs::span!("eval.build_trials");
+            group
+                .iter()
+                .map(|plan| build_trial(plan, cfg, &generator, &bank, utterances))
+                .collect()
+        };
+        let recordings: Vec<&[f32]> = trials
+            .iter()
+            .map(|(t, _)| t.va_recording.samples())
+            .collect();
+        let masks = system
+            .selector()
+            .sensitive_frames_batch(&recordings, crate::scenario::AUDIO_RATE);
+        for ((plan, (trial, seed)), mask) in group.iter().zip(&trials).zip(&masks) {
+            let _span = thrubarrier_obs::span!("eval.trial");
+            let scores = verify_trial(trial, *seed, system, Some(mask));
+            out.push((plan.clone(), scores));
+        }
+    }
+    out
 }
 
 /// Synthesizes the recordings of one planned trial (no scoring).
@@ -662,6 +677,48 @@ mod tests {
                     sorted(other.pool(*m).attack_scores())
                 );
             }
+        }
+    }
+
+    /// The energy selector, recording the thread every batch runs on.
+    #[derive(Default)]
+    struct ThreadRecordingSelector {
+        inner: EnergySelector,
+        threads: std::sync::Mutex<Vec<std::thread::ThreadId>>,
+    }
+
+    impl SegmentSelector for ThreadRecordingSelector {
+        fn sensitive_frames(&self, audio: &[f32], sample_rate: u32) -> Vec<bool> {
+            self.inner.sensitive_frames(audio, sample_rate)
+        }
+
+        fn sensitive_frames_batch(
+            &self,
+            recordings: &[&[f32]],
+            sample_rate: u32,
+        ) -> Vec<Vec<bool>> {
+            self.threads
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
+            self.inner.sensitive_frames_batch(recordings, sample_rate)
+        }
+    }
+
+    #[test]
+    fn chunk_zero_runs_on_the_calling_thread() {
+        // One thread spawns no worker; with two, chunk 0 still runs on
+        // the caller and chunk 1 on one spawned worker.
+        let caller = std::thread::current().id();
+        for (threads, distinct) in [(1usize, 1usize), (2, 2)] {
+            let mut cfg = tiny_config();
+            cfg.threads = threads;
+            let selector = Arc::new(ThreadRecordingSelector::default());
+            Runner::new(cfg).run_with_selector(selector.clone(), Vec::new());
+            let seen = selector.threads.lock().unwrap().clone();
+            assert!(seen.contains(&caller), "{threads} threads: {seen:?}");
+            let unique: HashSet<_> = seen.iter().collect();
+            assert_eq!(unique.len(), distinct, "{threads} threads: {seen:?}");
         }
     }
 

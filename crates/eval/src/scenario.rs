@@ -108,11 +108,6 @@ impl TrialGenerator {
         self
     }
 
-    /// The synthesizer used for command audio.
-    pub fn synthesizer(&self) -> &Synthesizer {
-        &self.synth
-    }
-
     /// A legitimate trial: `speaker` utters `command` inside the room.
     pub fn legitimate<R: Rng + ?Sized>(
         &self,
@@ -195,20 +190,22 @@ impl TrialGenerator {
         for v in &mut source {
             *v *= gain;
         }
-        let loudspeaker = sound.needs_loudspeaker.then(Loudspeaker::sound_bar);
+        // Both devices hear the same playback. `play` draws no RNG, so
+        // playing the source once and rendering the played signal on
+        // loudspeaker-free paths records what playing it per path would.
+        if sound.needs_loudspeaker {
+            source = Loudspeaker::sound_bar().play(&source, AUDIO_RATE);
+        }
         let va_path = AcousticPath {
             room: settings.room.clone(),
             through_barrier: true,
             distance_m: settings.barrier_to_va_m,
-            loudspeaker,
+            loudspeaker: None,
             render: self.render,
         };
         let wearable_path = AcousticPath {
-            room: settings.room.clone(),
-            through_barrier: true,
             distance_m: settings.barrier_to_wearable_m,
-            loudspeaker,
-            render: self.render,
+            ..va_path.clone()
         };
         let (va, wearable) = self.record_pair(&source, va_path, wearable_path, rng);
         Trial {

@@ -1253,6 +1253,15 @@ impl GemmScratch {
     pub fn new() -> Self {
         GemmScratch::default()
     }
+
+    /// Bytes of capacity held by all of the scratch's buffers.
+    #[cfg(test)]
+    pub(crate) fn retained_bytes(&self) -> usize {
+        let bufs = [
+            &self.dz, &self.dz_u, &self.bh, &self.bc, &self.bz, &self.bt, &self.row, &self.flat,
+        ];
+        bufs.iter().map(|b| b.capacity() * 4).sum()
+    }
 }
 
 /// A version-keyed transposed-weight view for the fused backward

@@ -111,7 +111,8 @@ pub struct BrnnClassifier<C = BiLstm> {
     step: u64,
     /// The one training workspace: every `train_step` re-packs its
     /// minibatch into it, so its buffers stay sized to the largest
-    /// minibatch trained on.
+    /// minibatch trained on until
+    /// [`BrnnClassifier::release_training_buffers`] frees them.
     train_ws: BatchWorkspace,
     scratch: GemmScratch,
     /// Cached `Wᵀ` of the head for the fused input-gradient GEMM,
@@ -198,6 +199,19 @@ impl<C: RecurrentCell> BrnnClassifier<C> {
         self.step
     }
 
+    /// Frees the buffers only `train_step` uses: the training
+    /// workspace's packed inputs, projections and replay caches, the
+    /// GEMM scratch and the head's transpose cache. Inference never
+    /// reads them, so a trained model calls this once training ends.
+    /// A later `train_step` grows them again; every step re-packs its
+    /// minibatch and rebuilds the transposes it needs, so its result
+    /// does not depend on whether they were released.
+    pub fn release_training_buffers(&mut self) {
+        self.train_ws = BatchWorkspace::new();
+        self.scratch = GemmScratch::new();
+        self.head_wt = TransposedCache::new();
+    }
+
     /// Per-frame logits for a sequence: the packed inference engine of
     /// [`BrnnClassifier::predict_batch`] run as a batch of one.
     pub fn logits(&self, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
@@ -237,7 +251,8 @@ impl<C: RecurrentCell> BrnnClassifier<C> {
     /// batch.
     ///
     /// Every step re-packs its minibatch into the classifier's one
-    /// training workspace, reusing its allocations.
+    /// training workspace, reusing its allocations (or growing them
+    /// anew after [`BrnnClassifier::release_training_buffers`]).
     ///
     /// # Panics
     ///
@@ -785,6 +800,74 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(363);
         check(&BiLstm::new(3, 33, &mut rng), &batches);
         check(&BiGru::new(3, 33, &mut rng), &batches);
+    }
+
+    /// Trains a copy of `base` for three steps on mixed-length batches
+    /// of `data`, then returns it.
+    fn trained<C: RecurrentCell>(
+        base: &BrnnClassifier<C>,
+        data: &[(Vec<Vec<f32>>, Vec<usize>)],
+    ) -> BrnnClassifier<C> {
+        let mut model = base.clone();
+        for k in 0..3 {
+            let batch: Vec<(&[Vec<f32>], &[usize])> = data[k..]
+                .iter()
+                .map(|(x, y)| (x.as_slice(), y.as_slice()))
+                .collect();
+            model.train_step(&batch, &TrainConfig::default());
+        }
+        model
+    }
+
+    #[test]
+    fn released_model_holds_no_training_buffers() {
+        let mut data = framewise_dataset(3, 9, 380);
+        data.extend(framewise_dataset(3, 5, 381));
+        let mut rng = StdRng::seed_from_u64(382);
+        let mut model = trained(&BrnnClassifier::new(3, 33, 2, &mut rng), &data);
+        assert!(model.train_ws.retained_bytes() > 0 && model.scratch.retained_bytes() > 0);
+        let before = model.predict(&data[0].0);
+        model.release_training_buffers();
+        assert_eq!(model.train_ws.retained_bytes(), 0);
+        assert_eq!(model.scratch.retained_bytes(), 0);
+        assert_eq!(model.predict(&data[0].0), before);
+    }
+
+    #[test]
+    fn training_after_release_is_bitwise_unchanged() {
+        // Every step re-packs its minibatch, so a model whose buffers
+        // were released and regrown trains to the same bits as one that
+        // kept them, for both cells.
+        fn check<C: RecurrentCell>(base: &BrnnClassifier<C>, data: &[(Vec<Vec<f32>>, Vec<usize>)]) {
+            let mut kept = trained(base, data);
+            let mut released = kept.clone();
+            released.release_training_buffers();
+            let batch: Vec<(&[Vec<f32>], &[usize])> = data
+                .iter()
+                .map(|(x, y)| (x.as_slice(), y.as_slice()))
+                .collect();
+            for step in 0..2 {
+                let (a, b) = (
+                    kept.train_step(&batch, &TrainConfig::default()),
+                    released.train_step(&batch, &TrainConfig::default()),
+                );
+                assert_eq!(a.to_bits(), b.to_bits(), "loss at step {step}");
+            }
+            let bits = |m: &mut BrnnClassifier<C>| {
+                let mut out: Vec<u32> = Vec::new();
+                for p in m.rnn.params_mut().into_iter().chain(m.head.params_mut()) {
+                    out.extend(p.value.data().iter().map(|v| v.to_bits()));
+                }
+                out
+            };
+            assert_eq!(bits(&mut kept), bits(&mut released));
+        }
+        let mut data = framewise_dataset(3, 9, 390);
+        data.extend(framewise_dataset(3, 5, 391));
+        let mut rng = StdRng::seed_from_u64(392);
+        check(&BrnnClassifier::new(3, 33, 2, &mut rng), &data);
+        let gru = BiGru::new(3, 33, &mut rng);
+        check(&BrnnClassifier::with_cell(gru, 2, &mut rng), &data);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use super::metrics::Histogram;
 use std::cell::{Cell, RefCell};
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -65,22 +65,21 @@ fn tid() -> u32 {
     })
 }
 
-/// Names this thread's track in exported traces (e.g. `worker-3`).
-/// Returns at once in uninstrumented builds, which never trace.
+/// Names this thread's track in exported traces (e.g. `worker-3`); a
+/// later call on the same thread replaces the name. Returns at once in
+/// uninstrumented builds, which never trace.
 pub fn label_thread(label: &str) {
     if !crate::COMPILED {
         return;
     }
-    thread_labels()
+    THREAD_LABELS
         .lock()
         .expect("obs thread labels poisoned")
-        .push((tid(), label.to_string()));
+        .insert(tid(), label.to_string());
 }
 
-fn thread_labels() -> &'static Mutex<Vec<(u32, String)>> {
-    static LABELS: OnceLock<Mutex<Vec<(u32, String)>>> = OnceLock::new();
-    LABELS.get_or_init(Mutex::default)
-}
+/// Each labelled thread's current name, keyed by its trace `tid`.
+static THREAD_LABELS: Mutex<BTreeMap<u32, String>> = Mutex::new(BTreeMap::new());
 
 // ---------------------------------------------------------------------
 // Trace event collection.
@@ -171,12 +170,12 @@ pub fn finish_trace() -> String {
     // Name only the threads that recorded in this window: labels of
     // threads that ended before it would be empty tracks.
     let tids: HashSet<u32> = events.iter().map(|e| e.tid).collect();
-    let labels: Vec<(u32, String)> = thread_labels()
+    let labels: Vec<(u32, String)> = THREAD_LABELS
         .lock()
         .expect("obs thread labels poisoned")
         .iter()
         .filter(|(tid, _)| tids.contains(tid))
-        .cloned()
+        .map(|(&tid, label)| (tid, label.clone()))
         .collect();
     super::export::chrome_trace_json(&events, &labels)
 }

@@ -210,6 +210,28 @@ fn trace_names_only_threads_seen_in_its_window() {
     assert!(!trace.contains("test.window.ended_before"), "{trace}");
 }
 
+#[cfg(feature = "obs")]
+#[test]
+fn relabelling_a_thread_replaces_its_name() {
+    let _x = exclusive();
+    obs::set_enabled(true);
+    obs::start_trace();
+    std::thread::spawn(|| {
+        obs::label_thread("test.relabel.first");
+        obs::label_thread("test.relabel.second");
+        let _span = obs::span!("test.trace.relabelled");
+    })
+    .join()
+    .unwrap();
+    let trace = obs::finish_trace();
+    assert!(!trace.contains("test.relabel.first"), "{trace}");
+    assert_eq!(
+        trace.matches("\"test.relabel.second\"").count(),
+        1,
+        "{trace}"
+    );
+}
+
 #[test]
 fn reset_zeroes_registered_metrics() {
     let _x = exclusive();
