@@ -27,7 +27,8 @@
 //!    stages filter through, the propagation delay and reverb taps are
 //!    exact [`fft::unit_roots`] table lookups, and the spreading loss
 //!    is a scalar;
-//! 5. one inverse transform, truncated to the staged output length;
+//! 5. one inverse transform that writes only the staged output length
+//!    (`delay + len + max_tap`), never the block's padding;
 //! 6. ambient noise, microphone self-noise and full-scale clamping in
 //!    the time domain, drawing the RNG in the staged order.
 //!
@@ -76,7 +77,9 @@ pub enum RenderPath {
 /// Holds the half-spectrum working buffer; FFT plans, unit-root tables
 /// and sampled response curves come from the dsp crate's caches. One
 /// engine renders any number of paths of any length — the buffer grows
-/// to the largest render seen and is reused.
+/// to the largest render seen and is reused. Each recording is
+/// allocated at its own length: the inverse transform runs at the
+/// padded size `n` but writes only the samples the recording keeps.
 #[derive(Debug, Default)]
 pub struct SceneEngine {
     /// Half-spectrum of the padded played signal (`n/2 + 1` bins).
@@ -117,8 +120,8 @@ impl SceneEngine {
     }
 
     /// The fused render: loudspeaker in time domain, one forward
-    /// transform, combined-transfer multiply, one inverse transform,
-    /// then the noise/clamp tail.
+    /// transform, combined-transfer multiply, one inverse transform
+    /// writing the first `len_full` samples, then the noise/clamp tail.
     fn record_fused<R: Rng + ?Sized>(
         &mut self,
         path: &AcousticPath,
@@ -158,9 +161,8 @@ impl SceneEngine {
             let n = fft::next_pow2(len_full);
             fft::half_spectrum_into(sig, n, &mut self.spec);
             self.apply_transfer(path, mic, n, sample_rate, delay, &taps);
-            let mut time = Vec::with_capacity(n);
-            fft::real_inverse_into(&self.spec, n, &mut time);
-            time.truncate(len_full);
+            let mut time = Vec::new();
+            fft::real_inverse_into(&self.spec, n, len_full, &mut time);
             time
         };
 

@@ -207,6 +207,27 @@ mod tests {
     }
 
     #[test]
+    fn recordings_hold_no_transform_padding() {
+        let room = Room::paper_room(RoomId::A);
+        let src = gen::sine(500.0, 0.3, 16_000, 0.25);
+        let mic = Microphone::phone();
+        let mut rng = StdRng::seed_from_u64(9);
+        for path in [
+            AcousticPath::direct(room.clone(), 2.0),
+            AcousticPath::thru_barrier(room, 2.0, Loudspeaker::sound_bar()),
+        ] {
+            let rec = path.record(&src, 16_000, &mic, &mut rng).into_samples();
+            assert!(rec.len() > src.len());
+            assert_eq!(
+                rec.capacity(),
+                rec.len(),
+                "barrier={}",
+                path.through_barrier
+            );
+        }
+    }
+
+    #[test]
     fn record_includes_noise_floor() {
         let room = Room::paper_room(RoomId::C);
         let path = AcousticPath::direct(room, 2.0);

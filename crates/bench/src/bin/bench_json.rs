@@ -118,7 +118,7 @@ fn run_stages(iters: usize) -> SweepResult {
         "fft_real_inverse_32k",
         median_ns(iters, || {
             conv_time.clear();
-            fft::real_inverse_into(black_box(&conv_spec), 32_768, &mut conv_time);
+            fft::real_inverse_into(black_box(&conv_spec), 32_768, 32_768, &mut conv_time);
             black_box(&conv_time);
         }),
     );

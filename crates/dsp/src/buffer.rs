@@ -112,26 +112,6 @@ impl AudioBuffer {
         self.samples.extend_from_slice(&other.samples);
     }
 
-    /// Mixes (adds) another buffer into this one starting at
-    /// `offset_samples`, extending this buffer if needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sample rates differ.
-    pub fn mix_at(&mut self, other: &AudioBuffer, offset_samples: usize) {
-        assert_eq!(
-            self.sample_rate, other.sample_rate,
-            "cannot mix buffers with different sample rates"
-        );
-        let needed = offset_samples + other.samples.len();
-        if needed > self.samples.len() {
-            self.samples.resize(needed, 0.0);
-        }
-        for (i, &s) in other.samples.iter().enumerate() {
-            self.samples[offset_samples + i] += s;
-        }
-    }
-
     /// Returns the sub-buffer `[start, end)` (clamped to the signal
     /// length).
     pub fn slice(&self, start: usize, end: usize) -> AudioBuffer {
@@ -185,13 +165,6 @@ mod tests {
     fn append_rejects_rate_mismatch() {
         let mut a = AudioBuffer::new(vec![1.0], 100);
         a.append(&AudioBuffer::new(vec![2.0], 200));
-    }
-
-    #[test]
-    fn mix_at_with_extension() {
-        let mut a = AudioBuffer::new(vec![1.0, 1.0], 100);
-        a.mix_at(&AudioBuffer::new(vec![0.5, 0.5], 100), 1);
-        assert_eq!(a.samples(), &[1.0, 1.5, 0.5]);
     }
 
     #[test]

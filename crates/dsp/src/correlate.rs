@@ -96,7 +96,7 @@ fn bounded_window_fft(a: &[f32], b: &[f32], lag_lo: isize, lag_hi: isize) -> Vec
         *x *= y.conj();
     }
     let mut circ = Vec::new();
-    fft::real_inverse_into(&fa, n_fft, &mut circ);
+    fft::real_inverse_into(&fa, n_fft, n_fft, &mut circ);
     (lag_lo..=lag_hi)
         .map(|lag| circ[lag.rem_euclid(n_fft as isize) as usize])
         .collect()

@@ -1,56 +1,10 @@
 //! Scalar spectral features of audio signals.
 //!
-//! These are the classic single-number descriptors (centroid, rolloff,
-//! band-energy ratio, zero-crossing rate, flux) used by audio-domain
-//! attack detectors — including the naive "check the high-frequency
-//! energy" approach the paper's introduction evaluates and rejects.
+//! The high-band energy ratio: the single-number descriptor behind the
+//! naive "check the high-frequency energy" detector the paper's
+//! introduction evaluates and rejects.
 
 use crate::fft;
-
-/// Spectral centroid in Hz: the magnitude-weighted mean frequency.
-/// Returns `0.0` for silence.
-pub fn spectral_centroid(signal: &[f32], sample_rate: u32) -> f32 {
-    let mags = fft::magnitude_spectrum(signal, 1_024);
-    let n_fft = (mags.len() - 1) * 2;
-    let bin_hz = sample_rate as f32 / n_fft as f32;
-    let total: f32 = mags.iter().sum();
-    if total <= 1e-12 {
-        return 0.0;
-    }
-    mags.iter()
-        .enumerate()
-        .map(|(k, &m)| k as f32 * bin_hz * m)
-        .sum::<f32>()
-        / total
-}
-
-/// Spectral roll-off: the frequency below which `fraction` of the total
-/// spectral energy lies. Returns `0.0` for silence.
-///
-/// # Panics
-///
-/// Panics unless `fraction` is in `(0, 1]`.
-pub fn spectral_rolloff(signal: &[f32], sample_rate: u32, fraction: f32) -> f32 {
-    assert!(
-        fraction > 0.0 && fraction <= 1.0,
-        "fraction must be in (0, 1]"
-    );
-    let mags = fft::magnitude_spectrum(signal, 1_024);
-    let n_fft = (mags.len() - 1) * 2;
-    let bin_hz = sample_rate as f32 / n_fft as f32;
-    let total: f32 = mags.iter().map(|m| m * m).sum();
-    if total <= 1e-12 {
-        return 0.0;
-    }
-    let mut acc = 0.0f32;
-    for (k, &m) in mags.iter().enumerate() {
-        acc += m * m;
-        if acc >= fraction * total {
-            return k as f32 * bin_hz;
-        }
-    }
-    (mags.len() - 1) as f32 * bin_hz
-}
 
 /// Ratio of spectral energy above `split_hz` to total energy — the
 /// naive thru-barrier indicator (barriers strip high frequencies, so a
@@ -77,79 +31,12 @@ pub fn high_band_energy_ratio(signal: &[f32], sample_rate: u32, split_hz: f32) -
     }
 }
 
-/// Zero-crossing rate: sign changes per sample (`0..=1`).
-pub fn zero_crossing_rate(signal: &[f32]) -> f32 {
-    if signal.len() < 2 {
-        return 0.0;
-    }
-    let crossings = signal
-        .windows(2)
-        .filter(|w| (w[0] >= 0.0) != (w[1] >= 0.0))
-        .count();
-    crossings as f32 / (signal.len() - 1) as f32
-}
-
-/// Mean spectral flux between consecutive frames of `frame_len` samples:
-/// the L2 distance of normalized magnitude spectra. High for noise-like
-/// or transient content, low for steady tones.
-pub fn spectral_flux(signal: &[f32], frame_len: usize) -> f32 {
-    if frame_len == 0 || signal.len() < frame_len * 2 {
-        return 0.0;
-    }
-    let frames: Vec<Vec<f32>> = signal
-        .chunks_exact(frame_len)
-        .map(|c| {
-            let mags = fft::magnitude_spectrum(c, frame_len.next_power_of_two());
-            let norm: f32 = mags.iter().map(|m| m * m).sum::<f32>().sqrt().max(1e-12);
-            mags.into_iter().map(|m| m / norm).collect()
-        })
-        .collect();
-    let mut flux = 0.0f32;
-    for w in frames.windows(2) {
-        flux += w[0]
-            .iter()
-            .zip(&w[1])
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f32>()
-            .sqrt();
-    }
-    flux / (frames.len() - 1) as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn centroid_tracks_tone_frequency() {
-        let lo = gen::sine(300.0, 0.5, 16_000, 0.25);
-        let hi = gen::sine(3_000.0, 0.5, 16_000, 0.25);
-        let c_lo = spectral_centroid(&lo, 16_000);
-        let c_hi = spectral_centroid(&hi, 16_000);
-        assert!((c_lo - 300.0).abs() < 150.0, "centroid {c_lo}");
-        assert!(c_hi > 2_000.0, "centroid {c_hi}");
-    }
-
-    #[test]
-    fn centroid_of_silence_is_zero() {
-        assert_eq!(spectral_centroid(&vec![0.0; 512], 16_000), 0.0);
-    }
-
-    #[test]
-    fn rolloff_bounds_tone() {
-        let tone = gen::sine(1_000.0, 0.5, 16_000, 0.25);
-        let r = spectral_rolloff(&tone, 16_000, 0.95);
-        assert!((900.0..1_400.0).contains(&r), "rolloff {r}");
-    }
-
-    #[test]
-    #[should_panic(expected = "fraction must be in (0, 1]")]
-    fn rolloff_rejects_bad_fraction() {
-        spectral_rolloff(&[0.1; 64], 16_000, 0.0);
-    }
 
     #[test]
     fn high_band_ratio_separates_filtered_signal() {
@@ -171,28 +58,5 @@ mod tests {
         let r_low = high_band_energy_ratio(&low, 16_000, 500.0);
         assert!(r_wide > 0.8, "wide {r_wide}");
         assert!(r_low < 0.1, "low {r_low}");
-    }
-
-    #[test]
-    fn zcr_orders_tone_frequencies() {
-        let lo = gen::sine(100.0, 0.5, 16_000, 0.25);
-        let hi = gen::sine(2_000.0, 0.5, 16_000, 0.25);
-        assert!(zero_crossing_rate(&hi) > 5.0 * zero_crossing_rate(&lo));
-        assert_eq!(zero_crossing_rate(&[1.0]), 0.0);
-    }
-
-    #[test]
-    fn flux_is_low_for_steady_tone_high_for_noise() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let tone = gen::sine(500.0, 0.5, 16_000, 0.5);
-        let noise = gen::gaussian_noise(&mut rng, 0.5, 8_000);
-        let f_tone = spectral_flux(&tone, 512);
-        let f_noise = spectral_flux(&noise, 512);
-        assert!(f_noise > 3.0 * f_tone, "noise {f_noise} tone {f_tone}");
-    }
-
-    #[test]
-    fn flux_short_input_is_zero() {
-        assert_eq!(spectral_flux(&[0.1; 100], 512), 0.0);
     }
 }

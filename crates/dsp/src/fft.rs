@@ -612,7 +612,13 @@ fn half_spectrum_with(z: &mut Vec<Complex>, signal: &[f32], n: usize, out: &mut 
 
 /// Inverse of [`half_spectrum_into`]: reconstructs the length-`n` real
 /// signal whose non-negative-frequency spectrum is `spec` (`n/2 + 1`
-/// bins, conjugate symmetry implied), appending it to `out`.
+/// bins, conjugate symmetry implied) and appends its first `len`
+/// samples to `out`, reserving exactly `len` more.
+///
+/// The transform always runs at size `n`; `len` only bounds what is
+/// written, so a caller that keeps a prefix (a zero-padded signal's
+/// original length) never holds the padding. Each written sample is
+/// bitwise the same as in the `len = n` call.
 ///
 /// Public so multi-stage spectral pipelines (e.g. the vibration
 /// crate's fused conversion engine) can run one forward transform,
@@ -621,19 +627,28 @@ fn half_spectrum_with(z: &mut Vec<Complex>, signal: &[f32], n: usize, out: &mut 
 ///
 /// # Panics
 ///
-/// Panics in debug builds if `spec.len() != n / 2 + 1`.
-pub fn real_inverse_into(spec: &[Complex], n: usize, out: &mut Vec<f32>) {
+/// Panics if `len > n`, and in debug builds if
+/// `spec.len() != n / 2 + 1`.
+pub fn real_inverse_into(spec: &[Complex], n: usize, len: usize, out: &mut Vec<f32>) {
     SCRATCH.with(|s| {
         let scratch = &mut *s.borrow_mut();
-        real_inverse_with(&mut scratch.a, spec, n, out);
+        real_inverse_with(&mut scratch.a, spec, n, len, out);
     });
 }
 
 /// Core of [`real_inverse_into`] with an explicit unpacking buffer.
-fn real_inverse_with(z: &mut Vec<Complex>, spec: &[Complex], n: usize, out: &mut Vec<f32>) {
+fn real_inverse_with(
+    z: &mut Vec<Complex>,
+    spec: &[Complex],
+    n: usize,
+    len: usize,
+    out: &mut Vec<f32>,
+) {
     debug_assert_eq!(spec.len(), n / 2 + 1);
+    assert!(len <= n, "kept length longer than fft length");
+    out.reserve_exact(len);
     if n == 1 {
-        out.push(spec[0].re);
+        out.extend(spec[..len].iter().map(|c| c.re));
         return;
     }
     let half = n / 2;
@@ -657,10 +672,17 @@ fn real_inverse_with(z: &mut Vec<Complex>, spec: &[Complex], n: usize, out: &mut
         p.process::<true>(z, Kernel::detect());
     });
     // `FftPlan::inverse`'s `1/half` scale, folded into the interleave:
-    // the same `re·s`, `im·s` products, one pass fewer.
+    // the same `re·s`, `im·s` products, one pass fewer. Sample `2i` is
+    // `z_i.re`, `2i + 1` is `z_i.im`; an odd `len` ends on a lone `re`.
     let scale = 1.0 / half as f32;
-    out.reserve(n);
-    out.extend(z.iter().flat_map(|v| [v.re * scale, v.im * scale]));
+    out.extend(
+        z[..len / 2]
+            .iter()
+            .flat_map(|v| [v.re * scale, v.im * scale]),
+    );
+    if len % 2 == 1 {
+        out.push(z[len / 2].re * scale);
+    }
 }
 
 /// Forward FFT of a real signal, zero-padded to the next power of two (or
@@ -717,8 +739,9 @@ pub fn bin_frequencies(n_fft: usize, sample_rate: u32) -> Vec<f32> {
 /// Filters a real signal by per-bin gains over its padded spectrum:
 /// forward real FFT to `n = next_pow2(len)`, multiply bin `k` by
 /// `gains[k]` (`n/2 + 1` entries; the negative half follows from
-/// conjugate symmetry, keeping the output real), inverse real FFT,
-/// truncate to the input length.
+/// conjugate symmetry, keeping the output real), inverse real FFT
+/// writing only the first `signal.len()` samples, so the returned
+/// vector holds no padding.
 ///
 /// This is the allocation-free core shared by [`apply_frequency_response`]
 /// and `ResponseCurve::filter`: plans and scratch come from thread-local
@@ -733,8 +756,7 @@ pub(crate) fn filter_by_gains(signal: &[f32], n: usize, gains: &[f32]) -> Vec<f3
             *v = v.scale(g);
         }
         let mut out = Vec::new();
-        real_inverse_with(&mut scratch.a, spec, n, &mut out);
-        out.truncate(signal.len());
+        real_inverse_with(&mut scratch.a, spec, n, signal.len(), &mut out);
         out
     })
 }
@@ -1128,12 +1150,49 @@ mod tests {
                 .enumerate()
             {
                 let mut got = Vec::new();
-                real_inverse_into(&spec, n, &mut got);
+                real_inverse_into(&spec, n, n, &mut got);
                 let want = real_inverse_indexed(&spec, n);
                 let to_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert!(to_bits(&got) == to_bits(&want), "inverse n={n} case {case}");
             }
         }
+    }
+
+    #[test]
+    fn real_inverse_prefix_equals_full_inverse_bitwise() {
+        let to_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in [1usize, 2, 8, 4096] {
+            for (case, spec) in parity_inputs(n / 2 + 1, n as u64).into_iter().enumerate() {
+                let mut full = Vec::new();
+                real_inverse_into(&spec, n, n, &mut full);
+                assert_eq!(full.len(), n);
+                // Empty, one sample, an odd and an even prefix, the
+                // whole block.
+                for len in [0, 1, (n / 2) | 1, (n / 2 + 2) & !1, n] {
+                    if len > n {
+                        continue;
+                    }
+                    let mut got = Vec::new();
+                    real_inverse_into(&spec, n, len, &mut got);
+                    assert_eq!(got.capacity(), len, "n={n} len={len}");
+                    assert!(
+                        to_bits(&got) == to_bits(&full[..len]),
+                        "n={n} len={len} case {case}"
+                    );
+                    // Appending keeps what `out` already held.
+                    let mut appended = vec![7.0f32];
+                    real_inverse_into(&spec, n, len, &mut appended);
+                    assert_eq!(appended[0], 7.0);
+                    assert!(to_bits(&appended[1..]) == to_bits(&full[..len]));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "kept length longer than fft length")]
+    fn real_inverse_rejects_prefix_longer_than_block() {
+        real_inverse_into(&[Complex::ZERO; 5], 8, 9, &mut Vec::new());
     }
 
     #[test]

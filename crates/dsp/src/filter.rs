@@ -211,7 +211,7 @@ pub fn overlap_save_convolve(signal: &[f32], ir: &[f32]) -> Vec<f32> {
             *v *= h;
         }
         time.clear();
-        crate::fft::real_inverse_into(&spec, n, &mut time);
+        crate::fft::real_inverse_into(&spec, n, n, &mut time);
         let take = step.min(out_len - pos);
         out.extend_from_slice(&time[m - 1..m - 1 + take]);
         pos += step;

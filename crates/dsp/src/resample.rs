@@ -65,38 +65,6 @@ pub fn decimate(signal: &[f32], factor: usize, sample_rate: u32) -> Result<Vec<f
     Ok(filtered.iter().step_by(factor).copied().collect())
 }
 
-/// Linear-interpolation resampling to an arbitrary target rate. Used for
-/// aligning recordings from devices with slightly different clocks.
-///
-/// # Errors
-///
-/// Returns [`DspError::InvalidFilterParameter`] if either rate is zero.
-pub fn resample_linear(signal: &[f32], from_rate: u32, to_rate: u32) -> Result<Vec<f32>, DspError> {
-    if from_rate == 0 || to_rate == 0 {
-        return Err(DspError::InvalidFilterParameter(
-            "sample rates must be non-zero".into(),
-        ));
-    }
-    if signal.is_empty() {
-        return Ok(Vec::new());
-    }
-    if from_rate == to_rate {
-        return Ok(signal.to_vec());
-    }
-    let ratio = from_rate as f64 / to_rate as f64;
-    let out_len = ((signal.len() as f64) / ratio).floor() as usize;
-    let mut out = Vec::with_capacity(out_len);
-    for i in 0..out_len {
-        let pos = i as f64 * ratio;
-        let lo = pos.floor() as usize;
-        let frac = (pos - lo as f64) as f32;
-        let a = signal[lo.min(signal.len() - 1)];
-        let b = signal[(lo + 1).min(signal.len() - 1)];
-        out.push(a * (1.0 - frac) + b * frac);
-    }
-    Ok(out)
-}
-
 /// The frequency (Hz) that `f_in` aliases to when sampled at
 /// `sample_rate` Hz without anti-aliasing.
 ///
@@ -161,23 +129,6 @@ mod tests {
     fn zero_factor_is_rejected() {
         assert!(decimate_aliased(&[1.0], 0).is_err());
         assert!(decimate(&[1.0], 0, 100).is_err());
-    }
-
-    #[test]
-    fn linear_resample_preserves_tone_frequency() {
-        let tone = gen::sine(50.0, 1.0, 16_000, 1.0);
-        let out = resample_linear(&tone, 16_000, 8_000).unwrap();
-        assert_eq!(out.len(), 8_000);
-        let mags = fft::magnitude_spectrum(&out, 0);
-        let peak = stats::argmax(&mags).unwrap();
-        let hz = peak as f32 * 8_000.0 / 8_192.0;
-        assert!((hz - 50.0).abs() < 3.0, "peak at {hz}");
-    }
-
-    #[test]
-    fn linear_resample_same_rate_is_identity() {
-        let sig = vec![0.5, -0.5];
-        assert_eq!(resample_linear(&sig, 100, 100).unwrap(), sig);
     }
 
     #[test]

@@ -81,9 +81,10 @@ impl ResponseCurve {
     }
 
     /// Filters `signal` through this curve: planned real FFT to `n_fft`,
-    /// per-bin gain multiply, real inverse, truncated to the input
-    /// length. Matches `fft::apply_frequency_response` of the same
-    /// closure exactly when `n_fft == next_pow2(signal.len())`.
+    /// per-bin gain multiply, real inverse writing only the input's
+    /// length (the returned vector's capacity is that length). Matches
+    /// `fft::apply_frequency_response` of the same closure exactly when
+    /// `n_fft == next_pow2(signal.len())`.
     ///
     /// # Panics
     ///
@@ -290,6 +291,16 @@ mod tests {
             .join()
             .unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second thread must reuse the table");
+    }
+
+    #[test]
+    fn filtered_signal_holds_no_padding() {
+        // 333 samples pad to a 512-point transform; only the 333 kept
+        // samples are allocated.
+        let curve = ResponseCurve::sample(512, 8_000, |f| 1.0 / (1.0 + f / 1_000.0));
+        let out = curve.filter(&vec![0.25f32; 333]);
+        assert_eq!(out.len(), 333);
+        assert_eq!(out.capacity(), 333);
     }
 
     #[test]

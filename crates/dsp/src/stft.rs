@@ -85,26 +85,6 @@ impl Stft {
         }
     }
 
-    /// Computes the complex STFT (frames of `n_fft / 2 + 1` non-negative
-    /// frequency bins). Frames are zero-padded to the FFT size and
-    /// transformed with the planned real-input FFT. Values land in the
-    /// same flat row-major layout the real spectrograms use.
-    pub fn complex_spectrogram(&self, signal: &[f32]) -> ComplexSpectrogram {
-        let _span = thrubarrier_obs::span!("dsp.stft.complex");
-        let frames = self.frame_count(signal.len());
-        let bins = if frames == 0 { 0 } else { self.n_fft / 2 + 1 };
-        let coeffs = self.window.coefficients(self.window_len);
-        let mut data = vec![Complex::ZERO; frames * bins];
-        let mut frame = vec![0.0f32; self.window_len];
-        let mut spec = Vec::with_capacity(bins);
-        for fi in 0..frames {
-            self.window_frame(signal, fi, &coeffs, &mut frame);
-            fft::half_spectrum_into(&frame, self.n_fft, &mut spec);
-            data[fi * bins..(fi + 1) * bins].copy_from_slice(&spec);
-        }
-        ComplexSpectrogram { data, frames, bins }
-    }
-
     /// Fills `frame` with the windowed samples of frame `fi`, zero-padded
     /// past the end of the signal.
     fn window_frame(&self, signal: &[f32], fi: usize, coeffs: &[f32], frame: &mut [f32]) {
@@ -158,49 +138,6 @@ impl Stft {
     /// Computes the magnitude spectrogram (FFT magnitudes).
     pub fn magnitude_spectrogram(&self, signal: &[f32], sample_rate: u32) -> Spectrogram {
         self.spectrogram_with(signal, sample_rate, Complex::norm)
-    }
-}
-
-/// A complex STFT: `frames x bins` of [`Complex`] FFT coefficients in
-/// one contiguous row-major buffer — the same flat layout as
-/// [`Spectrogram`], without the cropping metadata (phase-aware
-/// consumers crop before transforming instead).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ComplexSpectrogram {
-    data: Vec<Complex>,
-    frames: usize,
-    bins: usize,
-}
-
-impl ComplexSpectrogram {
-    /// Number of time frames.
-    pub fn frames(&self) -> usize {
-        self.frames
-    }
-
-    /// Number of frequency bins per frame.
-    pub fn bins(&self) -> usize {
-        self.bins
-    }
-
-    /// The coefficients of frame `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t >= self.frames()`.
-    pub fn row(&self, t: usize) -> &[Complex] {
-        assert!(t < self.frames, "frame {t} out of range");
-        &self.data[t * self.bins..(t + 1) * self.bins]
-    }
-
-    /// Iterates over the frames (`frames` slices of `bins` coefficients).
-    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Complex]> + Clone {
-        self.data.chunks(self.bins.max(1)).take(self.frames)
-    }
-
-    /// All coefficients as one flat row-major slice.
-    pub fn flat(&self) -> &[Complex] {
-        &self.data
     }
 }
 
@@ -471,44 +408,6 @@ mod tests {
         assert_eq!(spec.frames(), 0);
         assert_eq!(spec.bins(), 0);
         assert_eq!(spec.max_value(), 0.0);
-        assert_eq!(spec.rows().len(), 0);
-    }
-
-    #[test]
-    fn complex_spectrogram_magnitudes_match_magnitude_spectrogram() {
-        let fs = 200u32;
-        let sig = gen::sine(25.0, 1.0, fs, 1.0);
-        let stft = Stft::vibration_default();
-        let complex = stft.complex_spectrogram(&sig);
-        let mags = stft.magnitude_spectrogram(&sig, fs);
-        assert_eq!(complex.frames(), mags.frames());
-        assert_eq!(complex.bins(), mags.bins());
-        for (crow, mrow) in complex.rows().zip(mags.rows()) {
-            for (c, &m) in crow.iter().zip(mrow) {
-                assert!((c.norm() - m).abs() < 1e-5);
-            }
-        }
-    }
-
-    #[test]
-    fn complex_spectrogram_is_flat_and_row_addressable() {
-        let stft = Stft::vibration_default();
-        let spec = stft.complex_spectrogram(&vec![0.1; 256]);
-        assert_eq!(spec.frames(), stft.frame_count(256));
-        assert_eq!(spec.bins(), stft.n_fft() / 2 + 1);
-        assert_eq!(spec.flat().len(), spec.frames() * spec.bins());
-        for (t, row) in spec.rows().enumerate() {
-            assert_eq!(row, spec.row(t));
-            assert_eq!(row, &spec.flat()[t * spec.bins()..(t + 1) * spec.bins()]);
-        }
-    }
-
-    #[test]
-    fn complex_spectrogram_of_empty_signal_is_empty() {
-        let spec = Stft::vibration_default().complex_spectrogram(&[]);
-        assert_eq!(spec.frames(), 0);
-        assert_eq!(spec.bins(), 0);
-        assert!(spec.flat().is_empty());
         assert_eq!(spec.rows().len(), 0);
     }
 }

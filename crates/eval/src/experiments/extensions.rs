@@ -125,6 +125,10 @@ pub fn run_material_feasibility(cfg: &ExtensionConfig) -> Vec<(BarrierMaterial, 
     let sound = generator.generate(AttackKind::Replay, command, &victim, &victim, &mut rng);
     let gain = spl_to_rms(75.0) / rms(&sound.samples).max(1e-9);
     let source: Vec<f32> = sound.samples.iter().map(|&v| v * gain).collect();
+    // Every material hears the same playback. `play` draws no RNG, so
+    // playing the source once and rendering it on loudspeaker-free
+    // paths records what playing it per path would.
+    let played = generator.loudspeaker.play(&source, AUDIO_RATE);
     let mic = Microphone::phone();
     [
         BarrierMaterial::GlassWindow,
@@ -137,10 +141,13 @@ pub fn run_material_feasibility(cfg: &ExtensionConfig) -> Vec<(BarrierMaterial, 
         let mut room = Room::paper_room(RoomId::A);
         room.barrier = Barrier::new(material);
         let distance = TrialSettings::default().barrier_to_va_m;
-        let mut path = AcousticPath::thru_barrier(room, distance, generator.loudspeaker);
-        let through = path.record(&source, AUDIO_RATE, &mic, &mut rng).rms();
+        let mut path = AcousticPath {
+            through_barrier: true,
+            ..AcousticPath::direct(room, distance)
+        };
+        let through = path.record(&played, AUDIO_RATE, &mic, &mut rng).rms();
         path.through_barrier = false;
-        let direct = path.record(&source, AUDIO_RATE, &mic, &mut rng).rms();
+        let direct = path.record(&played, AUDIO_RATE, &mic, &mut rng).rms();
         (material, 20.0 * (through / direct.max(1e-9)).log10())
     })
     .collect()

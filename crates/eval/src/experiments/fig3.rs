@@ -138,16 +138,18 @@ pub fn run(cfg: &BarrierEffectConfig) -> BarrierEffectStudy {
 /// room A's barrier ("before") and 2 m behind it ("after"), both played
 /// through the sound bar.
 pub(crate) fn record_before_after(source: &[f32], rng: &mut StdRng) -> (AudioBuffer, AudioBuffer) {
-    let after =
-        AcousticPath::thru_barrier(Room::paper_room(RoomId::A), 2.0, Loudspeaker::sound_bar());
-    let before = AcousticPath {
-        through_barrier: false,
-        distance_m: 0.5,
-        ..after.clone()
+    // `play` draws no RNG, so one playback rendered on both
+    // loudspeaker-free paths records what two playbacks would.
+    let played = Loudspeaker::sound_bar().play(source, 16_000);
+    let before = AcousticPath::direct(Room::paper_room(RoomId::A), 0.5);
+    let after = AcousticPath {
+        through_barrier: true,
+        distance_m: 2.0,
+        ..before.clone()
     };
     let mic = Microphone::wearable();
-    let before = before.record(source, 16_000, &mic, rng);
-    (before, after.record(source, 16_000, &mic, rng))
+    let before = before.record(&played, 16_000, &mic, rng);
+    (before, after.record(&played, 16_000, &mic, rng))
 }
 
 fn accumulate_padded_magnitude(acc: &mut [f32], signal: &[f32], n_fft: usize) {

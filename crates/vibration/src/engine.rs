@@ -49,7 +49,10 @@ use thrubarrier_dsp::{fft, gen, resample, AudioBuffer, Complex};
 /// Holds the half-spectrum and time-domain working buffers; FFT plans
 /// and sampled response curves come from the dsp crate's per-thread
 /// caches. One engine converts any number of signals of any length —
-/// buffers grow to the largest conversion seen and are reused.
+/// buffers grow to the largest conversion seen and are reused. Both
+/// inverse transforms run at the padded size `n` but write only the
+/// recording's `len` samples, so `played` and `coupled` never hold the
+/// padding.
 #[derive(Debug, Default)]
 pub struct ConversionEngine {
     /// Half-spectrum of the padded recording (`n/2 + 1` bins).
@@ -67,7 +70,8 @@ impl ConversionEngine {
     }
 
     /// Cross-domain conversion of one recording: one forward transform,
-    /// two curve multiplies, two inverse transforms, Parseval noise
+    /// two curve multiplies, two inverse transforms (each writing the
+    /// recording's length, not the padded block), Parseval noise
     /// metering, in-place leak / interference mixing. Semantics match
     /// the staged chain: same output rate and length, same RNG draw
     /// sequence, tolerance-level numeric agreement.
@@ -117,16 +121,14 @@ impl ConversionEngine {
         // Time-domain played signal — needed only for the rectification
         // leak's envelope follower.
         self.played.clear();
-        fft::real_inverse_into(&self.spec, n, &mut self.played);
-        self.played.truncate(len);
+        fft::real_inverse_into(&self.spec, n, len, &mut self.played);
 
         // Coupling response stacked on the same spectrum, then the
         // second (and last) inverse transform.
         acc.coupling_curve_table(n, sample_rate)
             .apply_to_spectrum(&mut self.spec);
         self.coupled.clear();
-        fft::real_inverse_into(&self.spec, n, &mut self.coupled);
-        self.coupled.truncate(len);
+        fft::real_inverse_into(&self.spec, n, len, &mut self.coupled);
 
         // Rectification leak, mixed into the coupled signal in place.
         acc.add_rectification_leak(&self.played, &mut self.coupled, sample_rate);
